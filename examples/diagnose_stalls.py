@@ -4,18 +4,23 @@
 A merge is slower than expected.  Is the cache too small?  Are disks
 idle?  Are demand fetches queueing behind prefetches?  This example
 runs a deliberately under-provisioned configuration next to a healthy
-one and answers those questions with the library's request traces,
-wait statistics, and utilization timelines -- the workflow for tuning
-a real deployment.
+one under a trace session and answers those questions with views over
+the trace -- request records, wait statistics, and utilization
+timelines -- the workflow for tuning a real deployment.
 
 Run:  python examples/diagnose_stalls.py
 """
 
 from repro import PrefetchStrategy, SimulationConfig
+from repro.api import configure
 from repro.core.merge_sim import MergeTrial
-from repro.core.timeline import utilization_report
-from repro.core.tracing import render_gantt, request_statistics
 from repro.disks.request import FetchKind
+from repro.obs.views import (
+    render_gantt,
+    request_statistics,
+    request_traces,
+    utilization_report,
+)
 
 K_RUNS = 25
 DISKS = 5
@@ -32,40 +37,40 @@ def run(cache_blocks: int):
         cache_capacity=cache_blocks,
         blocks_per_run=BLOCKS_PER_RUN,
         trials=1,
-        record_timelines=True,
-        record_requests=True,
     )
-    return config, MergeTrial(config, seed=7).run()
+    with configure(trace=True) as ctx:
+        metrics = MergeTrial(config, seed=7).run()
+    return config, metrics, ctx.trace.trials[0]
 
 
-def report(label: str, config, metrics) -> None:
+def report(label: str, config, metrics, trial) -> None:
+    traces = request_traces(trial)
     print(f"--- {label}: cache = {config.resolved_cache_capacity} blocks ---")
     print(f"total time     : {metrics.total_time_s:.2f} s")
     print(f"success ratio  : {metrics.success_ratio:.2f}")
     print(f"busy disks     : {metrics.average_concurrency:.2f} of {DISKS}")
-    demand = request_statistics(metrics.request_traces, FetchKind.DEMAND)
-    prefetch = request_statistics(metrics.request_traces, FetchKind.PREFETCH)
+    demand = request_statistics(traces, FetchKind.DEMAND)
+    prefetch = request_statistics(traces, FetchKind.PREFETCH)
     print(f"demand fetches : {demand.count}, mean queue wait "
           f"{demand.mean_queue_wait_ms:.1f} ms (max "
           f"{demand.max_queue_wait_ms:.1f} ms)")
     print(f"prefetches     : {prefetch.count} covering "
           f"{prefetch.total_blocks} blocks")
     print()
-    print(utilization_report(metrics, DISKS, config.resolved_cache_capacity,
+    print(utilization_report(trial, DISKS, config.resolved_cache_capacity,
                              buckets=56))
     print()
     window = metrics.total_time_ms / 20
     print(f"service windows, first {window:.0f} ms:")
-    print(render_gantt(metrics.request_traces, DISKS, width=56,
-                       end_ms=window))
+    print(render_gantt(traces, DISKS, width=56, end_ms=window))
     print()
 
 
 def main() -> None:
-    starved_config, starved = run(cache_blocks=260)
-    healthy_config, healthy = run(cache_blocks=800)
-    report("STARVED", starved_config, starved)
-    report("HEALTHY", healthy_config, healthy)
+    starved_config, starved, starved_trial = run(cache_blocks=260)
+    healthy_config, healthy, healthy_trial = run(cache_blocks=800)
+    report("STARVED", starved_config, starved, starved_trial)
+    report("HEALTHY", healthy_config, healthy, healthy_trial)
     speedup = starved.total_time_s / healthy.total_time_s
     print(
         f"Diagnosis: at 260 blocks the cache almost never fits a full "

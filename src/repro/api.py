@@ -39,6 +39,7 @@ importing anything from ``repro.core`` at module level would cycle
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import signal
 import threading
 from typing import (
@@ -103,6 +104,19 @@ def current_trace() -> Optional[TraceSession]:
     ``if trace is not None``.
     """
     return _state["trace"]
+
+
+def resolve_config(config: "SimulationConfig") -> "SimulationConfig":
+    """``config`` with the ambient fault plan (if it has none) and the
+    ambient kernel applied: the one place ambient options reach a config.
+    """
+    plan = current_fault_plan()
+    if plan is not None and config.fault_plan is None:
+        config = dataclasses.replace(config, fault_plan=plan)
+    kernel = current_kernel()
+    if kernel is not None and config.kernel != kernel:
+        config = dataclasses.replace(config, kernel=kernel)
+    return config
 
 
 def _set(name: str, value: Any) -> Any:
@@ -311,8 +325,8 @@ def run_trials(
     batches of one, so every caller shares one implementation of:
 
     * **RunContext inheritance** — the ambient ``fault_plan`` and
-      ``kernel`` are applied to each config exactly as
-      ``MergeSimulation`` applies them;
+      ``kernel`` are applied to each config by :func:`resolve_config`,
+      as ``MergeSimulation`` applies them;
     * **timeouts** — ``timeout_s`` arms a per-trial SIGALRM budget
       (each trial gets the full budget); an exhausted trial raises
       :class:`TrialTimeoutError`.  Unenforceable environments (no
@@ -336,8 +350,6 @@ def run_trials(
     from repro.core.merge_sim import MergeTrial
     from repro.sim.kernel import get_kernel
 
-    import dataclasses
-
     n = len(configs)
     if trials is None:
         trials = [0] * n
@@ -353,16 +365,7 @@ def run_trials(
             f"for {n} config(s)"
         )
 
-    ambient_plan = current_fault_plan()
-    ambient_kernel = current_kernel()
-    effective: list["SimulationConfig"] = []
-    for config in configs:
-        if ambient_plan is not None and config.fault_plan is None:
-            config = dataclasses.replace(config, fault_plan=ambient_plan)
-        if ambient_kernel is not None and config.kernel != ambient_kernel:
-            config = dataclasses.replace(config, kernel=ambient_kernel)
-        effective.append(config)
-
+    effective = [resolve_config(config) for config in configs]
     results: list[Optional["MergeMetrics"]] = [None] * n
     tracing = current_trace() is not None
 

@@ -1166,17 +1166,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         victim_selector=VictimSelector(args.selector),
         trials=args.trials,
         base_seed=args.seed if args.seed is not None else 1992,
-        record_timelines=args.timeline,
         fault_plan=fault_plan,
         kernel=args.kernel if args.kernel is not None else "reference",
     )
-    session = _trace_session(args, "simulate")
-    if session is not None:
-        from repro.api import configure
+    from repro.api import UNSET, configure
+    from repro.obs import TraceSession
 
-        with configure(trace=session):
-            result = MergeSimulation(config).run()
-    else:
+    session = _trace_session(args, "simulate")
+    # --timeline reads the trace too: reuse the --trace session if any.
+    recorder = session
+    if recorder is None and args.timeline:
+        recorder = TraceSession(name="simulate")
+    with configure(trace=recorder if recorder is not None else UNSET):
         result = MergeSimulation(config).run()
     print(f"configuration : {config.describe()}")
     low, high = result.total_time_s.confidence_interval()
@@ -1200,12 +1201,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"degraded skips {sum(m.degraded_skips for m in trials) / n:.1f}"
               " per trial)")
     if args.timeline:
-        from repro.core.timeline import utilization_report
+        from repro.obs.views import utilization_report
 
         print()
         print(
             utilization_report(
-                result.trials[0],
+                recorder.trials[0],
                 num_disks=config.num_disks,
                 cache_capacity=config.resolved_cache_capacity,
             )

@@ -18,11 +18,13 @@ block sets.  Invariants are asserted in :meth:`BlockCache.check`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
+from repro.obs.events import CACHE_TRACK, EventKind
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.collector import TrialTrace
     from repro.sim.kernel import Simulator
 
 
@@ -84,7 +86,7 @@ class BlockCache:
         capacity: int,
         runs: int,
         blocks_per_run: int,
-        record_timeline: bool = False,
+        trace: Optional["TrialTrace"] = None,
     ) -> None:
         if capacity < 1:
             raise CacheAccountingError("cache capacity must be >= 1")
@@ -98,9 +100,7 @@ class BlockCache:
         self._occupancy_weighted_ms = 0.0
         self._last_change_ms = sim.now
         self.peak_occupancy = 0
-        self.timeline: list[tuple[float, float]] | None = (
-            [(sim.now, 0.0)] if record_timeline else None
-        )
+        self.trace = trace
 
     # ------------------------------------------------------------------
     # Space accounting
@@ -211,8 +211,11 @@ class BlockCache:
     # Statistics and invariants
     # ------------------------------------------------------------------
     def _note(self) -> None:
-        if self.timeline is not None:
-            self.timeline.append((self.sim.now, float(self.occupied_or_reserved)))
+        if self.trace is not None:
+            self.trace.instant(
+                EventKind.LEVEL, CACHE_TRACK, self.sim.now,
+                {"value": self.occupied_or_reserved},
+            )
 
     def _account(self) -> None:
         now = self.sim.now

@@ -77,10 +77,10 @@ class MergeTrial:
             capacity=config.resolved_cache_capacity,
             runs=config.num_runs,
             blocks_per_run=config.blocks_per_run,
-            record_timeline=config.record_timelines,
+            trace=self.trace,
         )
         self.tracker = ConcurrencyTracker(
-            self.sim, config.num_disks, record_timeline=config.record_timelines
+            self.sim, config.num_disks, trace=self.trace
         )
         # The injector draws from its own stream, so installing one
         # with an empty plan perturbs nothing (byte-identical runs).
@@ -148,9 +148,6 @@ class MergeTrial:
         self._healthy_stall_ms = 0.0
         self._demand_timeouts = 0
         self._degraded_skips = 0
-        self._request_traces: Optional[list] = (
-            [] if config.record_requests else None
-        )
 
     # ------------------------------------------------------------------
     # Planner view protocol
@@ -442,16 +439,6 @@ class MergeTrial:
                     )
                 )
             disk = self.layout.disk_of_run(group.run)
-            if self._request_traces is not None:
-                from repro.core.tracing import RequestTrace
-
-                request.completed.add_callback(
-                    lambda ev, r=request, d=disk: (
-                        self._request_traces.append(RequestTrace.from_request(r, d))
-                        if ev.exception is None
-                        else None
-                    )
-                )
             self.drives[disk].submit(request)
             requests.append(request)
             self._fetch_requests += 1
@@ -488,9 +475,6 @@ class MergeTrial:
             healthy_stall_ms=self._healthy_stall_ms,
             demand_timeouts=self._demand_timeouts,
             degraded_skips=self._degraded_skips,
-            concurrency_timeline=self.tracker.timeline,
-            cache_timeline=self.cache.timeline,
-            request_traces=self._request_traces,
         )
         if self.trace is not None:
             self.trace.finalize(metrics)

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.disks.drive import DriveStats
+from repro.obs.events import BUSY_DISKS_TRACK, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.collector import TrialTrace
     from repro.sim.kernel import Simulator
 
 
@@ -28,7 +30,7 @@ class ConcurrencyTracker:
         self,
         sim: "Simulator",
         num_disks: int,
-        record_timeline: bool = False,
+        trace: Optional["TrialTrace"] = None,
     ) -> None:
         self.sim = sim
         self.num_disks = num_disks
@@ -38,9 +40,7 @@ class ConcurrencyTracker:
         self._weighted_busy_ms = 0.0
         self._active_ms = 0.0
         self.peak = 0
-        self.timeline: list[tuple[float, float]] | None = (
-            [(sim.now, 0.0)] if record_timeline else None
-        )
+        self.trace = trace
 
     def on_busy_change(self, disk: int, busy: bool) -> None:
         if self._busy[disk] == busy:
@@ -49,8 +49,11 @@ class ConcurrencyTracker:
         self._busy[disk] = busy
         self._busy_count += 1 if busy else -1
         self.peak = max(self.peak, self._busy_count)
-        if self.timeline is not None:
-            self.timeline.append((self.sim.now, float(self._busy_count)))
+        if self.trace is not None:
+            self.trace.instant(
+                EventKind.LEVEL, BUSY_DISKS_TRACK, self.sim.now,
+                {"value": self._busy_count},
+            )
 
     def _advance(self) -> None:
         now = self.sim.now
@@ -114,9 +117,6 @@ class MergeMetrics:
     healthy_stall_ms: float = 0.0
     demand_timeouts: int = 0
     degraded_skips: int = 0
-    concurrency_timeline: Optional[list[tuple[float, float]]] = None
-    cache_timeline: Optional[list[tuple[float, float]]] = None
-    request_traces: Optional[list] = None
 
     #: Scalar fields serialized verbatim by :meth:`to_dict`.
     _SCALAR_FIELDS = (
@@ -133,22 +133,16 @@ class MergeMetrics:
     def to_dict(self) -> dict:
         """JSON-able snapshot of one trial.
 
-        Everything round-trips through :meth:`from_dict`, including the
-        optional timelines and request traces, so cached sweep results
-        are interchangeable with freshly simulated ones.
+        Everything round-trips through :meth:`from_dict`, so cached
+        sweep results are interchangeable with freshly simulated ones.
         """
         data = {name: getattr(self, name) for name in self._SCALAR_FIELDS}
         data["drive_stats"] = [stats.to_dict() for stats in self.drive_stats]
-        for name in ("concurrency_timeline", "cache_timeline"):
-            timeline = getattr(self, name)
-            data[name] = (
-                None if timeline is None else [[t, v] for t, v in timeline]
-            )
-        data["request_traces"] = (
-            None
-            if self.request_traces is None
-            else [trace.to_dict() for trace in self.request_traces]
-        )
+        # Always-null legacy keys: served trial payloads, stored sweep
+        # entries and pinned result digests all hash this dict.
+        data["concurrency_timeline"] = None
+        data["cache_timeline"] = None
+        data["request_traces"] = None
         return data
 
     @classmethod
@@ -161,8 +155,6 @@ class MergeMetrics:
         counters) and by older writers (missing counters) both load.
         """
         import dataclasses
-
-        from repro.core.tracing import RequestTrace
 
         defaults = {
             f.name: f.default
@@ -180,17 +172,6 @@ class MergeMetrics:
         kwargs["drive_stats"] = [
             DriveStats.from_dict(stats) for stats in data["drive_stats"]
         ]
-        for name in ("concurrency_timeline", "cache_timeline"):
-            timeline = data.get(name)
-            kwargs[name] = (
-                None if timeline is None else [(t, v) for t, v in timeline]
-            )
-        traces = data.get("request_traces")
-        kwargs["request_traces"] = (
-            None
-            if traces is None
-            else [RequestTrace.from_dict(trace) for trace in traces]
-        )
         return cls(**kwargs)
 
     @property

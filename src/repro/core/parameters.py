@@ -117,6 +117,10 @@ class VictimSelector(enum.Enum):
 class SimulationConfig:
     """Full description of one merge-phase simulation.
 
+    Recording is not configuration: timelines and per-request traces are
+    views (:mod:`repro.obs.views`) over an ambient trace session, so
+    observing a trial never changes its config, metrics, or cache key.
+
     Attributes:
         num_runs: ``k``, number of sorted input runs.
         num_disks: ``D``, number of input disks.
@@ -149,12 +153,6 @@ class SimulationConfig:
             disk's buffer is full.
         write_buffer_blocks: per-write-disk buffer depth before
             backpressure stalls the merge.
-        record_timelines: keep (time, value) step functions of disk
-            concurrency and cache occupancy for timeline reports
-            (see :mod:`repro.core.timeline`).
-        record_requests: keep a per-request trace (issue/start/finish,
-            disk, kind) for Gantt charts and wait statistics
-            (see :mod:`repro.core.tracing`).
         adaptive_depth: (inter-run extension) size each fetch's depth
             to the free cache -- ``N' = clamp(free // D, 1, N)`` --
             instead of the paper's all-or-nothing ``D*N`` check.
@@ -192,8 +190,6 @@ class SimulationConfig:
     queue_discipline: QueueDiscipline = QueueDiscipline.FIFO
     write_disks: int = 0
     write_buffer_blocks: int = 2
-    record_timelines: bool = False
-    record_requests: bool = False
     adaptive_depth: bool = False
     fault_plan: Optional[FaultPlan] = None
     kernel: str = "reference"

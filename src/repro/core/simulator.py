@@ -28,7 +28,6 @@ batch API).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Iterator, Optional
 
 from repro import api
@@ -48,13 +47,9 @@ class MergeSimulation:
     """Runs ``config.trials`` independent trials and aggregates them."""
 
     def __init__(self, config: SimulationConfig) -> None:
-        ambient_plan = api.current_fault_plan()
-        if ambient_plan is not None and config.fault_plan is None:
-            config = dataclasses.replace(config, fault_plan=ambient_plan)
-        ambient_kernel = api.current_kernel()
-        if ambient_kernel is not None and config.kernel != ambient_kernel:
-            config = dataclasses.replace(config, kernel=ambient_kernel)
-        self.config = config
+        # Resolved here, not only in run_trials: an ambient backend (and
+        # the sweep cache keys it computes) sees self.config directly.
+        self.config = api.resolve_config(config)
 
     def run_trial(
         self,

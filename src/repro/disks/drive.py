@@ -415,6 +415,7 @@ class DiskDrive:
                     "first_block": request.first_block,
                     "blocks": request.count,
                     "attempts": attempt,
+                    "issue_ms": request.issue_time,
                 },
             )
             trace.observe_service(

@@ -10,7 +10,7 @@ kernel, which is what makes traces diffable and cacheable.
 
 Every event lives on a *track*: ``"cpu"`` for the merge process,
 ``"disk-0" .. "disk-D-1"`` for the input drives, ``"write-0" ..`` for
-the output array.  Exporters map tracks to Chrome ``tid``s / text
+the output array, and the level tracks ``"busy-disks"`` / ``"cache"``.  Exporters map tracks to Chrome ``tid``s / text
 timeline rows deterministically (CPU first, then disks by number).
 """
 
@@ -43,6 +43,10 @@ class EventKind(enum.Enum):
     * ``DRIVE_DEGRADED``: the planner skipped a degraded drive.
     * ``DEMAND_TIMEOUT``: a demand stall exceeded its timeout and the
       stalled requests were escalated at their drives.
+    * ``LEVEL``: a step function changed value (``args["value"]``): the
+      ``"busy-disks"`` track counts busy input drives, the ``"cache"``
+      track counts occupied-or-reserved cache blocks.  Read back through
+      :mod:`repro.obs.views`.
 
     Coordinator instants (``repro.dist``; wall-clock ms from the
     injected Clock seam on the ``"coordinator"`` track, not virtual
@@ -69,6 +73,7 @@ class EventKind(enum.Enum):
     FAULT = "fault"
     DRIVE_DEGRADED = "drive-degraded"
     DEMAND_TIMEOUT = "demand-timeout"
+    LEVEL = "level"
     LEASE_GRANTED = "lease-granted"
     LEASE_RENEWED = "lease-renewed"
     LEASE_EXPIRED = "lease-expired"
@@ -77,6 +82,10 @@ class EventKind(enum.Enum):
 
 #: Kinds whose per-drive span durations partition the drive's busy time.
 SERVICE_KINDS = (EventKind.DEMAND_FETCH, EventKind.PREFETCH)
+
+#: Tracks carrying ``LEVEL`` instants (step functions, not activity).
+BUSY_DISKS_TRACK = "busy-disks"
+CACHE_TRACK = "cache"
 
 
 class TraceEvent:

@@ -35,6 +35,7 @@ _CATEGORIES = {
     EventKind.FAULT: "faults",
     EventKind.DRIVE_DEGRADED: "faults",
     EventKind.DEMAND_TIMEOUT: "faults",
+    EventKind.LEVEL: "level",
     EventKind.LEASE_GRANTED: "dist",
     EventKind.LEASE_RENEWED: "dist",
     EventKind.LEASE_EXPIRED: "dist",
@@ -210,22 +211,27 @@ _PRIORITY = {kind: rank for rank, kind in enumerate(_MARK_PRIORITY)}
 def render_timeline(trial, width: int = 72) -> str:
     """One row per track, ``width`` virtual-time buckets per row.
 
-    Generalizes :func:`repro.core.tracing.render_gantt` (which draws
+    Generalizes :func:`repro.obs.views.render_gantt` (which draws
     demand/prefetch service on disk rows) to every track and kind the
     collector knows: the CPU row shows merge work (``#``) and stalls
     (``s``/``w``), disk rows show service (``D``/``p``), retries
-    (``r``), outages (``o``) and faults (``!``).
+    (``r``), outages (``o``) and faults (``!``).  ``LEVEL`` step
+    functions are skipped; :func:`repro.obs.views.utilization_report`
+    renders them.
     """
-    if not trial.events:
+    events = [
+        event for event in trial.events if event.kind is not EventKind.LEVEL
+    ]
+    if not events:
         return "(no events)"
-    horizon = max(event.end_ms for event in trial.events)
+    horizon = max(event.end_ms for event in events)
     if horizon <= 0:
         horizon = 1.0
     scale = width / horizon
-    tracks = sorted({event.track for event in trial.events}, key=track_sort_key)
+    tracks = sorted({event.track for event in events}, key=track_sort_key)
     rows = {track: [" "] * width for track in tracks}
     ranks = {track: [-1] * width for track in tracks}
-    for event in trial.events:
+    for event in events:
         first = min(int(event.start_ms * scale), width - 1)
         last = min(int(event.end_ms * scale), width - 1)
         mark = _TIMELINE_MARKS[event.kind]

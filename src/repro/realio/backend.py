@@ -24,9 +24,11 @@ Structure of one trial, mirroring
    through the injected :data:`~repro.realio.clock.ClockMs`.
 
 Every request emits the same obs events as a simulated drive —
-``DEMAND_FETCH``/``PREFETCH`` service spans on ``disk-i`` tracks,
-``DEMAND_STALL`` spans on ``cpu``, queue-depth/service/stall histograms
-— so real traces load into the identical Chrome-trace/JSONL tooling and
+``DEMAND_FETCH``/``PREFETCH`` service spans (with ``issue_ms``) on
+``disk-i`` tracks, ``DEMAND_STALL`` spans on ``cpu``, queue-depth/
+service/stall histograms — so real traces load into the identical
+Chrome-trace/JSONL tooling and request views (:mod:`repro.obs.views`),
+and
 satisfy the same busy-accounting closure (service spans sum to
 ``DriveStats.busy_ms``).  Per-request :class:`ReadSample` timings feed
 the calibration layer (:mod:`repro.realio.calibrate`).
@@ -341,13 +343,15 @@ class RealMerge:
                     kind = (EventKind.DEMAND_FETCH if request.demand
                             else EventKind.PREFETCH)
                     track = f"disk-{disk}"
+                    start_ms = service_start - self._epoch_ms
                     trace.span(
                         kind,
                         track,
-                        service_start - self._epoch_ms,
+                        start_ms,
                         service_end - self._epoch_ms,
                         {"run": request.run, "start": request.start,
-                         "blocks": request.count},
+                         "blocks": request.count,
+                         "issue_ms": start_ms - queue_wait_ms},
                     )
                     trace.observe_service(
                         track, kind.value, service_ms, queue_wait_ms

@@ -26,8 +26,8 @@ arrivals that the reference would have delivered before the resume.
 against the reference kernel across the full configuration matrix.
 
 **Fallback.**  Configurations outside the flattened model's envelope
-(:func:`unsupported_reason`: fault plans, write disks, timeline or
-request recording, degenerate disk timing) never enter the
+(:func:`unsupported_reason`: fault plans, write disks, degenerate disk
+timing) never enter the
 interpreter; their trials run on the fast kernel.  A trial that
 diverges at runtime (:class:`BatchDivergence` — an internal
 inconsistency the interpreter detects) is re-run on the fast kernel,
@@ -69,16 +69,15 @@ def unsupported_reason(config: SimulationConfig) -> Optional[str]:
     The envelope covers the paper's model: any strategy, victim
     selector, cache policy, queue discipline, synchronization mode and
     CPU cost.  Outside it are features that need the event kernel's
-    generality (faults, write subsystem) or per-event hooks (timeline
-    and request recording), plus degenerate disk timing where
-    continuous rotational draws no longer separate event timestamps.
+    generality (faults, write subsystem), plus degenerate disk timing
+    where continuous rotational draws no longer separate event
+    timestamps.  Traced runs never reach this check:
+    :func:`repro.api.run_trials` sends them to the event kernel.
     """
     if config.fault_plan is not None:
         return "fault injection requires the event kernel"
     if config.write_disks > 0:
         return "the write subsystem requires the event kernel"
-    if config.record_timelines or config.record_requests:
-        return "timeline/request recording requires per-event hooks"
     if config.disk.avg_rotational_latency_ms <= 0:
         return "degenerate rotational latency (equal-time event ties)"
     if config.stream_across_requests:
@@ -637,9 +636,6 @@ class _FlatTrial:
             healthy_stall_ms=self._healthy_stall_ms,
             demand_timeouts=0,
             degraded_skips=0,
-            concurrency_timeline=None,
-            cache_timeline=None,
-            request_traces=None,
         )
 
 

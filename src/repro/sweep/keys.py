@@ -2,9 +2,9 @@
 
 A sweep cell is cached under a key derived from every code-relevant
 simulation parameter plus the trial seed: same configuration and seed
-always hash to the same key; changing *any* parameter — even an
-observability flag like ``record_timelines``, which alters what the
-metrics contain — produces a new key.  ``trials`` and ``base_seed`` are
+always hash to the same key; changing *any* parameter that can alter
+the metrics — the strategy, the geometry, even the queue discipline —
+produces a new key.  ``trials`` and ``base_seed`` are
 deliberately excluded because the cache works at *trial* granularity:
 the per-trial seed (``base_seed + trial``) is hashed instead, so a
 10-trial sweep reuses the first five trials of an earlier 5-trial sweep.
@@ -35,7 +35,9 @@ from repro.faults.plan import FaultPlan
 
 #: Bump to invalidate every previously cached result.
 #: 2: fault-injection counters added to DriveStats / MergeMetrics.
-CACHE_SCHEMA_VERSION = 2
+#: 3: the two observability fields (timeline and request recording)
+#:    left SimulationConfig, and with it the key payload.
+CACHE_SCHEMA_VERSION = 3
 
 #: The explicit cache-key inventory of every ``SimulationConfig`` field.
 #: Adding a field to the dataclass requires a decision here — is it
@@ -61,8 +63,6 @@ KNOWN_CONFIG_FIELDS = (
     "queue_discipline",
     "write_disks",
     "write_buffer_blocks",
-    "record_timelines",
-    "record_requests",
     "adaptive_depth",
     "fault_plan",
 )

@@ -153,6 +153,24 @@ def test_explicit_fault_plan_wins_over_ambient():
     assert simulation.config.fault_plan is pinned.fault_plan
 
 
+def test_backend_receives_the_resolved_config():
+    # MergeSimulation hands self.config to the ambient backend (and the
+    # sweep engine keys its cache on it), so the ambient plan and
+    # kernel must already be folded in by then.
+    plan = fail_slow_plan(drive=0, factor=2.0)
+    seen = []
+
+    def recorder(config):
+        seen.append(config)
+        return None
+
+    with configure(fault_plan=plan, kernel="fast", backend=recorder):
+        MergeSimulation(_config()).run()
+    assert len(seen) == 1
+    assert seen[0].fault_plan is plan
+    assert seen[0].kernel == "fast"
+
+
 # -------------------------------------------------- retired shims stay gone
 
 

@@ -1,10 +1,18 @@
-"""Tests for timeline recording and rendering."""
+"""Tests for timeline views over traced trials and their rendering."""
 
 import pytest
 
+from repro.api import configure
 from repro.core.merge_sim import MergeTrial
 from repro.core.parameters import PrefetchStrategy, SimulationConfig
-from repro.core.timeline import downsample, render_sparkline, utilization_report
+from repro.obs.collector import TrialTrace
+from repro.obs.views import (
+    cache_timeline,
+    concurrency_timeline,
+    downsample,
+    render_sparkline,
+    utilization_report,
+)
 
 
 def test_downsample_constant_function():
@@ -57,20 +65,22 @@ def _run_with_timelines():
     config = SimulationConfig(
         num_runs=4, num_disks=2, strategy=PrefetchStrategy.INTRA_RUN,
         prefetch_depth=3, blocks_per_run=40, trials=1,
-        record_timelines=True,
     )
-    return config, MergeTrial(config, seed=5).run()
+    with configure(trace=True) as ctx:
+        MergeTrial(config, seed=5).run()
+    return config, ctx.trace.trials[0]
 
 
 def test_simulation_records_timelines_when_asked():
-    _config, metrics = _run_with_timelines()
-    assert metrics.concurrency_timeline is not None
-    assert metrics.cache_timeline is not None
-    assert metrics.concurrency_timeline[0] == (0.0, 0.0)
+    _config, trial = _run_with_timelines()
+    concurrency = concurrency_timeline(trial)
+    cache = cache_timeline(trial)
+    assert concurrency[0] == (0.0, 0.0)
+    assert cache[0] == (0.0, 0.0)
     # Values stay within physical bounds.
-    assert all(0 <= v <= 2 for _t, v in metrics.concurrency_timeline)
-    assert all(0 <= v <= 12 for _t, v in metrics.cache_timeline)
-    times = [t for t, _v in metrics.concurrency_timeline]
+    assert all(0 <= v <= 2 for _t, v in concurrency)
+    assert all(0 <= v <= 12 for _t, v in cache)
+    times = [t for t, _v in concurrency]
     assert times == sorted(times)
 
 
@@ -78,15 +88,18 @@ def test_timelines_absent_by_default():
     config = SimulationConfig(
         num_runs=4, num_disks=2, blocks_per_run=20, trials=1,
     )
-    metrics = MergeTrial(config, seed=5).run()
-    assert metrics.concurrency_timeline is None
-    assert metrics.cache_timeline is None
+    trial = MergeTrial(config, seed=5)
+    assert trial.cache.trace is None
+    assert trial.tracker.trace is None
+    data = trial.run().to_dict()
+    assert data["concurrency_timeline"] is None
+    assert data["cache_timeline"] is None
 
 
 def test_utilization_report_renders():
-    config, metrics = _run_with_timelines()
+    config, trial = _run_with_timelines()
     report = utilization_report(
-        metrics, num_disks=2, cache_capacity=config.resolved_cache_capacity,
+        trial, num_disks=2, cache_capacity=config.resolved_cache_capacity,
         buckets=20,
     )
     assert "busy disks /2" in report
@@ -95,11 +108,8 @@ def test_utilization_report_renders():
 
 
 def test_utilization_report_requires_recording():
-    config = SimulationConfig(num_runs=2, num_disks=1, blocks_per_run=10,
-                              trials=1)
-    metrics = MergeTrial(config, seed=1).run()
-    with pytest.raises(ValueError, match="record_timelines"):
-        utilization_report(metrics, 1, 2)
+    with pytest.raises(ValueError, match="configure\\(trace=True\\)"):
+        utilization_report(TrialTrace(0, seed=1), 1, 2)
 
 
 def test_cli_timeline_flag(capsys):

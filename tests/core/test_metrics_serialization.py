@@ -32,13 +32,31 @@ def test_merge_metrics_round_trip_through_json():
 
 
 def test_merge_metrics_round_trip_with_timelines_and_traces():
-    metrics = _simulate(record_timelines=True, record_requests=True).trials[0]
-    assert metrics.concurrency_timeline and metrics.request_traces
-    restored = MergeMetrics.from_dict(json.loads(json.dumps(metrics.to_dict())))
-    assert restored == metrics
-    # Timelines come back as the original tuples, traces as RequestTrace.
-    assert restored.concurrency_timeline[0] == metrics.concurrency_timeline[0]
-    assert restored.request_traces[0].kind is metrics.request_traces[0].kind
+    # Timelines and request traces live in the trace, not the metrics:
+    # a traced trial's metrics equal the untraced ones and still carry
+    # the always-null wire keys, while the trace round-trips on its own.
+    from repro.api import configure
+    from repro.obs.collector import TrialTrace
+    from repro.obs.views import (
+        cache_timeline,
+        concurrency_timeline,
+        request_traces,
+    )
+
+    with configure(trace=True) as ctx:
+        metrics = _simulate().trials[0]
+    assert metrics == _simulate().trials[0]
+    data = metrics.to_dict()
+    for key in ("concurrency_timeline", "cache_timeline", "request_traces"):
+        assert key in data and data[key] is None
+    assert MergeMetrics.from_dict(json.loads(json.dumps(data))) == metrics
+
+    trial = ctx.trace.trials[0]
+    restored = TrialTrace.from_dict(json.loads(json.dumps(trial.to_dict())))
+    assert concurrency_timeline(restored) == concurrency_timeline(trial)
+    assert cache_timeline(restored) == cache_timeline(trial)
+    assert request_traces(restored) == request_traces(trial)
+    assert len(request_traces(trial)) == metrics.fetch_requests
 
 
 def test_aggregate_metrics_round_trip_preserves_statistics():

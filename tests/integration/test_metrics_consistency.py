@@ -1,16 +1,25 @@
 """Cross-cutting consistency of everything one trial measures.
 
 The same trial is observed by the drive stats, the cache, the
-concurrency tracker, the request traces, and the timelines; these
-tests assert the views agree with each other -- the kind of internal
-double-entry bookkeeping that catches subtle accounting bugs.
+concurrency tracker, and -- through its trace -- the request and
+timeline views; these tests assert the views agree with each other --
+the kind of internal double-entry bookkeeping that catches subtle
+accounting bugs.
 """
 
 import pytest
 
+from repro.api import configure
 from repro.core.merge_sim import MergeTrial
 from repro.core.parameters import PrefetchStrategy, SimulationConfig
-from repro.core.timeline import downsample
+from repro.obs.events import EventKind
+from repro.obs.views import (
+    cache_timeline,
+    concurrency_timeline,
+    downsample,
+    request_statistics,
+    request_traces,
+)
 
 
 def traced_trial(**kwargs):
@@ -22,16 +31,26 @@ def traced_trial(**kwargs):
         cache_capacity=120,
         blocks_per_run=80,
         trials=1,
-        record_timelines=True,
-        record_requests=True,
     )
     defaults.update(kwargs)
-    return MergeTrial(SimulationConfig(**defaults), seed=13).run()
+    with configure(trace=True) as ctx:
+        metrics = MergeTrial(SimulationConfig(**defaults), seed=13).run()
+    return metrics, ctx.trace.trials[0]
 
 
 @pytest.fixture(scope="module")
-def metrics():
+def traced():
     return traced_trial()
+
+
+@pytest.fixture(scope="module")
+def metrics(traced):
+    return traced[0]
+
+
+@pytest.fixture(scope="module")
+def trial(traced):
+    return traced[1]
 
 
 def test_drive_blocks_match_fetch_accounting(metrics):
@@ -46,42 +65,42 @@ def test_drive_busy_equals_service_decomposition(metrics):
         )
 
 
-def test_traces_match_drive_stats(metrics):
-    from repro.core.tracing import request_statistics
-
+def test_traces_match_drive_stats(metrics, trial):
+    traces = request_traces(trial)
     per_disk_blocks = [0] * 4
     per_disk_service = [0.0] * 4
-    for trace in metrics.request_traces:
+    for trace in traces:
         per_disk_blocks[trace.disk] += trace.blocks
         per_disk_service[trace.disk] += trace.service_ms
     for disk, stats in enumerate(metrics.drive_stats):
         assert per_disk_blocks[disk] == stats.blocks
         assert per_disk_service[disk] == pytest.approx(stats.busy_ms)
-    overall = request_statistics(metrics.request_traces)
+    overall = request_statistics(traces)
     assert overall.count == metrics.fetch_requests
+    assert overall.total_blocks == metrics.blocks_fetched
 
 
-def test_queue_wait_totals_agree(metrics):
-    traced_wait = sum(t.queue_wait_ms for t in metrics.request_traces)
+def test_queue_wait_totals_agree(metrics, trial):
+    traced_wait = sum(t.queue_wait_ms for t in request_traces(trial))
     drive_wait = sum(s.queue_wait_ms for s in metrics.drive_stats)
     assert traced_wait == pytest.approx(drive_wait)
 
 
-def test_concurrency_timeline_integral_matches_busy_time(metrics):
+def test_concurrency_timeline_integral_matches_busy_time(metrics, trial):
     """Integral of the busy-disk step function = total drive busy ms."""
     buckets = 200
-    means = downsample(metrics.concurrency_timeline, buckets,
+    means = downsample(concurrency_timeline(trial), buckets,
                        metrics.total_time_ms)
     integral = sum(means) * metrics.total_time_ms / buckets
     total_busy = sum(s.busy_ms for s in metrics.drive_stats)
     assert integral == pytest.approx(total_busy, rel=1e-6)
 
 
-def test_average_concurrency_consistent_with_timeline(metrics):
+def test_average_concurrency_consistent_with_timeline(metrics, trial):
     """Tracker's average (over active time) >= timeline mean (over all
     time), equal when the array is never fully idle."""
     buckets = 400
-    means = downsample(metrics.concurrency_timeline, buckets,
+    means = downsample(concurrency_timeline(trial), buckets,
                        metrics.total_time_ms)
     overall_mean = sum(means) / buckets
     assert metrics.average_concurrency >= overall_mean - 1e-6
@@ -90,16 +109,18 @@ def test_average_concurrency_consistent_with_timeline(metrics):
     )
 
 
-def test_cache_timeline_ends_empty(metrics):
+def test_cache_timeline_ends_empty(trial):
     """After the merge every block has been depleted: occupancy 0."""
-    assert metrics.cache_timeline[-1][1] == 0.0
+    assert cache_timeline(trial)[-1][1] == 0.0
 
 
-def test_cache_timeline_bounded_by_capacity(metrics):
-    assert all(0 <= v <= 120 for _t, v in metrics.cache_timeline)
-    assert max(v for _t, v in metrics.cache_timeline) == (
-        metrics.cache_peak_occupancy
-    )
+def test_cache_timeline_bounded_by_capacity(metrics, trial):
+    timeline = cache_timeline(trial)
+    assert all(0 <= v <= 120 for _t, v in timeline)
+    peak = max(v for _t, v in timeline)
+    assert peak == metrics.cache_peak_occupancy
+    gauges = trial.registry.to_dict()["gauges"]
+    assert peak == gauges["cache_occupancy{stat=peak}"]
 
 
 def test_demand_situations_bounded_by_depletions(metrics):
@@ -112,3 +133,17 @@ def test_demand_situations_bounded_by_depletions(metrics):
 
 def test_stall_time_bounded_by_total(metrics):
     assert 0 <= metrics.cpu_stall_ms <= metrics.total_time_ms
+
+
+def test_level_events_identical_on_reference_and_fast_kernels():
+    def levels(kernel):
+        _metrics, trial = traced_trial(kernel=kernel)
+        return [
+            (event.track, event.start_ms, event.args)
+            for event in trial.events
+            if event.kind is EventKind.LEVEL
+        ]
+
+    reference = levels("reference")
+    assert reference
+    assert levels("fast") == reference

@@ -147,6 +147,24 @@ def test_timeline_renders_all_tracks(traced_session):
     assert "legend:" in text
 
 
+def test_level_events_export_as_instants_but_skip_the_text_timeline(
+    traced_session,
+):
+    trial = traced_session.trials[0]
+    levels = trial.events_of(EventKind.LEVEL)
+    assert {event.track for event in levels} == {"busy-disks", "cache"}
+    assert all(set(event.args) == {"value"} for event in levels)
+    document = chrome_trace(traced_session)
+    assert validate_chrome_trace(document) == []
+    level_phases = {
+        event["ph"] for event in document["traceEvents"]
+        if event.get("name") == "level"
+    }
+    assert level_phases == {"i"}
+    text = render_timeline(trial)
+    assert "busy-disks" not in text and "cache" not in text
+
+
 def test_timeline_marks_demand_service():
     text = render_timeline(_synthetic_session().trials[0], width=10)
     assert "D" in text

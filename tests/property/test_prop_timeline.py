@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.timeline import downsample, render_sparkline
+from repro.obs.views import downsample, render_sparkline
 
 
 @st.composite

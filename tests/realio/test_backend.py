@@ -91,6 +91,24 @@ def test_trace_busy_spans_match_drive_stats(dataset):
         assert EventKind.PREFETCH in kinds
 
 
+def test_request_view_reads_real_disk_traces(dataset):
+    from repro.obs.views import request_statistics, request_traces
+
+    trial = TraceSession("realio-requests").trial(seed=4)
+    result = RealMerge(
+        dataset,
+        RealIOConfig(strategy=PrefetchStrategy.INTER_RUN, prefetch_depth=2),
+        seed=4,
+        trace=trial,
+    ).run()
+    traces = request_traces(trial)
+    assert len(traces) == len(result.samples)
+    for trace in traces:
+        assert trace.issue_ms <= trace.start_ms <= trace.finish_ms
+        assert 0 <= trace.disk < DISKS
+    assert request_statistics(traces).total_blocks == dataset.total_blocks
+
+
 def test_output_file_is_written_sorted(dataset, tmp_path):
     out = tmp_path / "sorted.blk"
     outcome = run_real_merge(

@@ -41,6 +41,16 @@ class TestParseSimulate:
         })
         assert request.config.strategy is PrefetchStrategy.INTER_RUN
 
+    @pytest.mark.parametrize("flag", ["record_timelines", "record_requests"])
+    def test_retired_recording_flags_are_bad_config(self, flag):
+        # Recording is an ambient trace, not a config field: a request
+        # asking for it is rejected, never silently simulated.
+        with pytest.raises(ProtocolError) as info:
+            parse_simulate_request({"config": {**CONFIG, flag: True}})
+        assert info.value.status == 400
+        assert info.value.code == "bad-config"
+        assert flag in info.value.detail
+
     def test_deadline_ms(self):
         request = parse_simulate_request(
             {"config": CONFIG, "deadline_ms": 1500}

@@ -55,7 +55,7 @@ def test_seed_changes_key():
     {"stream_across_requests": True},
     {"adaptive_depth": True},
     {"write_disks": 1},
-    {"record_timelines": True},
+    {"write_buffer_blocks": 3},
     {"disk": DiskParameters(transfer_ms_per_block=1.0)},
 ])
 def test_any_parameter_change_changes_key(change):

@@ -25,19 +25,35 @@ arrivals that the reference would have delivered before the resume.
 ``tests/bench/test_kernel_equivalence.py`` enforces the identity
 against the reference kernel across the full configuration matrix.
 
+**Faults.**  Fault plans run natively (:class:`_FaultyFlatTrial`): the
+flat drive chain mirrors ``DiskDrive._service`` attempt by attempt
+(outage waits, slowdown factors, transient failures, retry backoff)
+against the real :class:`~repro.faults.injector.FaultInjector`.  A
+drive's whole service is computed when it starts, so its fault times
+and mid-service head moves are known early; the CPU side's
+degraded-drive queries count only what happened at or before their
+own time.
+
 **Fallback.**  Configurations outside the flattened model's envelope
-(:func:`unsupported_reason`: fault plans, write disks, degenerate disk
-timing) never enter the
+(:func:`unsupported_reason`: demand timeouts, transients on several
+drives, write disks, degenerate disk timing) never enter the
 interpreter; their trials run on the fast kernel.  A trial that
 diverges at runtime (:class:`BatchDivergence` — an internal
 inconsistency the interpreter detects) is re-run on the fast kernel,
 and once the native success rate of a batch drops below the caller's
 ``efficiency_floor`` the remaining trials skip the interpreter
-entirely.
+entirely.  A trial that meets a terminal fault (an exhausted retry
+budget or a permanent outage) is re-run on the fast kernel too, which
+raises the reference kernel's error; it does not count against the
+floor.  :func:`fallback_counts` reports every fallback by reason.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from typing import Callable, ContextManager, Optional, Sequence
 
 from repro import api
@@ -47,9 +63,18 @@ from repro.core.parameters import SimulationConfig
 from repro.core.strategies import build_planner
 from repro.disks.drive import DriveStats, QueueDiscipline
 from repro.disks.layout import RunLayout
+from repro.faults.injector import FaultInjector
 from repro.sim.random_streams import RandomStreams
 
-__all__ = ["BatchDivergence", "run_trial_batch", "unsupported_reason"]
+__all__ = [
+    "BatchDivergence", "fallback_counts", "run_trial_batch",
+    "unsupported_reason",
+]
+
+#: Process-wide tally of trials :func:`run_trial_batch` did not run
+#: natively, keyed by reason (see :func:`fallback_counts`).
+_fallbacks: Counter = Counter()
+_fallbacks_lock = threading.Lock()
 
 
 class BatchDivergence(RuntimeError):
@@ -63,19 +88,34 @@ class BatchDivergence(RuntimeError):
     __slots__ = ()
 
 
+class _TerminalFault(Exception):
+    """The trial fails on an injected fault (retries exhausted, or a
+    permanent outage); the reference kernel owns the error it raises."""
+
+    __slots__ = ()
+
+
 def unsupported_reason(config: SimulationConfig) -> Optional[str]:
     """Why ``config`` cannot run on the flattened interpreter (or None).
 
-    The envelope covers the paper's model: any strategy, victim
+    The envelope covers the paper's model — any strategy, victim
     selector, cache policy, queue discipline, synchronization mode and
-    CPU cost.  Outside it are features that need the event kernel's
-    generality (faults, write subsystem), plus degenerate disk timing
+    CPU cost — plus fault plans whose effects the eager per-drive
+    service chain can order exactly: slowdowns, outages, and transient
+    errors on at most one drive.  Outside it are demand-read timeouts
+    (escalation needs CPU-side timers), transients on several drives
+    (the injector's one stream is then drawn in global time order
+    across drives), the write subsystem, and degenerate disk timing
     where continuous rotational draws no longer separate event
     timestamps.  Traced runs never reach this check:
     :func:`repro.api.run_trials` sends them to the event kernel.
     """
-    if config.fault_plan is not None:
-        return "fault injection requires the event kernel"
+    plan = config.fault_plan
+    if plan is not None:
+        if plan.demand_timeout_ms is not None:
+            return "demand-read timeouts require the event kernel"
+        if len({fault.drive for fault in plan.transients}) > 1:
+            return "transients on several drives (one shared fault stream)"
     if config.write_disks > 0:
         return "the write subsystem requires the event kernel"
     if config.disk.avg_rotational_latency_ms <= 0:
@@ -187,22 +227,25 @@ class _Shared:
 
 
 class _FlatTrial:
-    """One seeded trial walked by the flattened interpreter.
+    """One seeded fault-free trial walked by the flattened interpreter.
 
     Duck-types the planner's ``SystemView`` protocol (``layout``,
-    ``cache``, ``head_cylinder``; no ``drive_degraded`` — the protocol
-    treats its absence as every drive healthy, the fault-free
-    behaviour), so the *real* planner and victim-chooser run against
-    flat state with identical random draws.
+    ``cache``, ``head_cylinder``), so the *real* planner and
+    victim-chooser run against flat state with identical random draws.
+    ``drive_degraded`` is absent here — the protocol treats that as
+    every drive healthy, the fault-free behaviour — and supplied by
+    :class:`_FaultyFlatTrial`, which also sets ``_sick``: per drive,
+    whether the fault plan names it.
     """
 
     __slots__ = (
         "shared", "seed", "clock", "cache", "tracker", "planner",
-        "drives", "layout", "_depletion_rng",
+        "drives", "layout", "_sick", "_depletion_rng",
         "_blocks_depleted", "_blocks_fetched", "_fetch_requests",
         "_demand_situations", "_demand_hits_in_flight",
         "_fetch_decisions", "_full_prefetch_decisions",
         "_cpu_stall_ms", "_cpu_busy_ms", "_healthy_stall_ms",
+        "_fault_stall_ms", "_degraded_skips",
     )
 
     def __init__(self, shared: _Shared, seed: int) -> None:
@@ -229,6 +272,7 @@ class _FlatTrial:
             adaptive=config.adaptive_depth,
         )
         self._depletion_rng = streams.stream("depletion")
+        self._sick: Optional[list[bool]] = None
         self.drives = [
             _Drive(disk, streams.stream(f"disk-{disk}"))
             for disk in range(config.num_disks)
@@ -243,6 +287,8 @@ class _FlatTrial:
         self._cpu_stall_ms = 0.0
         self._cpu_busy_ms = 0.0
         self._healthy_stall_ms = 0.0
+        self._fault_stall_ms = 0.0
+        self._degraded_skips = 0
 
     # -- planner view protocol -----------------------------------------
     def head_cylinder(self, disk: int) -> int:
@@ -554,6 +600,8 @@ class _FlatTrial:
         randrange = depletion_rng.randrange
         planner = self.planner
         capacity = cache.capacity
+        sick = self._sick
+        run_disk = shared.run_disk
         now = 0.0
         while unfinished:
             run = unfinished[randrange(len(unfinished))]
@@ -582,6 +630,11 @@ class _FlatTrial:
 
             self._demand_situations += 1
             stall_start = now
+            # MergeTrial._attribute_stall: a stall is fault-induced when
+            # the demand drive is degraded at either boundary.
+            disk = run_disk[run]
+            faulty = sick is not None and sick[disk]
+            degraded_at_start = faulty and self._degraded(disk, now)
             if state.in_flight > 0:
                 self._demand_hits_in_flight += 1
                 now = self._wait_in_flight(run, state.next_deplete)
@@ -600,7 +653,10 @@ class _FlatTrial:
             stalled = now - stall_start
             self._cpu_stall_ms += stalled
             if stalled > 0:
-                self._healthy_stall_ms += stalled
+                if faulty and (degraded_at_start or self._degraded(disk, now)):
+                    self._fault_stall_ms += stalled
+                else:
+                    self._healthy_stall_ms += stalled
 
         if self._blocks_depleted != shared.total_blocks:
             raise BatchDivergence(
@@ -632,11 +688,183 @@ class _FlatTrial:
             blocks_written=0,
             write_stall_ms=0.0,
             write_stalls=0,
-            fault_stall_ms=0.0,
+            fault_stall_ms=self._fault_stall_ms,
             healthy_stall_ms=self._healthy_stall_ms,
             demand_timeouts=0,
-            degraded_skips=0,
+            degraded_skips=self._degraded_skips,
         )
+
+
+class _FaultyFlatTrial(_FlatTrial):
+    """A flat trial under a fault plan (see :func:`unsupported_reason`).
+
+    The drive chain mirrors ``DiskDrive._service`` attempt by attempt
+    against the real :class:`~repro.faults.injector.FaultInjector`,
+    which draws from the trial's own ``"faults"`` stream.  A service is
+    computed whole when it starts, ahead of the CPU's clock, so the
+    trial keeps its own per-drive fault times (``_fault_times``) and
+    head moves (``_moved_heads``): CPU-side queries at time ``t`` see
+    only faults and head moves at or before ``t``.  Drives the plan
+    never names take the fault-free paths.  Terminal faults raise
+    :class:`_TerminalFault` for the caller to re-run the seed on the
+    event kernel.
+    """
+
+    __slots__ = ("injector", "_fault_times", "_moved_heads")
+
+    def __init__(self, shared: _Shared, seed: int) -> None:
+        super().__init__(shared, seed)
+        config = shared.config
+        plan = config.fault_plan
+        self.injector = FaultInjector(
+            plan,
+            num_disks=config.num_disks,
+            rng=RandomStreams(seed).stream("faults"),
+        )
+        named = {
+            fault.drive
+            for fault in (*plan.transients, *plan.slowdowns, *plan.outages)
+        }
+        self._sick = [disk in named for disk in range(config.num_disks)]
+        self._fault_times: list[list[float]] = [
+            [] for _ in range(config.num_disks)
+        ]
+        # Per drive: (time, cylinder) of the current service's first
+        # failed attempt, when the reference moves the head mid-service.
+        self._moved_heads: list[Optional[tuple[float, int]]] = [
+            None
+        ] * config.num_disks
+
+    # -- planner view protocol -----------------------------------------
+    def head_cylinder(self, disk: int) -> int:
+        moved = self._moved_heads[disk]
+        if moved is not None and moved[0] <= self.clock.now:
+            return moved[1]
+        return self.drives[disk].head_cylinder
+
+    def drive_degraded(self, disk: int) -> bool:
+        if not self._sick[disk]:
+            return False
+        degraded = self._degraded(disk, self.clock.now)
+        if degraded:
+            self._degraded_skips += 1
+        return degraded
+
+    def _degraded(self, disk: int, now: float) -> bool:
+        """``FaultInjector.drive_degraded`` over faults recorded by ``now``."""
+        injector = self.injector
+        if injector.outage_until(disk, now) is not None:
+            return True
+        if injector.slowdown_factor(disk, now) > 1.0:
+            return True
+        times = self._fault_times[disk]
+        if not times:
+            return False
+        plan = injector.plan
+        recent = bisect_right(times, now) - bisect_left(
+            times, now - plan.flap_window_ms
+        )
+        return recent >= plan.flap_threshold
+
+    # -- drive service (flat mirror of DiskDrive._service) -------------
+    def _start_service(
+        self, drive: _Drive, request: _Request, start: float
+    ) -> None:
+        disk = drive.drive_id
+        if not self._sick[disk]:
+            super()._start_service(drive, request, start)
+            return
+        shared = self.shared
+        injector = self.injector
+        stats = drive.stats
+        stats.queue_wait_ms += start - request.issue_time
+        first_address = shared.run_base[request.run] + request.first_block
+        last_address = first_address + request.count - 1
+        request.last_address = last_address
+        blocks_per_cylinder = shared.blocks_per_cylinder
+        target_cylinder = first_address // blocks_per_cylinder
+        # Streamed sequential requests are outside the envelope, so
+        # every attempt pays seek and rotation.
+        head = drive.head_cylinder
+        self._moved_heads[disk] = None
+        healthy_transfer = shared.transfer_ms
+        count = request.count
+        now = start
+        attempt = 0
+        while True:
+            attempt += 1
+            until = injector.outage_until(disk, now)
+            while until is not None:
+                if until == math.inf:
+                    raise _TerminalFault(f"drive {disk} permanently offline")
+                wait = until - now
+                stats.outage_wait_ms += wait
+                stats.fault_ms += wait
+                now = now + wait
+                until = injector.outage_until(disk, now)
+
+            distance = abs(target_cylinder - head)
+            seek_ms = distance * shared.seek_per_cylinder
+            rotation_ms = drive.rng.uniform(0.0, shared.rotation_period)
+            stats.seek_cylinders += distance
+            factor = injector.slowdown_factor(disk, now)
+            seek_cost = seek_ms * factor
+            rotation_cost = rotation_ms * factor
+            positioning = seek_cost + rotation_cost
+            if positioning > 0:
+                now = now + positioning
+            stats.seek_ms += seek_cost
+            stats.rotation_ms += rotation_cost
+
+            transfer = healthy_transfer * factor
+            if not injector.attempt_fails(disk, now):
+                break
+
+            # A failed attempt transfers in full with no arrivals; the
+            # head ends on the last address and the drive backs off.
+            now = now + count * transfer
+            stats.transfer_ms += count * transfer
+            stats.faults += 1
+            stats.fault_ms += positioning + count * transfer
+            head = last_address // blocks_per_cylinder
+            if self._moved_heads[disk] is None:
+                self._moved_heads[disk] = (now, head)
+            self._fault_times[disk].append(now)
+            retry = injector.retry
+            if attempt >= retry.max_attempts:
+                raise _TerminalFault(f"drive {disk} exhausted its retries")
+            delay = retry.delay_ms(attempt, injector.rng)
+            stats.retries += 1
+            stats.retry_backoff_ms += delay
+            stats.fault_ms += delay
+            if delay > 0:
+                now = now + delay
+
+        arrivals = drive.arrivals
+        run = request.run
+        first_block = request.first_block
+        first_index = len(arrivals)
+        for offset in range(count):
+            now = now + transfer
+            arrivals.append((now, run, first_block + offset))
+        request.arrival0 = arrivals[first_index][0]
+        request.finish = now
+        stats.transfer_ms += count * transfer
+        stats.fault_ms += (factor - 1.0) * (
+            seek_ms + rotation_ms + count * healthy_transfer
+        )
+        if attempt > 1:
+            key = str(attempt)
+            stats.retry_histogram[key] = stats.retry_histogram.get(key, 0) + 1
+        stats.busy_ms += now - start
+        stats.requests += 1
+        stats.blocks += count
+        if request.demand:
+            stats.demand_requests += 1
+        else:
+            stats.prefetch_requests += 1
+        drive.current = request
+        drive.free_time = now
 
 
 def _null_guard() -> ContextManager[None]:
@@ -666,6 +894,24 @@ def _fallback_trial(
         raise
 
 
+def fallback_counts() -> dict[str, int]:
+    """Trials :func:`run_trial_batch` ran off the flattened path, by reason.
+
+    A process-wide running tally since import.  The reasons are an
+    :func:`unsupported_reason` text (the whole batch), ``"divergence"``
+    (a :class:`BatchDivergence` re-run), ``"efficiency-floor"`` (trials
+    after the batch's native rate fell below its floor) and
+    ``"terminal-fault"`` (a seed re-run to raise its fault error).
+    """
+    with _fallbacks_lock:
+        return dict(_fallbacks)
+
+
+def _count_fallback(reason: str, trials: int = 1) -> None:
+    with _fallbacks_lock:
+        _fallbacks[reason] += trials
+
+
 def run_trial_batch(
     config: SimulationConfig,
     seeds: Sequence[int],
@@ -679,35 +925,46 @@ def run_trial_batch(
     :mod:`repro.sim.kernel`); callers go through
     :func:`repro.api.run_trials`, never here directly.  ``guard`` wraps
     every trial (the per-trial timeout seam).  Trials the flattened
-    interpreter cannot execute natively — an unsupported config, or a
-    runtime :class:`BatchDivergence` — fall back to the fast kernel;
-    once the batch's native success rate drops below
-    ``efficiency_floor`` the remaining trials skip the interpreter.
+    interpreter cannot execute natively — an unsupported config, a
+    runtime :class:`BatchDivergence`, or a terminal fault — fall back
+    to the fast kernel; once the batch's native success rate drops
+    below ``efficiency_floor`` the remaining trials skip the
+    interpreter.  Every fallback is tallied in :func:`fallback_counts`.
     """
     if guard is None:
         guard = _null_guard
-    results: list[MergeMetrics] = []
-    if unsupported_reason(config) is not None:
-        for seed in seeds:
-            results.append(_fallback_trial(config, seed, guard))
-        return results
+    reason = unsupported_reason(config)
+    if reason is not None:
+        _count_fallback(reason, len(seeds))
+        return [_fallback_trial(config, seed, guard) for seed in seeds]
 
     shared = _Shared(config)
+    trial_class = _FlatTrial if config.fault_plan is None else _FaultyFlatTrial
+    results: list[MergeMetrics] = []
     attempted = 0
     diverged = 0
     flat_enabled = True
     for seed in seeds:
-        if flat_enabled:
-            attempted += 1
+        if not flat_enabled:
+            reason = "efficiency-floor"
+        else:
             try:
                 with guard():
-                    results.append(_FlatTrial(shared, seed).run())
-                continue
+                    metrics = trial_class(shared, seed).run()
             except api.TrialTimeoutError:
                 raise
+            except _TerminalFault:
+                reason = "terminal-fault"
             except (BatchDivergence, CacheAccountingError):
+                reason = "divergence"
+                attempted += 1
                 diverged += 1
                 if (attempted - diverged) / attempted < efficiency_floor:
                     flat_enabled = False
+            else:
+                attempted += 1
+                results.append(metrics)
+                continue
+        _count_fallback(reason)
         results.append(_fallback_trial(config, seed, guard))
     return results

@@ -7,6 +7,8 @@ registry produces byte-for-byte equal ``MergeMetrics.to_dict()``
 output.  The ``batch`` kernel additionally proves its flattened
 group-execution path (`repro.api.run_trials` routes whole trial groups
 through :func:`repro.sim.batch.run_trial_batch`) against the same bar.
+A trial that fails on an injected fault must fail the same way — the
+same exception type and message — on every kernel.
 """
 
 import dataclasses
@@ -15,24 +17,89 @@ import pytest
 
 from repro import api
 from repro.api import configure
-from repro.core.parameters import PrefetchStrategy, SimulationConfig
+from repro.core.parameters import (
+    PrefetchStrategy,
+    SimulationConfig,
+    VictimSelector,
+)
 from repro.core.simulator import MergeSimulation
 from repro.disks.drive import QueueDiscipline
-from repro.faults.plan import fail_slow_plan, transient_plan
-from repro.sim import FastSimulator, Simulator, create_kernel, kernel_names
+from repro.faults.plan import (
+    FaultPlan,
+    OutageFault,
+    RetryPolicy,
+    fail_slow_plan,
+    transient_plan,
+)
+from repro.sim import FastSimulator, Simulator, batch, create_kernel, kernel_names
 
 
-def _trial_dict(config: SimulationConfig, kernel: str, trial: int = 0) -> dict:
+def _outcome(run) -> object:
+    """``run()``'s result, or the (type, message) of its failure."""
+    try:
+        return run()
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def _trial_dict(config: SimulationConfig, kernel: str, trial: int = 0):
     config = dataclasses.replace(config, kernel=kernel)
-    return MergeSimulation(config).run_trial(trial=trial).to_dict()
+    return _outcome(
+        lambda: MergeSimulation(config).run_trial(trial=trial).to_dict()
+    )
 
 
 #: Every registered kernel that is *not* the baseline itself.
 NON_REFERENCE = [name for name in kernel_names() if name != "reference"]
 
+#: Fault plans inside the batch tier's native envelope: transients on
+#: one of five drives, fail-slow, a finite outage, and flapping that
+#: drives the planner's degraded mode (with nearest-head victims, so
+#: mid-service head moves after failed attempts are observed too).
+NATIVE_FAULT_CONFIGS = [
+    SimulationConfig(
+        num_runs=10,
+        num_disks=5,
+        strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=10,
+        blocks_per_run=50,
+        fault_plan=transient_plan(0.1),
+    ),
+    SimulationConfig(
+        num_runs=8,
+        num_disks=4,
+        strategy=PrefetchStrategy.INTRA_RUN,
+        prefetch_depth=5,
+        blocks_per_run=40,
+        fault_plan=fail_slow_plan(1, 3.0),
+    ),
+    SimulationConfig(
+        num_runs=8,
+        num_disks=4,
+        strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=4,
+        blocks_per_run=40,
+        fault_plan=FaultPlan(
+            outages=(OutageFault(drive=2, start_ms=50.0, end_ms=400.0),)
+        ),
+    ),
+    SimulationConfig(
+        num_runs=10,
+        num_disks=5,
+        strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=6,
+        blocks_per_run=50,
+        victim_selector=VictimSelector.NEAREST_HEAD,
+        fault_plan=transient_plan(0.3, flap_threshold=2),
+    ),
+]
+
 #: A deliberately diverse configuration matrix: every strategy family,
 #: single and multi disk, sync and async, SSTF scheduling, CPU cost,
-#: streamed sequential requests, and both fault flavours.
+#: streamed sequential requests, the native fault plans above, and the
+#: fault plans the batch tier hands back to the event kernel:
+#: transients on two drives, a demand timeout, an exhausted retry
+#: budget and a permanent outage (the last two fail every trial).
 MATRIX = [
     SimulationConfig(num_runs=6, num_disks=1, blocks_per_run=40),
     SimulationConfig(
@@ -74,21 +141,38 @@ MATRIX = [
         blocks_per_run=40,
         stream_across_requests=True,
     ),
+    *NATIVE_FAULT_CONFIGS,
     SimulationConfig(
-        num_runs=10,
-        num_disks=5,
+        num_runs=8,
+        num_disks=4,
         strategy=PrefetchStrategy.INTER_RUN,
-        prefetch_depth=10,
-        blocks_per_run=50,
-        fault_plan=transient_plan(0.1),
+        prefetch_depth=4,
+        blocks_per_run=40,
+        fault_plan=transient_plan(0.2, drives=(0, 2)),
     ),
     SimulationConfig(
         num_runs=8,
         num_disks=4,
-        strategy=PrefetchStrategy.INTRA_RUN,
-        prefetch_depth=5,
+        strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=4,
         blocks_per_run=40,
-        fault_plan=fail_slow_plan(1, 3.0),
+        fault_plan=fail_slow_plan(1, 3.0, demand_timeout_ms=20.0),
+    ),
+    SimulationConfig(
+        num_runs=6,
+        num_disks=2,
+        strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=4,
+        blocks_per_run=40,
+        fault_plan=transient_plan(0.5, retry=RetryPolicy(max_attempts=1)),
+    ),
+    SimulationConfig(
+        num_runs=6,
+        num_disks=2,
+        strategy=PrefetchStrategy.INTRA_RUN,
+        prefetch_depth=4,
+        blocks_per_run=40,
+        fault_plan=FaultPlan(outages=(OutageFault(drive=1, start_ms=100.0),)),
     ),
 ]
 
@@ -117,14 +201,63 @@ def test_kernel_identical_across_trials(kernel):
         )
 
 
+def _assert_batch_matches_reference(config, trials) -> None:
+    """A ``run_trials`` group on batch against per-trial reference runs.
+
+    A failing group raises its first failing trial's error, so that is
+    what the reference outcome must be.
+    """
+    batch_config = dataclasses.replace(config, kernel="batch")
+    grouped = _outcome(
+        lambda: [
+            metrics.to_dict()
+            for metrics in api.run_trials(
+                [batch_config] * len(trials), trials=trials
+            )
+        ]
+    )
+    expected = [_trial_dict(config, "reference", trial) for trial in trials]
+    failures = [outcome for outcome in expected if isinstance(outcome, tuple)]
+    assert grouped == (failures[0] if failures else expected)
+
+
 @pytest.mark.parametrize("config", MATRIX, ids=lambda c: c.describe())
 def test_batch_group_execution_bit_identical(config):
     """Whole-group batch dispatch matches per-trial reference runs."""
-    batch_config = dataclasses.replace(config, kernel="batch")
-    trials = [0, 1, 2]
-    grouped = api.run_trials([batch_config] * len(trials), trials=trials)
-    for trial, metrics in zip(trials, grouped):
-        assert metrics.to_dict() == _trial_dict(config, "reference", trial)
+    _assert_batch_matches_reference(config, [0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "config", NATIVE_FAULT_CONFIGS, ids=lambda c: c.describe()
+)
+def test_batch_runs_fault_plans_natively(config, monkeypatch):
+    """Fault plans stay on the flattened path, bit-identical.
+
+    With the fast-kernel fallback disabled the group can only pass by
+    running every trial natively.
+    """
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("batch trial fell back to the event kernel")
+
+    monkeypatch.setattr(batch, "_fallback_trial", no_fallback)
+    _assert_batch_matches_reference(config, [0, 1, 2, 3])
+
+
+def test_native_fault_configs_exercise_the_fault_paths():
+    """The native cases really retry, back off, wait out outages and
+    skip degraded drives (else the test above proves little)."""
+    configs = [
+        dataclasses.replace(config, kernel="batch")
+        for config in NATIVE_FAULT_CONFIGS
+    ]
+    transient, slow, outage, flapping = (
+        api.run_trials([config] * 2, trials=[0, 1]) for config in configs
+    )
+    assert sum(d.retries for m in transient for d in m.drive_stats) > 0
+    assert all(m.fault_stall_ms > 0 for m in slow)
+    assert sum(d.outage_wait_ms for m in outage for d in m.drive_stats) > 0
+    assert sum(m.degraded_skips for m in flapping) > 0
 
 
 def test_unknown_kernel_rejected_by_config():

@@ -15,7 +15,7 @@ scope::
 
     from repro.api import configure
 
-    with configure(kernel="fast", trace=True) as ctx:
+    with configure(kernel="batch", trace=True) as ctx:
         result = MergeSimulation(config).run()
     ctx.trace.export_chrome("merge.json")
 
@@ -233,7 +233,7 @@ def configure(
 ) -> RunContext:
     """Build a :class:`RunContext` — the idiomatic spelling.
 
-    ``with configure(kernel="fast"): ...`` reads better at call sites
+    ``with configure(kernel="batch"): ...`` reads better at call sites
     than naming the class; the two are interchangeable.
     """
     return RunContext(
@@ -315,7 +315,6 @@ def run_trials(
     trials: Optional[Sequence[int]] = None,
     depletion_sources: Optional[Sequence[Optional[Iterator[int]]]] = None,
     timeout_s: Optional[float] = None,
-    batch_efficiency_floor: float = 0.5,
 ) -> "list[MergeMetrics]":
     """Execute a batch of seeded trials; the one trial-execution path.
 
@@ -338,9 +337,8 @@ def run_trials(
     * **batch dispatch** — trials whose effective kernel registers a
       batch runner (``kernel="batch"``) are grouped by config and
       handed to it wholesale; the runner masks out trials it cannot
-      execute natively and falls back to the fast kernel for them,
-      steered by ``batch_efficiency_floor`` (minimum fraction of a
-      group the flattened path must cover natively to stay batched).
+      execute natively and falls back to the reference kernel for
+      them.
 
     Keyword-only by design: new execution capabilities land here, not
     on the thin ``simulate_merge``/``run_trial`` wrappers.
@@ -392,12 +390,7 @@ def run_trials(
     for config, members in groups:
         runner = get_kernel(config.kernel).batch_runner()
         seeds = [config.base_seed + trials[i] for i in members]
-        batch = runner(
-            config,
-            seeds,
-            guard=lambda: _trial_guard(timeout_s),
-            efficiency_floor=batch_efficiency_floor,
-        )
+        batch = runner(config, seeds, guard=lambda: _trial_guard(timeout_s))
         for i, metrics in zip(members, batch):
             results[i] = metrics
 

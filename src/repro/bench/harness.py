@@ -217,11 +217,7 @@ class BenchReport:
                 f"rss {variant.peak_rss_kb} KiB"
             )
         if self.speedup is not None:
-            if "reference" in self.variants:
-                pair = "fast is {:.2f}x reference"
-            else:
-                pair = "batch is {:.2f}x fast"
-            lines.append("  speedup   " + pair.format(self.speedup))
+            lines.append(f"  speedup   batch is {self.speedup:.2f}x reference")
         return "\n".join(lines)
 
 
@@ -326,12 +322,8 @@ def run_scenario(
             peak_rss_kb=peak_rss_kb(),
         )
     speedup = None
-    if "reference" in variants and "fast" in variants:
-        speedup = variants["reference"].median_ns / variants["fast"].median_ns
-    elif "fast" in variants and "batch" in variants:
-        # Sweep-style scenarios without a reference variant: the
-        # headline is the batch tier's gain over per-trial fast.
-        speedup = variants["fast"].median_ns / variants["batch"].median_ns
+    if "reference" in variants and "batch" in variants:
+        speedup = variants["reference"].median_ns / variants["batch"].median_ns
     return BenchReport(
         scenario=scenario.name,
         description=scenario.description,

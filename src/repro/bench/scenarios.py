@@ -4,8 +4,8 @@ A :class:`BenchScenario` names a fixed workload — simulator merge, sweep
 campaign, or analytical solve — with pinned seeds and scale, so the
 numbers in a ``BENCH_<scenario>.json`` mean the same thing on every
 commit.  Simulator scenarios run once per registered kernel (the
-:mod:`repro.sim.kernel` registry: ``reference``, ``fast``, ``batch``,
-plus anything registered later); pure-analysis scenarios are
+:mod:`repro.sim.kernel` registry: ``reference``, ``batch``, plus
+anything registered later); pure-analysis scenarios are
 kernel-independent and record a single variant.
 
 ``workload_events`` is the scenario's nominal unit count used for the
@@ -131,8 +131,8 @@ def _sweep_batch_build(kernel: str) -> Workload:
     """Batched vs per-trial execution of a 64-cell uncached sweep.
 
     Both variants run the identical campaign through the inline sweep
-    engine with no result store.  The ``fast`` variant executes one
-    worker call per trial; the ``batch`` variant groups each cell's
+    engine with no result store.  The ``reference`` variant executes
+    one worker call per trial; the ``batch`` variant groups each cell's
     trials into a single :func:`repro.sweep.worker.execute_batch` call
     that the flattened interpreter runs in one pass — the measured gap
     is the batch tier's whole advantage (flat execution plus amortized
@@ -424,11 +424,10 @@ SCENARIOS: dict[str, BenchScenario] = {
         BenchScenario(
             name="sweep-batch",
             description="uncached 64-cell, 4-trial sweep through the "
-            "inline sweep engine: per-trial jobs on the fast kernel vs "
-            "per-cell batches on the flattened batch kernel",
+            "inline sweep engine: per-trial jobs on the reference kernel "
+            "vs per-cell batches on the flattened batch kernel",
             workload_events=_SWEEP_BATCH_EVENTS,
             build=_sweep_batch_build,
-            kernels=("fast", "batch"),
             repeats=3,
         ),
         BenchScenario(

@@ -42,7 +42,7 @@ def _common_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--kernel", choices=kernel_names(), default=None,
         help="simulation kernel (results are bit-identical across "
-        "kernels; 'fast' only changes wall-clock time)",
+        "kernels; 'batch' only changes wall-clock time)",
     )
     group.add_argument(
         "--faults", metavar="PLAN_JSON", default=None,

@@ -201,8 +201,6 @@ class BlockCache:
         key = (run, block_index)
         event = self._waiters.get(key)
         if event is None:
-            # Created through the kernel factory so an optimized kernel
-            # (repro.sim.fast) can supply its fast event variant.
             event = self.sim.event()
             self._waiters[key] = event
         return event

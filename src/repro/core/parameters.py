@@ -162,9 +162,8 @@ class SimulationConfig:
             reproduce the paper's perfectly reliable disks exactly.
         kernel: which simulation kernel runs the trial.  Any name in
             the :mod:`repro.sim.kernel` registry is accepted; the
-            built-ins are ``"reference"`` (the readable baseline),
-            ``"fast"`` (the optimized drop-in, see
-            :mod:`repro.sim.fast`), and ``"batch"`` (the flattened
+            built-ins are ``"reference"`` (the readable baseline and
+            bit-identity oracle) and ``"batch"`` (the flattened
             whole-batch interpreter, see :mod:`repro.sim.batch`,
             dispatched through :func:`repro.api.run_trials`).  Every
             registered kernel produces bit-identical metrics, so the

@@ -17,7 +17,7 @@ Example::
 Ambient run options — execution backend, fault plan, kernel choice,
 tracing — come from :mod:`repro.api`::
 
-    with repro.api.configure(kernel="fast", trace=True) as ctx:
+    with repro.api.configure(kernel="batch", trace=True) as ctx:
         result = MergeSimulation(config).run()
 
 Trial execution itself is delegated to :func:`repro.api.run_trials`;

@@ -68,8 +68,6 @@ class BlockFetchRequest:
         self.first_block = first_block
         self.count = count
         self.kind = kind
-        # Via the kernel factory: an optimized kernel (repro.sim.fast)
-        # supplies fast-trigger events for the per-block hot path.
         self.block_events = [sim.event() for _ in range(count)]
         self.completed = sim.event()
         self.issue_time = sim.now

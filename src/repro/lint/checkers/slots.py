@@ -1,13 +1,14 @@
 """RPR002: hot-kernel classes must stay slotted.
 
-The fast kernel's whole speedup rests on allocation-lean objects; a
-``__dict__`` silently reappearing on one event class costs double-digit
-percent throughput without failing any functional test (both kernels
-still agree bit-for-bit).  Classes defined in the configured hot-path
-modules must therefore declare ``__slots__`` — including subclasses,
-where an inherited ``__slots__`` does *not* prevent the subclass from
-growing a ``__dict__``; an empty ``__slots__ = ()`` is the correct
-spelling for "no new attributes".
+The batch interpreter's speed rests on lean per-trial state: its flat
+trial, drive and request objects are read and written on every step of
+the merge loop, and a ``__dict__`` silently reappearing on one of them
+costs throughput without failing any functional test (batch and
+reference still agree bit-for-bit).  Classes defined in the configured
+hot-path modules must therefore declare ``__slots__`` — including
+subclasses, where an inherited ``__slots__`` does *not* prevent the
+subclass from growing a ``__dict__``; an empty ``__slots__ = ()`` is
+the correct spelling for "no new attributes".
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def _is_exempt(class_def: ast.ClassDef) -> bool:
     name="hot-path-slots",
     severity=Severity.ERROR,
     rationale=(
-        "The fast kernel's performance contract depends on slotted, "
-        "__dict__-free event/process objects; losing __slots__ regresses "
-        "throughput without failing any correctness test."
+        "The batch interpreter's performance depends on slotted, "
+        "__dict__-free per-trial state objects; losing __slots__ "
+        "regresses throughput without failing any correctness test."
     ),
 )
 def check_slots(module: ModuleInfo, config: "LintConfig") -> Iterator[Finding]:

@@ -62,7 +62,6 @@ class LintConfig:
     # -- RPR002 hot-path slotting --------------------------------------------
     #: Modules whose classes must declare ``__slots__``.
     slots_modules: list[str] = field(default_factory=lambda: [
-        "repro/sim/fast.py",
         "repro/sim/batch.py",
     ])
 

@@ -36,7 +36,7 @@ class ModuleInfo:
     """One source file, parsed once and shared by every rule."""
 
     path: Path  #: absolute path
-    relpath: str  #: repo-relative POSIX path (e.g. ``src/repro/sim/fast.py``)
+    relpath: str  #: repo-relative POSIX path (e.g. ``src/repro/sim/batch.py``)
     source: str
     tree: ast.Module
 

@@ -319,7 +319,7 @@ def run_validation(
             disk=report.disk_parameters,
             trials=trials,
             base_seed=base_seed,
-            kernel="fast",
+            kernel="batch",
         )
         predicted = MergeSimulation(sim_config).run()
         real = measured[strategy].aggregate

@@ -19,11 +19,10 @@ Public surface:
 * :class:`KernelSpec`, :func:`register_kernel`,
   :func:`available_kernels`, :func:`kernel_names`, :func:`get_kernel`,
   :func:`create_kernel` -- the kernel registry every execution tier
-  (reference, fast, batch, plug-ins) is selected through.
+  (reference, batch, plug-ins) is selected through.
 """
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.fast import FastSimulator
 from repro.sim.kernel import (
     KernelSpec,
     SimulationError,
@@ -43,7 +42,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "FastSimulator",
     "KernelSpec",
     "Process",
     "ProcessFailure",

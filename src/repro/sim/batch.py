@@ -37,15 +37,15 @@ own time.
 **Fallback.**  Configurations outside the flattened model's envelope
 (:func:`unsupported_reason`: demand timeouts, transients on several
 drives, write disks, degenerate disk timing) never enter the
-interpreter; their trials run on the fast kernel.  A trial that
-diverges at runtime (:class:`BatchDivergence` — an internal
-inconsistency the interpreter detects) is re-run on the fast kernel,
-and once the native success rate of a batch drops below the caller's
-``efficiency_floor`` the remaining trials skip the interpreter
+interpreter; their trials run on the reference kernel.  A trial
+that diverges at runtime (:class:`BatchDivergence` — an internal
+inconsistency the interpreter detects) is re-run on the reference
+kernel, and once the native success rate of a batch drops below
+:data:`EFFICIENCY_FLOOR` the remaining trials skip the interpreter
 entirely.  A trial that meets a terminal fault (an exhausted retry
-budget or a permanent outage) is re-run on the fast kernel too, which
-raises the reference kernel's error; it does not count against the
-floor.  :func:`fallback_counts` reports every fallback by reason.
+budget or a permanent outage) is re-run on the reference kernel too,
+which raises its error; it does not count against the floor.
+:func:`fallback_counts` reports every fallback by reason.
 """
 
 from __future__ import annotations
@@ -76,13 +76,17 @@ __all__ = [
 _fallbacks: Counter = Counter()
 _fallbacks_lock = threading.Lock()
 
+#: Minimum fraction of a batch's attempted trials the interpreter must
+#: run natively; below it the rest of the batch skips the interpreter.
+EFFICIENCY_FLOOR = 0.5
+
 
 class BatchDivergence(RuntimeError):
     """The flattened interpreter detected an internal inconsistency.
 
     Raised (and caught by :func:`run_trial_batch`) when the flat state
     walk violates one of its own invariants — the affected trial falls
-    back to the fast event kernel, which is always correct.
+    back to the reference kernel, which is always correct.
     """
 
     __slots__ = ()
@@ -878,13 +882,13 @@ def _fallback_trial(
     seed: int,
     guard: Callable[[], ContextManager[None]],
 ) -> MergeMetrics:
-    """Run one seed on the fast event kernel (the always-correct path)."""
+    """Run one seed on the reference kernel (the always-correct path)."""
     from repro.core.merge_sim import MergeTrial
 
     try:
         with guard():
-            # config.kernel == "batch" resolves to the fast simulator
-            # through the registry factory.
+            # config.kernel == "batch" resolves to the reference
+            # Simulator through the registry factory.
             return MergeTrial(config, seed=seed).run()
     except api.TrialTimeoutError:
         raise
@@ -900,7 +904,7 @@ def fallback_counts() -> dict[str, int]:
     A process-wide running tally since import.  The reasons are an
     :func:`unsupported_reason` text (the whole batch), ``"divergence"``
     (a :class:`BatchDivergence` re-run), ``"efficiency-floor"`` (trials
-    after the batch's native rate fell below its floor) and
+    after the batch's native rate fell below :data:`EFFICIENCY_FLOOR`) and
     ``"terminal-fault"`` (a seed re-run to raise its fault error).
     """
     with _fallbacks_lock:
@@ -917,7 +921,6 @@ def run_trial_batch(
     seeds: Sequence[int],
     *,
     guard: Optional[Callable[[], ContextManager[None]]] = None,
-    efficiency_floor: float = 0.5,
 ) -> list[MergeMetrics]:
     """Execute ``seeds`` trials of ``config``; the batch kernel's entry.
 
@@ -927,8 +930,8 @@ def run_trial_batch(
     every trial (the per-trial timeout seam).  Trials the flattened
     interpreter cannot execute natively — an unsupported config, a
     runtime :class:`BatchDivergence`, or a terminal fault — fall back
-    to the fast kernel; once the batch's native success rate drops
-    below ``efficiency_floor`` the remaining trials skip the
+    to the reference kernel; once the batch's native success rate
+    drops below :data:`EFFICIENCY_FLOOR` the remaining trials skip the
     interpreter.  Every fallback is tallied in :func:`fallback_counts`.
     """
     if guard is None:
@@ -959,7 +962,7 @@ def run_trial_batch(
                 reason = "divergence"
                 attempted += 1
                 diverged += 1
-                if (attempted - diverged) / attempted < efficiency_floor:
+                if (attempted - diverged) / attempted < EFFICIENCY_FLOOR:
                     flat_enabled = False
             else:
                 attempted += 1

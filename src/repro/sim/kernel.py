@@ -224,15 +224,9 @@ def create_kernel(name: str) -> "Simulator":
 
 # -- built-in kernels ---------------------------------------------------
 #
-# The fast and batch tiers are registered with lazy factories: looking
-# them up (config validation, CLI choices) never imports their modules,
-# which would otherwise cycle through repro.core.
-
-
-def _fast_factory() -> "Simulator":
-    from repro.sim.fast import FastSimulator
-
-    return FastSimulator()
+# The batch tier's runner is loaded lazily: looking it up (config
+# validation, CLI choices) never imports repro.sim.batch, which would
+# otherwise cycle through repro.core.
 
 
 def _load_batch_runner() -> "BatchRunner":
@@ -253,22 +247,13 @@ register_kernel(
 )
 register_kernel(
     KernelSpec(
-        name="fast",
-        factory=_fast_factory,
-        description=(
-            "allocation-lean drop-in kernel: inlined dispatch, pooled "
-            "timeouts; bit-identical to reference"
-        ),
-    )
-)
-register_kernel(
-    KernelSpec(
         name="batch",
-        factory=_fast_factory,
+        factory=Simulator,
         description=(
             "batched trial tier: flattened lockstep interpreter for "
-            "whole trial batches (repro.api.run_trials); single trials "
-            "and unsupported configs fall back to the fast kernel"
+            "whole trial batches, batches of one included "
+            "(repro.api.run_trials); unsupported configs fall back to "
+            "the reference kernel"
         ),
         batch_runner=_load_batch_runner,
     )

@@ -34,13 +34,13 @@ def _config(**overrides):
 
 
 def test_configure_returns_run_context():
-    assert isinstance(configure(kernel="fast"), RunContext)
+    assert isinstance(configure(kernel="batch"), RunContext)
 
 
 def test_context_sets_and_restores_kernel():
     assert api.current_kernel() is None
-    with configure(kernel="fast"):
-        assert api.current_kernel() == "fast"
+    with configure(kernel="batch"):
+        assert api.current_kernel() == "batch"
     assert api.current_kernel() is None
 
 
@@ -53,8 +53,8 @@ def test_context_sets_and_restores_fault_plan():
 
 def test_options_compose_in_one_context():
     plan = FaultPlan()
-    with configure(kernel="fast", fault_plan=plan, trace=True) as context:
-        assert api.current_kernel() == "fast"
+    with configure(kernel="batch", fault_plan=plan, trace=True) as context:
+        assert api.current_kernel() == "batch"
         assert api.current_fault_plan() is plan
         assert api.current_trace() is context.trace
     assert api.current_trace() is None
@@ -62,23 +62,23 @@ def test_options_compose_in_one_context():
 
 def test_unknown_option_rejected():
     with pytest.raises(TypeError):
-        configure(kern="fast")
+        configure(kern="batch")
 
 
 def test_set_option_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown run option"):
-        api.set_option("kern", "fast")
+        api.set_option("kern", "batch")
 
 
 # ------------------------------------------------------- UNSET vs None
 
 
 def test_unset_options_inherit_enclosing_scope():
-    with configure(kernel="fast"):
+    with configure(kernel="batch"):
         with configure(fault_plan=FaultPlan()):
             # kernel untouched by the inner scope
-            assert api.current_kernel() == "fast"
-        assert api.current_kernel() == "fast"
+            assert api.current_kernel() == "batch"
+        assert api.current_kernel() == "batch"
 
 
 def test_explicit_none_clears_for_the_scope():
@@ -91,8 +91,8 @@ def test_explicit_none_clears_for_the_scope():
 
 def test_nested_contexts_restore_in_order():
     with configure(kernel="reference"):
-        with configure(kernel="fast"):
-            assert api.current_kernel() == "fast"
+        with configure(kernel="batch"):
+            assert api.current_kernel() == "batch"
         assert api.current_kernel() == "reference"
     assert api.current_kernel() is None
 
@@ -140,8 +140,8 @@ def test_traced_simulation_records_one_trial_per_run():
 def test_ambient_kernel_rewrites_config():
     config = _config()
     assert MergeSimulation(config).config.kernel == "reference"
-    with configure(kernel="fast"):
-        assert MergeSimulation(config).config.kernel == "fast"
+    with configure(kernel="batch"):
+        assert MergeSimulation(config).config.kernel == "batch"
     assert MergeSimulation(config).config.kernel == "reference"
 
 
@@ -164,11 +164,11 @@ def test_backend_receives_the_resolved_config():
         seen.append(config)
         return None
 
-    with configure(fault_plan=plan, kernel="fast", backend=recorder):
+    with configure(fault_plan=plan, kernel="batch", backend=recorder):
         MergeSimulation(_config()).run()
     assert len(seen) == 1
     assert seen[0].fault_plan is plan
-    assert seen[0].kernel == "fast"
+    assert seen[0].kernel == "batch"
 
 
 # -------------------------------------------------- retired shims stay gone

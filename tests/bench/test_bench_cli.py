@@ -30,7 +30,7 @@ def test_bench_run_writes_valid_report(tmp_path, capsys):
     assert validate_report(data) == []
     # smoke-d2 inherits the registry default, so every registered
     # kernel gets a variant.
-    assert set(data["variants"]) == {"reference", "fast", "batch"}
+    assert set(data["variants"]) == {"reference", "batch"}
     assert "speedup" in capsys.readouterr().out
 
 
@@ -128,7 +128,7 @@ def test_bench_compare_rejects_corrupt_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kernel", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", ["reference", "batch"])
 def test_simulate_kernel_flag(kernel, capsys):
     code = main([
         "simulate", "-k", "4", "-D", "2",
@@ -141,7 +141,7 @@ def test_simulate_kernel_flag(kernel, capsys):
 
 def test_simulate_kernel_outputs_match(capsys):
     outputs = []
-    for kernel in ("reference", "fast"):
+    for kernel in ("reference", "batch"):
         main([
             "simulate", "-k", "4", "-D", "2",
             "--strategy", "intra-run", "-N", "2",
@@ -152,7 +152,7 @@ def test_simulate_kernel_outputs_match(capsys):
 
 
 def test_sweep_kernel_flag_shares_cache(tmp_path, capsys):
-    """A reference-kernel sweep fully warms the cache for a fast-kernel
+    """A reference-kernel sweep fully warms the cache for a batch-kernel
     rerun of the same grid: the second pass must be 100% hits."""
     common = [
         "sweep", "-k", "4", "-D", "1,2", "--strategy", "intra-run",
@@ -161,7 +161,7 @@ def test_sweep_kernel_flag_shares_cache(tmp_path, capsys):
         "--progress-json", str(tmp_path / "progress.json"),
     ]
     assert main(common + ["--kernel", "reference", "--name", "ref"]) == 0
-    assert main(common + ["--kernel", "fast", "--name", "fast"]) == 0
+    assert main(common + ["--kernel", "batch", "--name", "batch"]) == 0
     capsys.readouterr()
     progress = json.loads((tmp_path / "progress.json").read_text())
     assert progress["total"] == 2  # D in {1, 2}

@@ -1,7 +1,7 @@
 """The sweep cache is kernel-independent.
 
 Because both kernels produce bit-identical metrics, a result computed
-under either must live under one cache key — a sweep on the fast kernel
+under either must live under one cache key — a sweep on the batch kernel
 reuses everything a reference-kernel sweep already paid for (and vice
 versa).
 """
@@ -26,25 +26,25 @@ def _config(**kwargs) -> SimulationConfig:
 
 def test_cache_key_shared_across_kernels():
     reference = _config(kernel="reference")
-    fast = _config(kernel="fast")
+    batched = _config(kernel="batch")
     for seed in (0, 1, 1992):
-        assert cache_key(reference, seed) == cache_key(fast, seed)
+        assert cache_key(reference, seed) == cache_key(batched, seed)
 
 
 def test_cache_key_still_distinguishes_real_parameters():
     reference = _config(kernel="reference")
-    deeper = _config(kernel="fast", prefetch_depth=5)
+    deeper = _config(kernel="batch", prefetch_depth=5)
     assert cache_key(reference, 1) != cache_key(deeper, 1)
 
 
 def test_describe_is_kernel_independent():
-    assert _config(kernel="fast").describe() == _config(
+    assert _config(kernel="batch").describe() == _config(
         kernel="reference"
     ).describe()
 
 
 def test_kernel_round_trips_through_config_dict():
-    config = _config(kernel="fast")
+    config = _config(kernel="batch")
     rebuilt = config_from_dict(config_to_dict(config))
-    assert rebuilt.kernel == "fast"
+    assert rebuilt.kernel == "batch"
     assert dataclasses.asdict(rebuilt) == dataclasses.asdict(config)

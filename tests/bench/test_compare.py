@@ -38,7 +38,7 @@ def _report(scenario: str, medians: dict[str, float]) -> BenchReport:
 
 
 def test_identical_reports_pass():
-    baseline = _report("s", {"reference": 1e6, "fast": 5e5})
+    baseline = _report("s", {"reference": 1e6, "batch": 5e5})
     rows = compare_reports(baseline, baseline, threshold=0.25)
     assert len(rows) == 2
     assert regressions(rows) == []
@@ -46,11 +46,11 @@ def test_identical_reports_pass():
 
 
 def test_regression_detected_per_variant():
-    baseline = _report("s", {"reference": 1e6, "fast": 5e5})
-    current = _report("s", {"reference": 1e6, "fast": 7e5})  # fast 1.4x
+    baseline = _report("s", {"reference": 1e6, "batch": 5e5})
+    current = _report("s", {"reference": 1e6, "batch": 7e5})  # batch 1.4x
     rows = compare_reports(baseline, current, threshold=0.25)
     regressed = regressions(rows)
-    assert [row.kernel for row in regressed] == ["fast"]
+    assert [row.kernel for row in regressed] == ["batch"]
     assert "REGRESSED" in render_comparison(rows)
 
 
@@ -77,9 +77,9 @@ def test_scenario_mismatch_rejected():
 
 
 def test_dropped_variant_rejected():
-    baseline = _report("s", {"reference": 1e6, "fast": 5e5})
+    baseline = _report("s", {"reference": 1e6, "batch": 5e5})
     current = _report("s", {"reference": 1e6})
-    with pytest.raises(ValueError, match="missing variant 'fast'"):
+    with pytest.raises(ValueError, match="missing variant 'batch'"):
         compare_reports(baseline, current)
 
 
@@ -87,12 +87,12 @@ def test_new_variant_compares_shared_and_reports_the_rest():
     """A kernel registered after the baseline was committed must not
     break the comparison: shared variants get verdicts, the new one is
     listed for a baseline refresh."""
-    baseline = _report("s", {"reference": 1e6, "fast": 5e5})
-    current = _report("s", {"reference": 1e6, "fast": 5e5, "batch": 2e5})
+    baseline = _report("s", {"reference": 1e6, "batch": 5e5})
+    current = _report("s", {"reference": 1e6, "batch": 5e5, "scratch": 2e5})
     rows = compare_reports(baseline, current, threshold=0.25)
-    assert sorted(row.kernel for row in rows) == ["fast", "reference"]
+    assert sorted(row.kernel for row in rows) == ["batch", "reference"]
     assert regressions(rows) == []
-    assert missing_baseline_variants(baseline, current) == ["batch"]
+    assert missing_baseline_variants(baseline, current) == ["scratch"]
     assert missing_baseline_variants(baseline, baseline) == []
 
 

@@ -31,7 +31,7 @@ from repro.faults.plan import (
     fail_slow_plan,
     transient_plan,
 )
-from repro.sim import FastSimulator, Simulator, batch, create_kernel, kernel_names
+from repro.sim import Simulator, batch, create_kernel, kernel_names
 
 
 def _outcome(run) -> object:
@@ -97,7 +97,7 @@ NATIVE_FAULT_CONFIGS = [
 #: A deliberately diverse configuration matrix: every strategy family,
 #: single and multi disk, sync and async, SSTF scheduling, CPU cost,
 #: streamed sequential requests, the native fault plans above, and the
-#: fault plans the batch tier hands back to the event kernel:
+#: fault plans the batch tier hands back to the reference kernel:
 #: transients on two drives, a demand timeout, an exhausted retry
 #: budget and a permanent outage (the last two fail every trial).
 MATRIX = [
@@ -233,7 +233,7 @@ def test_batch_group_execution_bit_identical(config):
 def test_batch_runs_fault_plans_natively(config, monkeypatch):
     """Fault plans stay on the flattened path, bit-identical.
 
-    With the fast-kernel fallback disabled the group can only pass by
+    With the reference-kernel fallback disabled the group can only pass by
     running every trial natively.
     """
 
@@ -261,29 +261,33 @@ def test_native_fault_configs_exercise_the_fault_paths():
 
 
 def test_unknown_kernel_rejected_by_config():
-    with pytest.raises(ValueError, match="unknown simulation kernel"):
-        SimulationConfig(num_runs=4, num_disks=1, kernel="turbo")
+    # "fast" names the retired event kernel; no alias keeps it alive.
+    for name in ("turbo", "fast"):
+        with pytest.raises(
+            ValueError, match="unknown simulation kernel.*batch, reference"
+        ):
+            SimulationConfig(num_runs=4, num_disks=1, kernel=name)
 
 
 def test_unknown_kernel_rejected_by_factory():
-    with pytest.raises(ValueError, match="choose one of batch, fast, reference"):
+    with pytest.raises(ValueError, match="choose one of batch, reference"):
         create_kernel("turbo")
 
 
 def test_kernel_registry():
-    assert kernel_names() == ["batch", "fast", "reference"]
-    assert isinstance(create_kernel("fast"), FastSimulator)
-    # The batch tier's per-trial factory is the fast simulator; its
-    # batched entry is the flattened runner (see repro.sim.batch).
-    assert isinstance(create_kernel("batch"), FastSimulator)
+    assert kernel_names() == ["batch", "reference"]
+    # The batch tier's per-trial factory (its fallback path) is the
+    # reference simulator; its batched entry is the flattened runner
+    # (see repro.sim.batch).
+    assert type(create_kernel("batch")) is Simulator
     assert type(create_kernel("reference")) is Simulator
 
 
 def test_kernel_context_rewrites_config():
     config = SimulationConfig(num_runs=4, num_disks=1, blocks_per_run=20)
     assert MergeSimulation(config).config.kernel == "reference"
-    with configure(kernel="fast"):
-        assert MergeSimulation(config).config.kernel == "fast"
+    with configure(kernel="batch"):
+        assert MergeSimulation(config).config.kernel == "batch"
     assert MergeSimulation(config).config.kernel == "reference"
 
 
@@ -297,7 +301,7 @@ def test_kernel_context_preserves_results():
         trials=2,
     )
     baseline = MergeSimulation(config).run()
-    with configure(kernel="fast"):
+    with configure(kernel="batch"):
         overridden = MergeSimulation(config).run()
     assert [t.to_dict() for t in overridden.trials] == [
         t.to_dict() for t in baseline.trials

@@ -221,13 +221,13 @@ def test_kernel_flag_is_uniform_across_commands():
 
     parser = _build_parser()
     for command in (
-        ["run", "tab-seek", "--kernel", "fast"],
-        ["simulate", "-k", "4", "-D", "2", "--kernel", "fast"],
-        ["sweep", "-k", "4", "-D", "2", "--kernel", "fast"],
-        ["bench", "run", "--kernel", "fast"],
+        ["run", "tab-seek", "--kernel", "batch"],
+        ["simulate", "-k", "4", "-D", "2", "--kernel", "batch"],
+        ["sweep", "-k", "4", "-D", "2", "--kernel", "batch"],
+        ["bench", "run", "--kernel", "batch"],
     ):
         args = parser.parse_args(command)
-        assert args.kernel == "fast"
+        assert args.kernel == "batch"
         assert hasattr(args, "trace")
         assert hasattr(args, "faults")
         assert hasattr(args, "seed")

@@ -135,7 +135,7 @@ def test_stall_time_bounded_by_total(metrics):
     assert 0 <= metrics.cpu_stall_ms <= metrics.total_time_ms
 
 
-def test_level_events_identical_on_reference_and_fast_kernels():
+def test_level_events_identical_on_reference_and_batch_kernels():
     def levels(kernel):
         _metrics, trial = traced_trial(kernel=kernel)
         return [
@@ -146,4 +146,4 @@ def test_level_events_identical_on_reference_and_fast_kernels():
 
     reference = levels("reference")
     assert reference
-    assert levels("fast") == reference
+    assert levels("batch") == reference

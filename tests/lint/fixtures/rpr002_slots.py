@@ -1,6 +1,6 @@
 """RPR002 golden fixture: hot-path classes must declare ``__slots__``.
 
-Never imported — linted as if it were ``src/repro/sim/fast.py`` (the
+Never imported — linted as if it were ``src/repro/sim/batch.py`` (the
 configured hot-path module).  Tag semantics as in rpr001_determinism.
 """
 

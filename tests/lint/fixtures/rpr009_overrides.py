@@ -8,7 +8,7 @@ from repro.core.simulator import set_fault_plan_override as set_plan  # expect: 
 
 
 def good_run_context(config):
-    with configure(kernel="fast"):
+    with configure(kernel="batch"):
         return MergeSimulation(config).run()
 
 
@@ -18,7 +18,7 @@ def good_explicit_context(config, plan):
 
 
 def bad_context_manager(config):
-    with kernel_override("fast"):  # attribute-free call: import flagged above
+    with kernel_override("batch"):  # attribute-free call: import flagged above
         return MergeSimulation(config).run()
 
 

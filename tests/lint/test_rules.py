@@ -27,7 +27,7 @@ GOLDEN_CASES = [
     ("RPR001", "rpr001_determinism.py",
      "src/repro/sim/lint_fixture.py", Severity.ERROR),
     ("RPR002", "rpr002_slots.py",
-     "src/repro/sim/fast.py", Severity.ERROR),
+     "src/repro/sim/batch.py", Severity.ERROR),
     ("RPR004", "rpr004_serialization.py",
      "src/repro/bench/lint_fixture.py", Severity.ERROR),
     ("RPR005", "rpr005_ordering.py",
@@ -230,12 +230,12 @@ def test_unknown_rule_id_is_a_clear_error():
 
 
 def test_path_matching_is_component_wise():
-    prefixes = ["repro/sim", "repro/sim/fast.py"]
+    prefixes = ["repro/sim", "repro/sim/batch.py"]
     assert path_matches("repro/sim/engine.py", prefixes)
-    assert path_matches("repro/sim/fast.py", ["repro/sim/fast.py"])
+    assert path_matches("repro/sim/batch.py", ["repro/sim/batch.py"])
     # a directory prefix must not match a sibling sharing the spelling
     assert not path_matches("repro/simulation/engine.py", ["repro/sim"])
-    assert not path_matches("repro/sim/fast_extra.py", ["repro/sim/fast.py"])
+    assert not path_matches("repro/sim/batch_extra.py", ["repro/sim/batch.py"])
 
 
 def test_unseeded_random_outside_simulation_modules_is_allowed():

@@ -53,7 +53,7 @@ def _merge_d5(kernel):
     )
 
 
-@pytest.mark.parametrize("kernel", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", ["reference", "batch"])
 def test_merge_d5_completes_with_poisoned_clocks_and_entropy(
     monkeypatch, kernel
 ):
@@ -66,7 +66,7 @@ def test_merge_d5_completes_with_poisoned_clocks_and_entropy(
 def test_kernels_agree_bit_for_bit_even_while_poisoned(monkeypatch):
     _poison(monkeypatch)
     reference = MergeSimulation(_merge_d5("reference")).run()
-    fast = MergeSimulation(_merge_d5("fast")).run()
+    batched = MergeSimulation(_merge_d5("batch")).run()
     assert [trial.to_dict() for trial in reference.trials] == [
-        trial.to_dict() for trial in fast.trials
+        trial.to_dict() for trial in batched.trials
     ]

@@ -3,7 +3,7 @@
 1. Tracing is an observer: enabling it leaves ``MergeMetrics`` output
    byte-for-byte identical.
 2. Both kernels narrate the same story: identical configs and seeds
-   produce identical event streams from ``reference`` and ``fast``.
+   produce identical event streams from ``reference`` and ``batch``.
 3. Busy accounting closes: per-drive service spans sum to the drive's
    ``DriveStats.busy_ms`` within 1e-6 ms.
 """
@@ -72,10 +72,10 @@ def test_tracing_leaves_metrics_bit_identical(config):
 @pytest.mark.parametrize("config", MATRIX, ids=IDS)
 def test_kernels_emit_identical_event_streams(config):
     _, reference = _traced_trial(config, "reference")
-    _, fast = _traced_trial(config, "fast")
-    assert len(reference.events) == len(fast.events)
-    assert reference.events == fast.events
-    assert reference.registry.to_dict() == fast.registry.to_dict()
+    _, batched = _traced_trial(config, "batch")
+    assert len(reference.events) == len(batched.events)
+    assert reference.events == batched.events
+    assert reference.registry.to_dict() == batched.registry.to_dict()
 
 
 @pytest.mark.parametrize("config", MATRIX, ids=IDS)

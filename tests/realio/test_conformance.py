@@ -47,7 +47,7 @@ BLOCKS = 40
 @pytest.mark.parametrize(
     "name,strategy,policy,adaptive", VARIANTS, ids=[v[0] for v in VARIANTS]
 )
-@pytest.mark.parametrize("kernel", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", ["reference", "batch"])
 def test_simulated_strategies_respect_the_pool(
     name, strategy, policy, adaptive, kernel
 ):

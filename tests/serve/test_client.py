@@ -131,12 +131,12 @@ class TestRequestShapes:
             [(200, {}, {})], monkeypatch=monkeypatch
         )
         client.simulate({"num_runs": 4, "num_disks": 2}, trials=3, seed=9,
-                        kernel="fast", deadline_ms=500)
+                        kernel="batch", deadline_ms=500)
         method, path, body = transport.requests[0]
         assert (method, path) == ("POST", "/v1/simulate")
         assert body == {
             "config": {"num_runs": 4, "num_disks": 2},
-            "trials": 3, "seed": 9, "kernel": "fast", "deadline_ms": 500,
+            "trials": 3, "seed": 9, "kernel": "batch", "deadline_ms": 500,
         }
 
     def test_wait_for_job_polls_until_terminal(self, monkeypatch):

@@ -27,11 +27,11 @@ class TestParseSimulate:
 
     def test_overrides_fold_into_config(self):
         request = parse_simulate_request({
-            "config": CONFIG, "trials": 3, "seed": 77, "kernel": "fast",
+            "config": CONFIG, "trials": 3, "seed": 77, "kernel": "batch",
         })
         assert request.config.trials == 3
         assert request.config.base_seed == 77
-        assert request.config.kernel == "fast"
+        assert request.config.kernel == "batch"
         assert request.trials == 3
 
     def test_enum_strings_coerced(self):
@@ -66,6 +66,7 @@ class TestParseSimulate:
         ({"config": CONFIG, "deadline_ms": -5}, "deadline_ms"),
         ({"config": CONFIG, "deadline_ms": "soon"}, "deadline_ms"),
         ({"config": CONFIG, "trials": MAX_TRIALS_PER_REQUEST + 1}, "ceiling"),
+        ({"config": CONFIG, "kernel": "fast"}, "choose one of batch, reference"),
     ])
     def test_rejects(self, body, fragment):
         with pytest.raises(ProtocolError) as excinfo:

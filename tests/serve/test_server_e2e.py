@@ -37,7 +37,7 @@ class TestSimulate:
         assert first["trials"] == second["trials"]
         assert first["aggregate"] == second["aggregate"]
 
-    @pytest.mark.parametrize("kernel", ["reference", "fast"])
+    @pytest.mark.parametrize("kernel", ["reference", "batch"])
     def test_served_equals_direct_run_trial(self, serve_factory, tmp_path,
                                             kernel):
         # A private cache dir per kernel: the content address excludes
@@ -72,6 +72,10 @@ class TestSimulate:
             client.simulate({**SMALL_CONFIG, "bogus_knob": 3})
         assert excinfo.value.status == 400
         assert "bogus_knob" in str(excinfo.value)
+        with pytest.raises(ServeHTTPError) as excinfo:
+            client.simulate({**SMALL_CONFIG, "kernel": "fast"})  # retired
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "bad-config"
 
     def test_unknown_route_and_method(self, serve_factory):
         server, handle = serve_factory()

@@ -37,7 +37,7 @@ def scratch_kernel():
 
 
 def test_builtin_kernels_present():
-    assert kernel_names() == ["batch", "fast", "reference"]
+    assert kernel_names() == ["batch", "reference"]
 
 
 def test_available_kernels_sorted_specs():
@@ -52,7 +52,7 @@ def test_only_batch_kernel_has_a_batch_runner():
         spec.name: spec.batch_runner is not None
         for spec in available_kernels()
     }
-    assert runners == {"reference": False, "fast": False, "batch": True}
+    assert runners == {"reference": False, "batch": True}
 
 
 def test_batch_runner_loads_lazily():
@@ -102,7 +102,7 @@ def test_get_kernel_unknown_lists_choices():
     with pytest.raises(
         ValueError,
         match="unknown simulation kernel 'turbo': "
-        "choose one of batch, fast, reference",
+        "choose one of batch, reference",
     ):
         get_kernel("turbo")
 
@@ -113,8 +113,9 @@ def test_config_validation_reads_the_registry(scratch_kernel):
         num_runs=4, num_disks=1, blocks_per_run=20, kernel="scratch"
     )
     assert config.kernel == "scratch"
-    with pytest.raises(ValueError, match="unknown simulation kernel"):
-        SimulationConfig(num_runs=4, num_disks=1, kernel="warp")
+    for name in ("warp", "fast"):
+        with pytest.raises(ValueError, match="unknown simulation kernel"):
+            SimulationConfig(num_runs=4, num_disks=1, kernel=name)
 
 
 # ------------------------------------------------------------ CLI seam

@@ -24,9 +24,12 @@ an explicit ``None`` (clear for this scope), so contexts nest the way
 lexical scopes do.
 
 :func:`run_trials` is the one trial-execution path: it applies the
-ambient options, enforces per-trial wall-clock budgets, and dispatches
-whole batches to kernels that register a batch runner (the ``batch``
-tier).  ``MergeSimulation.run_trial``/``run``, the sweep engine's
+ambient options and dispatches whole batches to kernels that register a
+batch runner (the ``batch`` tier).  Runaway protection is not its job:
+every trial carries a deterministic event budget
+(:attr:`~repro.core.parameters.SimulationConfig.event_budget`) that the
+kernels enforce themselves, raising
+:class:`~repro.sim.kernel.TrialBudgetExceeded` on any thread.  ``MergeSimulation.run_trial``/``run``, the sweep engine's
 :func:`~repro.sweep.worker.execute_job`, and through it the serve and
 dist workers are all thin wrappers over it.
 
@@ -38,10 +41,7 @@ importing anything from ``repro.core`` at module level would cycle
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import signal
-import threading
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -245,76 +245,11 @@ def configure(
 # ----------------------------------------------------------------------
 # Batch trial execution
 # ----------------------------------------------------------------------
-class TrialTimeoutError(RuntimeError):
-    """A trial exceeded its per-trial wall-clock budget."""
-
-
-#: Whether this platform has SIGALRM at all (POSIX).  Off it, trials
-#: run without a wall-clock guard.
-HAVE_SIGALRM = hasattr(signal, "SIGALRM")
-
-
-def timeouts_enforceable() -> bool:
-    """Can :func:`run_trials` enforce wall-clock budgets right now?
-
-    SIGALRM is POSIX-only and may only be armed from the main thread;
-    anywhere else trials run unguarded (callers can record the fact —
-    see the sweep worker's ``timeout_enforced`` result field).
-    """
-    return HAVE_SIGALRM and (
-        threading.current_thread() is threading.main_thread()
-    )
-
-
-def _alarm_handler(signum, frame):  # pragma: no cover - fires mid-trial
-    raise TrialTimeoutError("trial exceeded its timeout")
-
-
-def _timed_out(exc: BaseException) -> bool:
-    """Did ``exc`` (or anything in its cause chain) come from the guard?
-
-    The alarm fires mid-trial, so the raised :class:`TrialTimeoutError`
-    usually surfaces wrapped — e.g. inside a
-    :class:`~repro.sim.process.ProcessFailure` when the delivery lands
-    in a simulation process generator.
-    """
-    seen: set[int] = set()
-    current: Optional[BaseException] = exc
-    while current is not None and id(current) not in seen:
-        if isinstance(current, TrialTimeoutError):
-            return True
-        seen.add(id(current))
-        current = current.__cause__ or current.__context__
-    return False
-
-
-@contextlib.contextmanager
-def _trial_guard(timeout_s: Optional[float]):
-    """Arm a per-trial SIGALRM budget for the enclosed trial.
-
-    Re-armed on an interval (not one-shot): a single alarm can be lost
-    when delivery lands inside a context that swallows the raise (GC
-    callbacks, C extensions), which would silently drop the guard.
-    No-op when budgets cannot be enforced here.
-    """
-    if not timeout_s or not timeouts_enforceable():
-        yield
-        return
-    previous_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s, timeout_s)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous_handler)
-
-
 def run_trials(
     configs: Sequence["SimulationConfig"],
     *,
     trials: Optional[Sequence[int]] = None,
     depletion_sources: Optional[Sequence[Optional[Iterator[int]]]] = None,
-    timeout_s: Optional[float] = None,
 ) -> "list[MergeMetrics]":
     """Execute a batch of seeded trials; the one trial-execution path.
 
@@ -326,11 +261,10 @@ def run_trials(
     * **RunContext inheritance** — the ambient ``fault_plan`` and
       ``kernel`` are applied to each config by :func:`resolve_config`,
       as ``MergeSimulation`` applies them;
-    * **timeouts** — ``timeout_s`` arms a per-trial SIGALRM budget
-      (each trial gets the full budget); an exhausted trial raises
-      :class:`TrialTimeoutError`.  Unenforceable environments (no
-      SIGALRM, non-main thread) run unguarded — check
-      :func:`timeouts_enforceable`;
+    * **event budgets** — each trial runs under its config's
+      ``event_budget``; a runaway raises
+      :class:`~repro.sim.kernel.TrialBudgetExceeded` with the same
+      message on every kernel and thread;
     * **obs emission** — with an ambient trace session installed,
       trials run per-trial on their event kernel so the trace stays
       complete (the flattened batch tier emits no trace);
@@ -390,26 +324,16 @@ def run_trials(
     for config, members in groups:
         runner = get_kernel(config.kernel).batch_runner()
         seeds = [config.base_seed + trials[i] for i in members]
-        batch = runner(config, seeds, guard=lambda: _trial_guard(timeout_s))
+        batch = runner(config, seeds)
         for i, metrics in zip(members, batch):
             results[i] = metrics
 
     for i in serial:
         config = effective[i]
-        try:
-            with _trial_guard(timeout_s):
-                results[i] = MergeTrial(
-                    config,
-                    seed=config.base_seed + trials[i],
-                    depletion_source=depletion_sources[i],
-                ).run()
-        except TrialTimeoutError:
-            raise
-        except Exception as exc:
-            if _timed_out(exc):
-                raise TrialTimeoutError(
-                    "trial exceeded its timeout"
-                ) from None
-            raise
+        results[i] = MergeTrial(
+            config,
+            seed=config.base_seed + trials[i],
+            depletion_source=depletion_sources[i],
+        ).run()
 
     return results  # type: ignore[return-value]

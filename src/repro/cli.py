@@ -236,8 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes (1 = inline)")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-job timeout in seconds")
     sweep.add_argument("--retries", type=int, default=1,
                        help="retry attempts per failed job")
     sweep.add_argument("--cache-dir", default="results/cache",
@@ -371,10 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default 30)",
     )
     serve.add_argument(
-        "--job-timeout", type=float, default=None,
-        help="per-trial SIGALRM budget inside pool workers (seconds)",
-    )
-    serve.add_argument(
         "--cache-dir", default="results/cache",
         help="content-addressed result store shared with 'repro sweep' "
         "(default results/cache)",
@@ -413,10 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lease-ttl", type=float, default=30.0,
         help="seconds a worker may stay silent before its shard is "
         "re-issued (default 30)",
-    )
-    coordinate.add_argument(
-        "--job-timeout", type=float, default=None,
-        help="per-job SIGALRM budget relayed to workers (seconds)",
     )
     coordinate.add_argument(
         "--retries", type=int, default=1,
@@ -1090,7 +1080,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine = SweepEngine(
             store=store,
             workers=args.workers,
-            timeout_s=args.timeout,
             retries=args.retries,
             progress=NullProgress() if args.quiet else ConsoleProgress(),
             allow_partial=True,
@@ -1477,7 +1466,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             burst=args.burst,
             queue_limit=args.queue_limit,
             deadline_s=args.deadline,
-            job_timeout_s=args.job_timeout,
             cache_dir=args.cache_dir,
             drain_grace_s=args.drain_grace,
         )
@@ -1528,7 +1516,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
                 port=args.port,
                 shard_size=args.shard_size,
                 lease_ttl_s=args.lease_ttl,
-                job_timeout_s=args.job_timeout,
                 retries=args.retries,
                 cache_dir=args.cache_dir,
                 exit_when_done=args.exit_when_done,

@@ -182,7 +182,7 @@ class MergeTrial:
         """Execute the trial to completion and return its metrics."""
         self._preload()
         cpu = self.sim.process(self._merge_loop(), name="merge-cpu")
-        self.sim.run()
+        self.sim.run(max_events=self.config.event_budget)
         if cpu.exception is not None:
             raise self._unwrap(cpu.exception)
         # A crashed drive process leaves the CPU suspended forever and

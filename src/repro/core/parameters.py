@@ -68,6 +68,14 @@ PAPER_RECORDS_PER_BLOCK = 64
 #: Trials averaged per plotted point.
 PAPER_TRIALS = 5
 
+#: Scheduled-event allowance per merged block in a trial's event budget
+#: (:attr:`SimulationConfig.event_budget`).  Every block is fetched and
+#: depleted once, so a trial's events grow with its blocks: the
+#: reference kernel schedules 1.9-4.9 events per block across the
+#: kernel-equivalence matrix (write disks reach ~10).  64 leaves over
+#: 10x headroom, so only a runaway trial can exhaust the budget.
+EVENTS_PER_BLOCK = 64
+
 
 class PrefetchStrategy(enum.Enum):
     """Which of the paper's strategies the merge uses.
@@ -259,6 +267,24 @@ class SimulationConfig:
     def total_blocks(self) -> int:
         """Blocks merged in one trial: ``k * blocks_per_run``."""
         return self.num_runs * self.blocks_per_run
+
+    @property
+    def event_budget(self) -> int:
+        """Most events one trial may schedule before it is a runaway.
+
+        ``EVENTS_PER_BLOCK`` per merged block, per allowed fetch
+        attempt under a fault plan; each drive (input and write) adds
+        one block's worth, covering fixed per-drive events in tiny
+        merges.  Exhausting it raises
+        :class:`~repro.sim.kernel.TrialBudgetExceeded` on every kernel.
+        """
+        attempts = (
+            self.fault_plan.retry.max_attempts
+            if self.fault_plan is not None
+            else 1
+        )
+        units = self.total_blocks + self.num_disks + self.write_disks
+        return EVENTS_PER_BLOCK * units * attempts
 
     @property
     def run_cylinders(self) -> float:

@@ -10,8 +10,8 @@ streamed-back results into the shared content-addressed
 payloads a single-host :class:`~repro.sweep.engine.SweepEngine` run
 produces, byte for byte.  Workers (``repro dist work``) are dumb pull
 loops around the exact sweep :func:`~repro.sweep.worker.execute_job`
-path, so kernels, fault plans, and SIGALRM job timeouts are inherited
-unchanged.
+path, so kernels, fault plans, and the per-trial event budget are
+inherited unchanged.
 
 The HTTP/JSON dialect is :mod:`repro.netutil` (shared with
 :mod:`repro.serve`), and all wall-clock access goes through the

@@ -85,8 +85,6 @@ class CoordinatorConfig:
     shard_size: int = DEFAULT_SHARD_SIZE
     #: Lease TTL; a worker silent for this long forfeits its shard.
     lease_ttl_s: float = 30.0
-    #: Per-job SIGALRM budget relayed to workers (None = unguarded).
-    job_timeout_s: Optional[float] = None
     #: Per-job retry attempts workers should make before reporting failure.
     retries: int = 1
     #: Content-addressed result store shared with sweep/serve.
@@ -360,7 +358,6 @@ class Coordinator:
             lease.shard.shard_id,
             [job_wire(job) for job in lease.shard.jobs],
             ttl_s=self.config.lease_ttl_s,
-            timeout_s=self.config.job_timeout_s,
             retries=self.config.retries,
         ), {}
 

@@ -17,7 +17,7 @@ help; the worker must drop the shard and ask for a fresh lease.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 #: Version stamp carried in every coordinator answer.
 DIST_PROTOCOL_VERSION = 1
@@ -108,7 +108,6 @@ def granted_body(
     jobs: list[dict],
     *,
     ttl_s: float,
-    timeout_s: Optional[float],
     retries: int,
 ) -> dict:
     return {
@@ -119,7 +118,6 @@ def granted_body(
             "shard": shard_id,
             "ttl_s": ttl_s,
             "jobs": jobs,
-            "timeout_s": timeout_s,
             "retries": retries,
         },
     }

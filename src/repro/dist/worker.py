@@ -6,7 +6,7 @@ at the coordinator.  The loop:
 1. ``POST /v1/lease``.  ``done`` → exit; ``wait`` → sleep and retry.
 2. Execute each leased job through the exact sweep
    :func:`~repro.sweep.worker.execute_job` path (kernel selection,
-   fault plans, and SIGALRM per-job timeouts all inherited), with the
+   fault plans, and the per-trial event budget all inherited), with the
    coordinator-relayed retry budget.  Between jobs, heartbeat whenever
    the lease TTL has less than half its budget left.
 3. ``POST /v1/complete`` with every result (successes carry metrics,
@@ -15,8 +15,10 @@ at the coordinator.  The loop:
 A ``409`` from heartbeat or complete means the lease expired (this
 worker stalled, or the campaign was re-coordinated): the shard is
 abandoned without ceremony — the coordinator already re-issued it —
-and the loop leases afresh.  SIGALRM is main-thread-only, so in-thread
-workers (tests, the bench harness) auto-disable timeout enforcement.
+and the loop leases afresh.  A runaway trial fails deterministically
+on its event budget (``TrialBudgetExceeded``) on any thread, so an
+in-thread worker (tests, the bench harness) reports it like any other
+failed job.
 
 All timing goes through the injected clock/sleep seam
 (:mod:`repro.serve.clock`); the module stays in the lint determinism
@@ -26,7 +28,6 @@ scope.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import Optional
 
 from repro.dist.client import CoordinatorClient, is_lease_lost
@@ -80,7 +81,6 @@ class DistWorker:
         clock: Clock = monotonic_clock,
         sleep: Sleep = blocking_sleep,
         poll_s: float = 0.25,
-        enforce_timeouts: Optional[bool] = None,
         connect_retry: RetryPolicy = CONNECT_RETRY,
     ) -> None:
         self.client = client if client is not None else CoordinatorClient(
@@ -90,13 +90,6 @@ class DistWorker:
         self.clock = clock
         self.sleep = sleep
         self.poll_s = poll_s
-        # SIGALRM (signal.setitimer) raises off the main thread; detect
-        # rather than crash when embedded in tests or the bench harness.
-        if enforce_timeouts is None:
-            enforce_timeouts = (
-                threading.current_thread() is threading.main_thread()
-            )
-        self.enforce_timeouts = enforce_timeouts
         self.connect_retry = connect_retry
         self.stats = WorkerStats()
         self._contacted = False
@@ -150,9 +143,6 @@ class DistWorker:
         token = lease["token"]
         ttl_s = float(lease["ttl_s"])
         retries = int(lease.get("retries", 1))
-        timeout_s = lease.get("timeout_s")
-        if not self.enforce_timeouts:
-            timeout_s = None
         renewed_at = self.clock()
         results: list[dict] = []
         for job in lease["jobs"]:
@@ -161,7 +151,7 @@ class DistWorker:
                 self.stats.shards_lost += 1
                 return False  # lease gone: the shard is someone else's now
             renewed_at = renewed
-            results.append(self._run_job(job, timeout_s, retries))
+            results.append(self._run_job(job, retries))
         try:
             answer = self.client.complete(token, results)
         except ServeHTTPError as exc:
@@ -192,14 +182,8 @@ class DistWorker:
         self.stats.heartbeats += 1
         return now
 
-    def _run_job(
-        self, job: dict, timeout_s: Optional[float], retries: int
-    ) -> dict:
-        payload = {
-            "config": job["config"],
-            "trial": job["trial"],
-            "timeout_s": timeout_s,
-        }
+    def _run_job(self, job: dict, retries: int) -> dict:
+        payload = {"config": job["config"], "trial": job["trial"]}
         error: Optional[str] = None
         for _attempt in range(max(1, retries)):
             try:

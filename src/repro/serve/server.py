@@ -21,7 +21,7 @@ Every simulate request flows through the same pipeline:
    :class:`~repro.serve.queue.AdmissionQueue` slot (shed with 503 when
    none is free) and run :func:`repro.sweep.worker.execute_job` on a
    lazily created ``ProcessPoolExecutor`` — the sweep worker path, so
-   kernel/fault/seed semantics and ``SIGALRM`` job timeouts are
+   kernel/fault/seed semantics and the per-trial event budget are
    inherited and every computed trial lands back in the shared store.
 4. **admission control** — per-client token buckets answer 429 with
    ``Retry-After``; per-request deadlines answer 504; ``SIGTERM``
@@ -91,7 +91,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8177
     #: Worker processes for misses; 0 runs jobs on a thread in-process
-    #: (tests, tiny deployments — no SIGALRM job timeouts there).
+    #: (tests, tiny deployments).
     workers: int = 0
     #: Token-bucket refill per client in requests/second; <= 0 disables.
     rate: float = 0.0
@@ -102,8 +102,6 @@ class ServeConfig:
     queue_limit: int = 64
     #: Default per-request deadline (seconds); <= 0 disables.
     deadline_s: float = 30.0
-    #: Per-job SIGALRM budget inside pool workers (None = unguarded).
-    job_timeout_s: Optional[float] = None
     #: Content-addressed result store shared with sweep campaigns.
     cache_dir: str | Path = DEFAULT_CACHE_DIR
     #: How long a drain waits for in-flight work before cancelling it.
@@ -441,15 +439,10 @@ class SimulationServer:
 
     async def _execute(self, config: SimulationConfig, trial: int) -> dict:
         """Run one trial on the worker pool (the sweep worker path)."""
-        pool = self._ensure_pool()
-        payload = {
-            "config": config_to_dict(config),
-            "trial": trial,
-            # SIGALRM is main-thread-only: the in-process thread
-            # fallback must run unguarded.
-            "timeout_s": self.config.job_timeout_s if pool else None,
-        }
-        return await self._loop.run_in_executor(pool, execute_job, payload)
+        payload = {"config": config_to_dict(config), "trial": trial}
+        return await self._loop.run_in_executor(
+            self._ensure_pool(), execute_job, payload
+        )
 
     def _ensure_pool(self) -> Optional[concurrent.futures.Executor]:
         """The worker pool, created on first miss — hits never pay for it."""

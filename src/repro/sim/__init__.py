@@ -27,6 +27,7 @@ from repro.sim.kernel import (
     KernelSpec,
     SimulationError,
     Simulator,
+    TrialBudgetExceeded,
     available_kernels,
     create_kernel,
     get_kernel,
@@ -51,6 +52,7 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
+    "TrialBudgetExceeded",
     "available_kernels",
     "create_kernel",
     "get_kernel",

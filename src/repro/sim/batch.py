@@ -43,8 +43,10 @@ inconsistency the interpreter detects) is re-run on the reference
 kernel, and once the native success rate of a batch drops below
 :data:`EFFICIENCY_FLOOR` the remaining trials skip the interpreter
 entirely.  A trial that meets a terminal fault (an exhausted retry
-budget or a permanent outage) is re-run on the reference kernel too,
-which raises its error; it does not count against the floor.
+budget or a permanent outage) or exhausts its event budget (counted
+here as CPU-loop iterations plus drive services) is re-run on the
+reference kernel too, which raises the canonical error; neither counts
+against the floor.
 :func:`fallback_counts` reports every fallback by reason.
 """
 
@@ -54,9 +56,8 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Callable, ContextManager, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro import api
 from repro.core.cache import BlockCache, CacheAccountingError
 from repro.core.metrics import ConcurrencyTracker, MergeMetrics
 from repro.core.parameters import SimulationConfig
@@ -95,6 +96,14 @@ class BatchDivergence(RuntimeError):
 class _TerminalFault(Exception):
     """The trial fails on an injected fault (retries exhausted, or a
     permanent outage); the reference kernel owns the error it raises."""
+
+    __slots__ = ()
+
+
+class _BudgetExhausted(Exception):
+    """The trial's CPU-loop iterations plus drive services passed its
+    event budget; the reference kernel owns the
+    :class:`~repro.sim.kernel.TrialBudgetExceeded` it raises."""
 
     __slots__ = ()
 
@@ -199,7 +208,7 @@ class _Shared:
         "config", "layout", "describe", "run_disk", "run_base",
         "blocks_per_cylinder", "seek_per_cylinder", "rotation_period",
         "transfer_ms", "sstf", "stream_across", "initial_blocks",
-        "total_blocks", "cpu_ms", "synchronized",
+        "total_blocks", "cpu_ms", "synchronized", "event_budget",
     )
 
     def __init__(self, config: SimulationConfig) -> None:
@@ -228,6 +237,7 @@ class _Shared:
         self.total_blocks = config.total_blocks
         self.cpu_ms = config.cpu_ms_per_block
         self.synchronized = config.synchronized
+        self.event_budget = config.event_budget
 
 
 class _FlatTrial:
@@ -606,6 +616,7 @@ class _FlatTrial:
         capacity = cache.capacity
         sick = self._sick
         run_disk = shared.run_disk
+        budget = shared.event_budget
         now = 0.0
         while unfinished:
             run = unfinished[randrange(len(unfinished))]
@@ -621,6 +632,8 @@ class _FlatTrial:
             state.next_deplete += 1
             cache._free += 1
             self._blocks_depleted += 1
+            if self._blocks_depleted + self._fetch_requests > budget:
+                raise _BudgetExhausted
             if cpu_ms > 0:
                 self._cpu_busy_ms += cpu_ms
                 wake = now + cpu_ms
@@ -871,31 +884,13 @@ class _FaultyFlatTrial(_FlatTrial):
         drive.free_time = now
 
 
-def _null_guard() -> ContextManager[None]:
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
-def _fallback_trial(
-    config: SimulationConfig,
-    seed: int,
-    guard: Callable[[], ContextManager[None]],
-) -> MergeMetrics:
+def _fallback_trial(config: SimulationConfig, seed: int) -> MergeMetrics:
     """Run one seed on the reference kernel (the always-correct path)."""
     from repro.core.merge_sim import MergeTrial
 
-    try:
-        with guard():
-            # config.kernel == "batch" resolves to the reference
-            # Simulator through the registry factory.
-            return MergeTrial(config, seed=seed).run()
-    except api.TrialTimeoutError:
-        raise
-    except Exception as exc:
-        if api._timed_out(exc):
-            raise api.TrialTimeoutError("trial exceeded its timeout") from None
-        raise
+    # config.kernel == "batch" resolves to the reference Simulator
+    # through the registry factory.
+    return MergeTrial(config, seed=seed).run()
 
 
 def fallback_counts() -> dict[str, int]:
@@ -904,8 +899,10 @@ def fallback_counts() -> dict[str, int]:
     A process-wide running tally since import.  The reasons are an
     :func:`unsupported_reason` text (the whole batch), ``"divergence"``
     (a :class:`BatchDivergence` re-run), ``"efficiency-floor"`` (trials
-    after the batch's native rate fell below :data:`EFFICIENCY_FLOOR`) and
-    ``"terminal-fault"`` (a seed re-run to raise its fault error).
+    after the batch's native rate fell below :data:`EFFICIENCY_FLOOR`),
+    ``"terminal-fault"`` (a seed re-run to raise its fault error) and
+    ``"event-budget"`` (a seed re-run to raise its
+    :class:`~repro.sim.kernel.TrialBudgetExceeded`).
     """
     with _fallbacks_lock:
         return dict(_fallbacks)
@@ -919,27 +916,23 @@ def _count_fallback(reason: str, trials: int = 1) -> None:
 def run_trial_batch(
     config: SimulationConfig,
     seeds: Sequence[int],
-    *,
-    guard: Optional[Callable[[], ContextManager[None]]] = None,
 ) -> list[MergeMetrics]:
     """Execute ``seeds`` trials of ``config``; the batch kernel's entry.
 
     Registered as the ``batch`` kernel's batch runner (see
     :mod:`repro.sim.kernel`); callers go through
-    :func:`repro.api.run_trials`, never here directly.  ``guard`` wraps
-    every trial (the per-trial timeout seam).  Trials the flattened
-    interpreter cannot execute natively — an unsupported config, a
-    runtime :class:`BatchDivergence`, or a terminal fault — fall back
-    to the reference kernel; once the batch's native success rate
-    drops below :data:`EFFICIENCY_FLOOR` the remaining trials skip the
-    interpreter.  Every fallback is tallied in :func:`fallback_counts`.
+    :func:`repro.api.run_trials`, never here directly.  Trials the
+    flattened interpreter cannot execute natively — an unsupported
+    config, a runtime :class:`BatchDivergence`, a terminal fault, or an
+    exhausted event budget — fall back to the reference kernel; once
+    the batch's native success rate drops below :data:`EFFICIENCY_FLOOR`
+    the remaining trials skip the interpreter.  Every fallback is
+    tallied in :func:`fallback_counts`.
     """
-    if guard is None:
-        guard = _null_guard
     reason = unsupported_reason(config)
     if reason is not None:
         _count_fallback(reason, len(seeds))
-        return [_fallback_trial(config, seed, guard) for seed in seeds]
+        return [_fallback_trial(config, seed) for seed in seeds]
 
     shared = _Shared(config)
     trial_class = _FlatTrial if config.fault_plan is None else _FaultyFlatTrial
@@ -952,12 +945,11 @@ def run_trial_batch(
             reason = "efficiency-floor"
         else:
             try:
-                with guard():
-                    metrics = trial_class(shared, seed).run()
-            except api.TrialTimeoutError:
-                raise
+                metrics = trial_class(shared, seed).run()
             except _TerminalFault:
                 reason = "terminal-fault"
+            except _BudgetExhausted:
+                reason = "event-budget"
             except (BatchDivergence, CacheAccountingError):
                 reason = "divergence"
                 attempted += 1
@@ -969,5 +961,5 @@ def run_trial_batch(
                 results.append(metrics)
                 continue
         _count_fallback(reason)
-        results.append(_fallback_trial(config, seed, guard))
+        results.append(_fallback_trial(config, seed))
     return results

@@ -31,6 +31,17 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the kernel (e.g. re-triggering an event)."""
 
 
+class TrialBudgetExceeded(SimulationError):
+    """A run scheduled more events than its ``max_events`` budget.
+
+    Raised by :meth:`Simulator.run` itself, never from inside a process
+    generator, so it reaches the caller unwrapped.  A merge trial's
+    budget is :attr:`~repro.core.parameters.SimulationConfig.event_budget`;
+    exhausting it means the trial is a runaway, and it fails the same
+    way on every kernel, thread and platform.
+    """
+
+
 class Simulator:
     """A process-oriented discrete-event simulator.
 
@@ -106,19 +117,28 @@ class Simulator:
         self,
         until: Optional[float] = None,
         stop_condition: Optional[Callable[[], bool]] = None,
+        max_events: Optional[int] = None,
     ) -> float:
         """Run until the event queue drains (or ``until``/condition).
 
         Returns the final virtual time.  ``until`` is an inclusive time
         horizon; events scheduled beyond it remain queued.
+        ``max_events`` caps the events scheduled over the simulator's
+        lifetime: once more have been scheduled, the loop raises
+        :class:`TrialBudgetExceeded` before firing the next one.
         """
-        while self._queue:
+        queue = self._queue
+        while queue:
             if stop_condition is not None and stop_condition():
                 break
-            when = self._queue[0][0]
-            if until is not None and when > until:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 break
+            if max_events is not None and self._sequence > max_events:
+                raise TrialBudgetExceeded(
+                    f"simulation exceeded its event budget of "
+                    f"{max_events} events"
+                )
             self.step()
         return self._now
 

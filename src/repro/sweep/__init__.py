@@ -7,8 +7,8 @@ sweep into a resumable campaign:
 * :class:`SweepSpec` declares the grid; it expands deterministically
   into per-trial :class:`SweepJob` units with seeds matching the serial
   path exactly.
-* :class:`SweepEngine` executes jobs on a process pool with per-job
-  timeouts and bounded retries, returning results in expansion order.
+* :class:`SweepEngine` executes jobs on a process pool with bounded
+  retries, returning results in expansion order.
 * :class:`ResultStore` content-addresses every finished trial on disk,
   so re-running a sweep recomputes only missing cells and an
   interrupted campaign resumes where it stopped.

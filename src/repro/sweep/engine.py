@@ -129,7 +129,6 @@ class SweepEngine:
         store: persistent result cache; ``None`` disables caching.
         workers: pool size; ``<= 1`` executes inline (deterministic,
             no subprocesses).
-        timeout_s: per-job wall-clock budget enforced in the worker.
         retries: extra attempts per failed job.
         progress: observer for begin/job/end events.
         allow_partial: tolerate exhausted jobs (their trials are
@@ -140,7 +139,6 @@ class SweepEngine:
         self,
         store: Optional[ResultStore] = None,
         workers: int = 1,
-        timeout_s: Optional[float] = None,
         retries: int = 1,
         progress: Optional[ProgressListener] = None,
         allow_partial: bool = False,
@@ -151,7 +149,6 @@ class SweepEngine:
             raise ValueError("retries must be >= 0")
         self.store = store
         self.workers = workers
-        self.timeout_s = timeout_s
         self.retries = retries
         self.progress = progress or NullProgress()
         self.allow_partial = allow_partial
@@ -273,11 +270,7 @@ class SweepEngine:
         return ordered, stats, failures
 
     def _payload(self, job: SweepJob) -> dict:
-        return {
-            "config": config_to_dict(job.config),
-            "trial": job.trial,
-            "timeout_s": self.timeout_s,
-        }
+        return {"config": config_to_dict(job.config), "trial": job.trial}
 
     def _run_inline(self, pending, complete, fail, stats: SweepStats) -> None:
         for group in self._cell_groups(pending):
@@ -288,13 +281,12 @@ class SweepEngine:
                     payload = {
                         "config": config_to_dict(group[0].config),
                         "trials": [job.trial for job in group],
-                        "timeout_s": self.timeout_s,
                     }
                     batch_results = execute_batch(payload)
                 except Exception:
-                    # Whatever failed (a timeout aborts the whole batch
-                    # call), the per-job path retries each trial with
-                    # its full budget and attributes failures precisely.
+                    # Whatever failed (one runaway trial aborts the whole
+                    # batch call), the per-job path retries each trial
+                    # and attributes failures precisely.
                     stats.retries += 1
                 else:
                     for job, result in zip(group, batch_results):

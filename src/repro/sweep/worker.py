@@ -8,96 +8,52 @@ dict.  ``execute_batch`` is its many-trials sibling: one config, many
 trial indices, one ``run_trials`` call — which lets a ``batch`` kernel
 execute the whole group through its flattened batch runner.
 
-Timeout enforcement lives in ``repro.api.run_trials`` (per-trial
-``SIGALRM``, re-armed on an interval): the pool process stays alive and
-reusable, and the parent sees an ordinary :class:`JobTimeoutError` it
-can retry or record without tearing the pool down.
-
-``SIGALRM`` is POSIX-only and main-thread-only.  Where it is
-unenforceable (Windows, worker threads) jobs run without a wall-clock
-guard and the result records ``timeout_enforced: false`` so callers can
-tell a completed-in-time job from an unguarded one.
+Runaway protection is the trial's own event budget
+(:attr:`~repro.core.parameters.SimulationConfig.event_budget`), checked
+inside the kernels: a trial that exhausts it raises
+:class:`~repro.sim.kernel.TrialBudgetExceeded` like any other failing
+job, identically in a pool process, an in-process thread, or inline.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from repro import api
 from repro.sweep.keys import config_from_dict
-
-#: Whether this platform can enforce per-job timeouts at all.
-#: (Re-exported from repro.api for backwards compatibility.)
-HAVE_SIGALRM = api.HAVE_SIGALRM
-
-
-class JobTimeoutError(RuntimeError):
-    """A job exceeded its per-job wall-clock budget."""
 
 
 def execute_job(payload: dict) -> dict:
     """Run one trial described by ``payload`` and return its result.
 
     Payload keys: ``config`` (dict from
-    :func:`repro.sweep.keys.config_to_dict`), ``trial`` (int), and
-    optionally ``timeout_s``.  Returns ``{"metrics": ..., "elapsed_s": ...}``.
+    :func:`repro.sweep.keys.config_to_dict`) and ``trial`` (int).
+    Returns ``{"metrics": ..., "elapsed_s": ...}``.
     """
     config = config_from_dict(payload["config"])
-    trial = payload["trial"]
-    timeout_s: Optional[float] = payload.get("timeout_s")
-
     start = time.perf_counter()
-    try:
-        metrics = api.run_trials(
-            [config], trials=[trial], timeout_s=timeout_s
-        )[0]
-    except api.TrialTimeoutError as exc:
-        raise JobTimeoutError(str(exc)) from None
+    metrics = api.run_trials([config], trials=[payload["trial"]])[0]
     return {
         "metrics": metrics.to_dict(),
         "elapsed_s": time.perf_counter() - start,
-        "timeout_enforced": _timeout_enforced(timeout_s),
     }
 
 
 def execute_batch(payload: dict) -> list[dict]:
     """Run many trials of one config; returns one result dict per trial.
 
-    Payload keys: ``config`` (dict), ``trials`` (list of ints), and
-    optionally ``timeout_s`` (per-trial budget).  The trials execute as
-    a single :func:`repro.api.run_trials` batch — a ``batch`` kernel
-    runs them through its flattened batch runner — and results come
-    back in ``trials`` order, shaped exactly like :func:`execute_job`
-    results.  ``elapsed_s`` is the batch wall-clock split evenly across
-    the trials (individual trials are not timed inside a batch).
+    Payload keys: ``config`` (dict) and ``trials`` (list of ints).  The
+    trials execute as a single :func:`repro.api.run_trials` batch — a
+    ``batch`` kernel runs them through its flattened batch runner — and
+    results come back in ``trials`` order, shaped exactly like
+    :func:`execute_job` results.  ``elapsed_s`` is the batch wall-clock
+    split evenly across the trials (individual trials are not timed
+    inside a batch).
     """
     config = config_from_dict(payload["config"])
     trials: list[int] = list(payload["trials"])
-    timeout_s: Optional[float] = payload.get("timeout_s")
-
     start = time.perf_counter()
-    try:
-        metrics = api.run_trials(
-            [config] * len(trials), trials=trials, timeout_s=timeout_s
-        )
-    except api.TrialTimeoutError as exc:
-        raise JobTimeoutError(str(exc)) from None
+    metrics = api.run_trials([config] * len(trials), trials=trials)
     elapsed = time.perf_counter() - start
     share = elapsed / len(trials) if trials else 0.0
-    enforced = _timeout_enforced(timeout_s)
-    return [
-        {
-            "metrics": m.to_dict(),
-            "elapsed_s": share,
-            "timeout_enforced": enforced,
-        }
-        for m in metrics
-    ]
-
-
-def _timeout_enforced(timeout_s: Optional[float]) -> bool:
-    """Was the requested budget actually guarded (or none requested)?"""
-    if not timeout_s:
-        return True
-    return api.timeouts_enforceable()
+    return [{"metrics": m.to_dict(), "elapsed_s": share} for m in metrics]

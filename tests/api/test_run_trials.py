@@ -2,18 +2,24 @@
 
 Covers the keyword-only batch API the sweep, serve and dist workers all
 route through: input validation, ambient option inheritance, batch
-dispatch to kernels with a registered batch runner, and per-trial
-timeout enforcement.
+dispatch to kernels with a registered batch runner, and the per-trial
+event budget.
 """
 
 import dataclasses
+import threading
 
 import pytest
 
 from repro import api
 from repro.core.merge_sim import MergeTrial
-from repro.core.parameters import PrefetchStrategy, SimulationConfig
+from repro.core.parameters import (
+    EVENTS_PER_BLOCK,
+    PrefetchStrategy,
+    SimulationConfig,
+)
 from repro.faults.plan import fail_slow_plan
+from repro.sim import TrialBudgetExceeded
 
 
 def _config(**overrides):
@@ -143,17 +149,57 @@ def test_ambient_fault_plan_applies_to_plan_free_configs():
     assert faulted.to_dict() != _reference(config).to_dict()
 
 
-# ------------------------------------------------------------ timeouts
+# ------------------------------------------------------- event budgets
 
 
-@pytest.mark.parametrize("kernel", ["reference", "batch"])
-def test_timeout_raises_trial_timeout_error(kernel):
-    config = _config(kernel=kernel, num_runs=10, blocks_per_run=400)
-    with pytest.raises(api.TrialTimeoutError):
-        api.run_trials([config], timeout_s=0.001)
+def _planted_budget(monkeypatch, budget: int = 50) -> None:
+    """Shrink every config's event budget so real trials run away."""
+    monkeypatch.setattr(
+        SimulationConfig, "event_budget", property(lambda self: budget)
+    )
 
 
-def test_generous_timeout_completes():
+def _budget_error(run) -> TrialBudgetExceeded:
+    with pytest.raises(TrialBudgetExceeded) as raised:
+        run()
+    return raised.value
+
+
+@pytest.mark.parametrize("where", ["reference", "batch", "thread"])
+def test_planted_runaway_raises_budget_error(where, monkeypatch):
+    """A runaway fails the same way on every kernel and thread.
+
+    ``thread`` runs the batch kernel off the main thread, where no
+    wall-clock signal could ever reach the trial.
+    """
+    _planted_budget(monkeypatch)
+    expected = _budget_error(lambda: _reference(_config()))
+    assert str(expected) == "simulation exceeded its event budget of 50 events"
+    kernel = "reference" if where == "reference" else "batch"
+    config = _config(kernel=kernel)
+    if where != "thread":
+        error = _budget_error(lambda: api.run_trials([config]))
+    else:
+        outcome: list[BaseException] = []
+
+        def target() -> None:
+            try:
+                api.run_trials([config])
+            except BaseException as exc:  # handed back to the test
+                outcome.append(exc)
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(outcome) == 1
+        error = outcome[0]
+    assert type(error) is TrialBudgetExceeded
+    assert str(error) == str(expected)
+
+
+def test_real_configs_stay_within_their_budget():
     config = _config(kernel="batch")
-    results = api.run_trials([config], timeout_s=60.0)
+    assert config.event_budget == EVENTS_PER_BLOCK * (180 + 2)
+    results = api.run_trials([config])
     assert results[0].to_dict() == _reference(_config()).to_dict()

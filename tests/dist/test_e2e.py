@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.parameters import SimulationConfig
 from repro.dist import DistWorker
 from repro.serve.client import ServeHTTPError
 from repro.sweep.engine import SweepEngine
@@ -62,9 +63,7 @@ def execute_shard(lease_body) -> list[dict]:
     """Run a granted lease's jobs exactly like a worker would."""
     results = []
     for job in lease_body["lease"]["jobs"]:
-        outcome = execute_job(
-            {"config": job["config"], "trial": job["trial"], "timeout_s": None}
-        )
+        outcome = execute_job({"config": job["config"], "trial": job["trial"]})
         results.append(
             {
                 "index": job["index"],
@@ -103,6 +102,45 @@ def test_two_workers_byte_identical_to_single_host(
     ]
     # Both workers actually participated (4 jobs, shard_size=2).
     assert sum(w.stats.shards_completed for w in workers) == 2
+
+
+def test_in_thread_worker_reports_runaway_jobs_as_failed(
+    coordinator_factory, monkeypatch
+):
+    """A runaway trial is an ordinary failed job, even off the main
+    thread: the worker reports it and carries on with the campaign."""
+    monkeypatch.setattr(
+        SimulationConfig, "event_budget", property(lambda self: 50)
+    )
+    coordinator, handle = coordinator_factory(exit_when_done=True)
+    host, port = handle.address
+    worker = DistWorker(host, port, worker_id="w0", poll_s=0.05)
+    crashed: list[BaseException] = []
+
+    def target() -> None:
+        try:
+            worker.run()
+        except BaseException as exc:  # handed back to the test
+            crashed.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive(), "worker thread hung"
+    assert crashed == []
+    handle.join()
+
+    # Every job failed on its budget, and the worker survived each
+    # failure to finish both shards.
+    assert worker.stats.jobs_failed == 4
+    assert worker.stats.shards_completed == 2
+    snapshot = coordinator.aggregator.snapshot(include_cells=False)
+    assert snapshot["jobs"]["failed"] == 4
+    assert all(
+        error == "TrialBudgetExceeded: simulation exceeded its event "
+        "budget of 50 events"
+        for error in snapshot["failures"].values()
+    )
 
 
 def test_resume_settles_everything_from_cache(coordinator_factory, tmp_path):

@@ -13,6 +13,10 @@ from repro.dist.protocol import (
     parse_lease_request,
     wait_body,
 )
+from repro.dist.shards import job_wire
+from repro.dist.worker import DistWorker
+
+from tests.dist.conftest import SMALL_SPEC
 
 
 def test_parse_lease_request():
@@ -57,10 +61,10 @@ def test_parse_complete_request_rejects(payload):
 
 
 def test_response_bodies_carry_protocol_version():
-    body = granted_body("t", "shard-0000", [], ttl_s=5.0,
-                        timeout_s=None, retries=1)
+    body = granted_body("t", "shard-0000", [], ttl_s=5.0, retries=1)
     assert body["protocol"] == DIST_PROTOCOL_VERSION
     assert body["lease"]["shard"] == "shard-0000"
+    assert "timeout_s" not in body["lease"]
     assert wait_body(0.5)["retry_after_s"] == 0.5
     assert done_body()["status"] == "done"
     assert lease_lost_body("gone")["error"] == "lease-lost"
@@ -69,3 +73,34 @@ def test_response_bodies_carry_protocol_version():
 def test_protocol_error_body():
     error = DistProtocolError(400, "bad-request", "nope")
     assert error.body() == {"error": "bad-request", "detail": "nope"}
+
+
+class _RecordingClient:
+    """Accepts every completion and keeps what it was sent."""
+
+    def __init__(self):
+        self.completed = []
+
+    def heartbeat(self, token):
+        return {}
+
+    def complete(self, token, results):
+        self.completed.append((token, results))
+        return {"campaign_complete": False}
+
+
+def test_worker_accepts_a_lease_that_still_carries_timeout_s():
+    """Leases from coordinators that relayed a wall-clock timeout still
+    parse: the worker reads lease fields with ``.get`` and ignores it."""
+    job = SMALL_SPEC.jobs()[0]
+    lease = granted_body(
+        "t", "shard-0000", [job_wire(job)], ttl_s=30.0, retries=1
+    )["lease"]
+    lease["timeout_s"] = 0.001
+    client = _RecordingClient()
+    worker = DistWorker(client=client)
+    assert worker._process_lease(lease) is False
+    [(token, results)] = client.completed
+    assert token == "t"
+    assert results[0]["ok"] is True
+    assert results[0]["metrics"]["blocks_depleted"] == job.config.total_blocks

@@ -25,7 +25,6 @@ def make_worker(client, **kwargs):
     worker = DistWorker(
         client=client,
         sleep=sleeps.append,
-        enforce_timeouts=False,
         **kwargs,
     )
     return worker, sleeps

@@ -37,8 +37,7 @@ def test_tutorial_sweep_snippet_runs(tmp_path):
         grid={"num_disks": [1, 2], "prefetch_depth": [2, 3]},
         trials=1,
     )
-    engine = SweepEngine(store=ResultStore(tmp_path), workers=1,
-                         timeout_s=120.0, retries=1)
+    engine = SweepEngine(store=ResultStore(tmp_path), workers=1, retries=1)
     result = engine.run_spec(spec)
     assert len(result.cells) == 4
     assert all(cell.total_time_s.mean > 0 for cell in result.cells)

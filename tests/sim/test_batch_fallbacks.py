@@ -14,7 +14,7 @@ from repro import api
 from repro.core.parameters import PrefetchStrategy, SimulationConfig
 from repro.faults.injector import FaultExhaustedError
 from repro.faults.plan import RetryPolicy, transient_plan
-from repro.sim import batch
+from repro.sim import TrialBudgetExceeded, batch
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -85,6 +85,20 @@ def test_terminal_fault_reruns_on_the_event_kernel():
             api.run_trials([config], trials=[0])
 
     assert _counted(run) == {"terminal-fault": 1}
+
+
+def test_event_budget_exhaustion_reruns_on_the_event_kernel(monkeypatch):
+    """The interpreter gives the seed up; the reference kernel raises."""
+    monkeypatch.setattr(
+        SimulationConfig, "event_budget", property(lambda self: 50)
+    )
+    config = _config()
+
+    def run() -> None:
+        with pytest.raises(TrialBudgetExceeded, match="budget of 50 events"):
+            api.run_trials([config], trials=[0])
+
+    assert _counted(run) == {"event-budget": 1}
 
 
 def test_concurrent_counting_loses_no_update():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import SimulationError, Simulator, TrialBudgetExceeded
 
 
 def test_clock_starts_at_zero():
@@ -103,3 +103,40 @@ def test_pending_events_counts_scheduled():
     sim.timeout(1.0)
     sim.timeout(2.0)
     assert sim.pending_events == 2
+
+
+def _spin(sim, laps):
+    """A process that never terminates: zero-delay timeouts forever."""
+    while True:
+        laps.append(sim.now)
+        yield sim.timeout(0)
+
+
+def test_max_events_stops_a_runaway_process():
+    sim = Simulator()
+    laps = []
+    sim.process(_spin(sim, laps))
+    with pytest.raises(
+        TrialBudgetExceeded, match="event budget of 1000 events"
+    ) as raised:
+        sim.run(max_events=1000)
+    assert isinstance(raised.value, SimulationError)
+    # Raised by the loop itself before the 1001st event fires, so the
+    # process sees no exception and stays suspended.
+    assert len(laps) <= 1000
+    assert sim.now == 0.0
+
+
+def test_uncapped_run_keeps_running_past_any_budget():
+    sim = Simulator()
+    laps = []
+    sim.process(_spin(sim, laps))
+    sim.run(stop_condition=lambda: len(laps) >= 5000)
+    assert len(laps) == 5000
+
+
+def test_max_events_leaves_finite_runs_untouched():
+    sim = Simulator()
+    for delay in range(1, 11):
+        sim.timeout(float(delay))
+    assert sim.run(max_events=10) == 10.0

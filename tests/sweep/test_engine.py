@@ -14,7 +14,7 @@ from repro.sweep import (
     SweepSpec,
     SweepStats,
 )
-from repro.sweep.worker import JobTimeoutError, execute_job
+from repro.sweep.worker import execute_job
 
 #: 12 cells x 2 trials = 24 jobs — covers the ">= 20 jobs, workers=4"
 #: acceptance criterion while staying fast (30-block runs).
@@ -162,30 +162,20 @@ def test_allow_partial_keeps_surviving_cells(monkeypatch):
     assert result.cells[0].trials == []
 
 
-def test_per_job_timeout_fails_the_job():
-    # A long simulation against a tiny wall-clock budget.
+def test_runaway_job_fails_with_budget_error(monkeypatch):
+    # A planted event budget no real trial fits in.
+    monkeypatch.setattr(
+        SimulationConfig, "event_budget", property(lambda self: 50)
+    )
     spec = SweepSpec(
         base={"num_runs": 20, "num_disks": 1, "blocks_per_run": 2000},
         trials=1,
     )
-    engine = SweepEngine(store=None, workers=1, timeout_s=0.01, retries=0,
+    engine = SweepEngine(store=None, workers=1, retries=0,
                          allow_partial=True)
     result = engine.run_spec(spec)
     assert result.stats.failed == 1
-    assert "JobTimeoutError" in result.failures[0].error
-
-
-def test_worker_timeout_cleans_up_alarm():
-    import signal
-
-    config = SimulationConfig(num_runs=2, num_disks=1, blocks_per_run=20,
-                              trials=1)
-    from repro.sweep.keys import config_to_dict
-
-    payload = {"config": config_to_dict(config), "trial": 0, "timeout_s": 30.0}
-    execute_job(payload)
-    # The itimer must be disarmed after a successful run.
-    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert "TrialBudgetExceeded" in result.failures[0].error
 
 
 def test_stats_counters_and_export(tmp_path):

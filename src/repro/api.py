@@ -272,7 +272,8 @@ def run_trials(
       batch runner (``kernel="batch"``) are grouped by config and
       handed to it wholesale; the runner masks out trials it cannot
       execute natively and falls back to the reference kernel for
-      them.
+      them.  Traced and depletion-source trials run on the reference
+      kernel, tallied in :func:`repro.sim.batch.fallback_counts`.
 
     Keyword-only by design: new execution capabilities land here, not
     on the thin ``simulate_merge``/``run_trial`` wrappers.
@@ -306,12 +307,13 @@ def run_trials(
     serial: list[int] = []
     groups: list[tuple["SimulationConfig", list[int]]] = []
     for i, config in enumerate(effective):
-        spec = get_kernel(config.kernel)
-        if (
-            spec.batch_runner is None
-            or tracing
-            or depletion_sources[i] is not None
-        ):
+        if get_kernel(config.kernel).batch_runner is None:
+            serial.append(i)
+            continue
+        if tracing or depletion_sources[i] is not None:
+            from repro.sim.batch import count_fallback
+
+            count_fallback("traced" if tracing else "depletion-source")
             serial.append(i)
             continue
         for other, members in groups:

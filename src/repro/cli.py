@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--remove-completed", action="store_true",
-        help="gc: also remove campaign manifests whose every job is done",
+        help="gc: also remove campaign manifests whose every job is stored",
     )
     sweep.add_argument(
         "--dry-run", action="store_true",

@@ -16,8 +16,6 @@ aggregator keeps a per-job result map and can produce, at any moment,
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.metrics import AggregateMetrics, MergeMetrics
 from repro.sweep.spec import SweepSpec
 
@@ -131,6 +129,3 @@ class CampaignAggregator:
     def result(self) -> list[AggregateMetrics]:
         """Final per-cell aggregates (call once :meth:`is_complete`)."""
         return self.cell_aggregates()
-
-    def metrics_for(self, index: int) -> Optional[MergeMetrics]:
-        return self._results.get(index)

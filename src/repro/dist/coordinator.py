@@ -21,8 +21,10 @@ Completed results are merged into the shared
 :class:`~repro.sweep.store.ResultStore` with the exact
 ``store.put(key, metrics, config=..., seed=..., elapsed_s=...)`` call
 the single-host engine makes, so the two paths produce byte-identical
-stores.  The campaign manifest records per-key job status plus shard
-lifecycle, and every lease event lands in the
+stores.  The store is the only record of which jobs are done: the
+campaign manifest's header (spec and job keys) is written once, and
+shard transitions and failed jobs append to its journal.  Every lease
+event lands in the
 :class:`~repro.obs.registry.MetricsRegistry` (and, when a trace
 session is attached, as ``LEASE_*``/``SHARD_COMPLETE`` instants on the
 ``"coordinator"`` track).
@@ -136,10 +138,6 @@ class Coordinator:
         self._stopped: Optional[asyncio.Event] = None
         self._active: set[asyncio.Task] = set()
         self._drain_task: Optional[asyncio.Task] = None
-        #: shard_id -> worker whose lease on it expired; threaded into
-        #: later manifest records so a finished campaign still shows
-        #: which shards were reclaimed from crashed workers.
-        self._reclaimed: dict[str, str] = {}
 
     # -- campaign setup ------------------------------------------------------
 
@@ -170,9 +168,6 @@ class Coordinator:
             [job.key for job in self.aggregator.jobs],
         )
         remaining = self._settle_cached()
-        for job in self.aggregator.jobs:
-            if self.aggregator.metrics_for(job.index) is not None:
-                self.manifest.record(job.key, "done")
         shards = make_shards(remaining, self.config.shard_size)
         self.leases = LeaseManager(
             shards, ttl_s=self.config.lease_ttl_s, clock=self.clock
@@ -338,14 +333,10 @@ class Coordinator:
         if lease is None:
             return 200, wait_body(_WAIT_RETRY_S), {}
         self.metrics.counter("dist_leases", event="granted").inc()
-        fields = {}
-        if lease.shard.shard_id in self._reclaimed:
-            fields["reclaimed_from"] = self._reclaimed[lease.shard.shard_id]
         self.manifest.record_shard(
             lease.shard.shard_id, "leased",
             worker=worker, token=lease.token,
             jobs=[job.index for job in lease.shard.jobs],
-            **fields,
         )
         self._emit(
             EventKind.LEASE_GRANTED,
@@ -405,13 +396,9 @@ class Coordinator:
             }, {}
         self._merge_results(shard, results)
         self.metrics.counter("dist_leases", event="completed").inc()
-        fields = {}
-        if shard.shard_id in self._reclaimed:
-            fields["reclaimed_from"] = self._reclaimed[shard.shard_id]
         self.manifest.record_shard(
             shard.shard_id, "done",
             jobs=[job.index for job in shard.jobs],
-            **fields,
         )
         self._emit(
             EventKind.SHARD_COMPLETE,
@@ -451,7 +438,6 @@ class Coordinator:
                     elapsed_s=entry.get("elapsed_s"),
                 )
                 self.aggregator.record(job.index, metrics)
-                self.manifest.record(job.key, "done")
                 self.metrics.counter("dist_jobs", outcome="completed").inc()
             else:
                 self.aggregator.record_failure(
@@ -488,10 +474,9 @@ class Coordinator:
     # -- obs -----------------------------------------------------------------
 
     def _note_expiries(self) -> None:
-        """Fold lazily detected lease expiries into metrics/manifest."""
+        """Fold lazily detected lease expiries into metrics/journal."""
         for record in self.leases.sweep_expired():
             self.metrics.counter("dist_leases", event="expired").inc()
-            self._reclaimed[record.shard_id] = record.worker
             self.manifest.record_shard(
                 record.shard_id, "pending", reclaimed_from=record.worker
             )

@@ -72,8 +72,8 @@ __all__ = [
     "unsupported_reason",
 ]
 
-#: Process-wide tally of trials :func:`run_trial_batch` did not run
-#: natively, keyed by reason (see :func:`fallback_counts`).
+#: Process-wide tally of batch-kernel trials not run natively, keyed
+#: by reason (see :func:`fallback_counts`).
 _fallbacks: Counter = Counter()
 _fallbacks_lock = threading.Lock()
 
@@ -894,7 +894,7 @@ def _fallback_trial(config: SimulationConfig, seed: int) -> MergeMetrics:
 
 
 def fallback_counts() -> dict[str, int]:
-    """Trials :func:`run_trial_batch` ran off the flattened path, by reason.
+    """Batch-kernel trials run off the flattened path, by reason.
 
     A process-wide running tally since import.  The reasons are an
     :func:`unsupported_reason` text (the whole batch), ``"divergence"``
@@ -902,13 +902,17 @@ def fallback_counts() -> dict[str, int]:
     after the batch's native rate fell below :data:`EFFICIENCY_FLOOR`),
     ``"terminal-fault"`` (a seed re-run to raise its fault error) and
     ``"event-budget"`` (a seed re-run to raise its
-    :class:`~repro.sim.kernel.TrialBudgetExceeded`).
+    :class:`~repro.sim.kernel.TrialBudgetExceeded`).  ``"traced"`` (an
+    ambient trace session) and ``"depletion-source"`` (a caller's
+    depletion order) count trials :func:`repro.api.run_trials` keeps
+    off the batch runner, since both need the event kernel.
     """
     with _fallbacks_lock:
         return dict(_fallbacks)
 
 
-def _count_fallback(reason: str, trials: int = 1) -> None:
+def count_fallback(reason: str, trials: int = 1) -> None:
+    """Tally ``trials`` batch-kernel trials run off the flattened path."""
     with _fallbacks_lock:
         _fallbacks[reason] += trials
 
@@ -931,7 +935,7 @@ def run_trial_batch(
     """
     reason = unsupported_reason(config)
     if reason is not None:
-        _count_fallback(reason, len(seeds))
+        count_fallback(reason, len(seeds))
         return [_fallback_trial(config, seed) for seed in seeds]
 
     shared = _Shared(config)
@@ -960,6 +964,6 @@ def run_trial_batch(
                 attempted += 1
                 results.append(metrics)
                 continue
-        _count_fallback(reason)
+        count_fallback(reason)
         results.append(_fallback_trial(config, seed))
     return results

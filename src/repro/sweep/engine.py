@@ -10,10 +10,10 @@ Execution model:
   the zero-dependency fallback).  Each completed trial is persisted to
   the store *immediately*, so killing the sweep at any point loses at
   most the in-flight trials; re-invoking resumes from what finished.
-* A failed or timed-out job is retried up to ``retries`` times; a job
-  that exhausts its retries is recorded as a failure.  With
-  ``allow_partial`` the sweep completes around it, otherwise
-  :class:`SweepError` reports every casualty.
+* A failed job is retried up to ``retries`` times; a job that
+  exhausts its retries is recorded as a failure and journaled in the
+  campaign manifest.  With ``allow_partial`` the sweep completes
+  around it, otherwise :class:`SweepError` reports every casualty.
 * Results are returned in spec expansion order regardless of the order
   workers finish them, so parallel sweeps aggregate bit-identically to
   the serial path.
@@ -217,8 +217,6 @@ class SweepEngine:
         def settle(job: SweepJob, outcome: str) -> None:
             stats.count(outcome)
             stats.wall_s = time.perf_counter() - start
-            if manifest is not None:
-                manifest.record(job.key, "done" if outcome != FAILED else "failed")
             self.progress.on_job(job, outcome, stats)
 
         pending: list[SweepJob] = []
@@ -254,6 +252,8 @@ class SweepEngine:
                     error=f"{type(error).__name__}: {error}",
                 )
             )
+            if manifest is not None:
+                manifest.record(job.key, "failed")
             settle(job, FAILED)
 
         if pending:

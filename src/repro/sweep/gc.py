@@ -5,12 +5,12 @@ Two kinds of debris accumulate under a long-lived store root:
 * **orphaned temp files** — ``atomic_write_json`` stages every entry as
   ``<name>.json<random>.tmp`` before ``os.replace``; a crash (SIGKILL,
   power loss) between ``mkstemp`` and the rename strands the temp file
-  forever.  Live entries always end in ``.json``, so everything in the
-  ``*.tmp`` namespace is garbage by construction.
-* **stale campaign manifests** — checkpoints under ``campaigns/`` whose
-  every job reached ``done`` (the content-addressed store *is* the
-  resume state, so a finished manifest is pure history), plus manifests
-  that no longer parse as JSON.
+  forever.  Live entries end in ``.json`` or ``.jsonl``, so everything
+  in the ``*.tmp`` namespace is garbage by construction.
+* **stale campaign manifests** — headers under ``campaigns/`` whose
+  every job key is in the store (the store *is* the resume state, so a
+  finished manifest is pure history) or that no longer parse as JSON,
+  each removed with its ``.jsonl`` journal.
 
 Collection is age-gated: only files older than ``min_age_s`` are
 touched, so a concurrently running sweep's in-flight temp files and
@@ -63,17 +63,19 @@ def _age_s(path: Path, now: float) -> Optional[float]:
         return None  # vanished under us: someone else collected it
 
 
-def _manifest_is_garbage(path: Path, remove_completed: bool) -> bool:
+def _manifest_is_garbage(
+    path: Path, store: ResultStore, remove_completed: bool
+) -> bool:
     try:
-        state = json.loads(path.read_text())
+        header = json.loads(path.read_text())
     except (OSError, ValueError):
         return True  # unparseable checkpoint: useless to any resume
     if not remove_completed:
         return False
-    jobs = state.get("jobs") if isinstance(state, dict) else None
-    if not isinstance(jobs, dict) or not jobs:
+    jobs = header.get("jobs") if isinstance(header, dict) else None
+    if not isinstance(jobs, list) or not jobs:
         return False
-    return all(status == "done" for status in jobs.values())
+    return all(key in store for key in jobs)
 
 
 def collect_garbage(
@@ -118,12 +120,17 @@ def collect_garbage(
             if age < min_age_s:
                 report.skipped_young += 1
                 continue
-            if not _manifest_is_garbage(manifest, remove_completed_manifests):
+            if not _manifest_is_garbage(
+                manifest, store, remove_completed_manifests
+            ):
                 continue
-            size = manifest.stat().st_size
+            journal = manifest.with_suffix(".jsonl")
+            files = [manifest] + ([journal] if journal.is_file() else [])
+            size = sum(path.stat().st_size for path in files)
             if not dry_run:
                 try:
-                    manifest.unlink()
+                    for path in files:
+                        path.unlink()
                 except OSError:
                     continue
             report.manifests_removed.append(str(manifest))

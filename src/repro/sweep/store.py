@@ -4,14 +4,17 @@ Results live one JSON file per trial under ``<root>/<key[:2]>/<key>.json``
 (keyed by :func:`repro.sweep.keys.cache_key`), written atomically via a
 temp file + ``os.replace`` so a killed sweep never leaves a truncated
 entry.  A re-run of the same sweep finds every finished trial by key and
-skips the simulation — that *is* the resume mechanism; the campaign
-manifest under ``<root>/campaigns/<name>.json`` adds an observable
-checkpoint (spec hash, per-key status, counts) that tooling and humans
-can inspect mid-flight.
+skips the simulation — that *is* the resume mechanism, and the store
+is the only record of which jobs are done.  A campaign adds a header
+under ``<root>/campaigns/<name>.json`` (spec, spec hash, job keys),
+written once, and an append-only journal ``<name>.jsonl`` of shard
+transitions and failed jobs that tooling and humans can inspect
+mid-flight.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -60,12 +63,11 @@ def lookup(
 def atomic_write_json(path: Path, payload: dict) -> None:
     """Write ``payload`` as JSON at ``path`` via temp file + ``os.replace``.
 
-    The store's one write primitive, shared by trial entries, campaign
-    manifests, and the dist coordinator's shard checkpoints: a reader
-    never observes a truncated file, and a crash mid-write leaves only
-    an orphaned ``*<key>.json*.tmp`` sibling (reclaimed by
-    :func:`repro.sweep.gc.collect_garbage` — live entries always end in
-    ``.json``, so the ``*.tmp`` namespace is exclusively garbage).
+    The store's one write primitive, shared by trial entries and
+    campaign headers: a reader never observes a truncated file, and a
+    crash mid-write leaves only an orphaned ``*<key>.json*.tmp``
+    sibling (reclaimed by :func:`repro.sweep.gc.collect_garbage` — live
+    entries never end in ``.tmp``, so that namespace is all garbage).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -161,9 +163,10 @@ class ResultStore:
     def tmp_files(self) -> Iterator[Path]:
         """Orphaned ``*.tmp`` files left by crashed atomic writes.
 
-        Live entries always end in ``.json`` (trials, manifests), so
-        anything matching ``*.tmp`` anywhere under the root — shard
-        directories and ``campaigns/`` alike — is reclaimable garbage.
+        Live entries end in ``.json`` or ``.jsonl`` (trials, campaign
+        headers and journals), so anything matching ``*.tmp`` anywhere
+        under the root — shard directories and ``campaigns/`` alike —
+        is reclaimable garbage.
         """
         if not self.root.is_dir():
             return
@@ -171,18 +174,19 @@ class ResultStore:
 
 
 class CampaignManifest:
-    """Checkpoint file for one named sweep campaign.
+    """Checkpoint of one named sweep campaign: a header and a journal.
 
-    Records the spec hash and the status of every job key
-    (``pending`` / ``done`` / ``failed``) so an interrupted campaign is
-    inspectable and a resumed one can verify it matches the original
-    spec.  Written atomically after every state change.
+    The header ``campaigns/<name>.json`` (spec, spec hash, start time,
+    job keys) is written once.  Which jobs are done is not recorded: a
+    job is done iff its key is in the :class:`ResultStore`.  Shard
+    transitions and failed jobs append one JSON object per line to the
+    journal ``campaigns/<name>.jsonl``; nothing replays it on resume.
     """
 
     def __init__(self, root: Path | str, name: str) -> None:
         self.path = Path(root) / "campaigns" / f"{name}.json"
+        self.journal_path = self.path.with_suffix(".jsonl")
         self.name = name
-        self._state: dict = {}
 
     def load(self) -> Optional[dict]:
         try:
@@ -194,58 +198,55 @@ class CampaignManifest:
     def begin(self, spec_dict: dict, spec_key: str, job_keys: list[str]) -> None:
         """Start (or resume) a campaign.
 
+        Writes the header only when it is absent or does not parse.
         Resuming with a *different* spec under the same name raises —
         that would silently interleave results of two sweeps.
         """
         previous = self.load()
-        if previous is not None and previous.get("spec_key") != spec_key:
+        if previous is None:
+            atomic_write_json(self.path, {
+                "name": self.name,
+                "spec_key": spec_key,
+                "spec": spec_dict,
+                "started_at": time.time(),
+                "jobs": list(job_keys),
+            })
+        elif previous.get("spec_key") != spec_key:
             raise ValueError(
                 f"campaign {self.name!r} already exists with a different "
                 f"spec; pick a new name or delete {self.path}"
             )
-        jobs = dict.fromkeys(job_keys, "pending")
-        if previous is not None:
-            for key, status in previous.get("jobs", {}).items():
-                if key in jobs and status == "done":
-                    jobs[key] = "done"
-        self._state = {
-            "name": self.name,
-            "spec_key": spec_key,
-            "spec": spec_dict,
-            "started_at": (previous or {}).get("started_at", time.time()),
-            "updated_at": time.time(),
-            "jobs": jobs,
-        }
-        self._flush()
+        if self.journal_path.is_file():
+            # End a line torn by a crash mid-append, so the next append
+            # starts on its own line.
+            with open(self.journal_path, "rb+") as handle:
+                if handle.seek(0, os.SEEK_END):
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")
 
     def record(self, key: str, status: str) -> None:
-        self._state.setdefault("jobs", {})[key] = status
-        self._state["updated_at"] = time.time()
-        self._flush()
+        """Journal one job's terminal status (the engines record ``failed``)."""
+        self._append({"job": key, "status": status})
 
     def record_shard(self, shard_id: str, status: str, **fields) -> None:
-        """Checkpoint one dist shard (``pending``/``leased``/``done``).
+        """Journal one dist shard transition (``pending``/``leased``/``done``).
 
-        Shard records live alongside the per-key job statuses so an
-        interrupted distributed campaign shows *which contiguous job
-        ranges* were in flight, not just which keys finished; extra
-        ``fields`` (worker id, job range) are stored verbatim.
+        Extra ``fields`` (worker id, lease token, job indices,
+        ``reclaimed_from``) are stored verbatim.
         """
-        shards = self._state.setdefault("shards", {})
-        shards[shard_id] = {"status": status, **fields}
-        self._state["updated_at"] = time.time()
-        self._flush()
+        self._append({"shard": shard_id, "status": status, **fields})
 
-    def counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for status in self._state.get("jobs", {}).values():
-            counts[status] = counts.get(status, 0) + 1
-        return counts
+    def journal(self) -> list[dict]:
+        """Every journal line, oldest first, skipping lines that do not parse."""
+        if not self.journal_path.is_file():
+            return []
+        events = []
+        for line in self.journal_path.read_text().splitlines():
+            with contextlib.suppress(ValueError):  # torn by a crash
+                events.append(json.loads(line))
+        return events
 
-    def is_complete(self) -> bool:
-        """True when every recorded job reached ``done``."""
-        jobs = self._state.get("jobs", {})
-        return bool(jobs) and all(s == "done" for s in jobs.values())
-
-    def _flush(self) -> None:
-        atomic_write_json(self.path, self._state)
+    def _append(self, event: dict) -> None:
+        with open(self.journal_path, "a") as handle:
+            handle.write(json.dumps(event) + "\n")

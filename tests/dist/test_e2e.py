@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.parameters import SimulationConfig
 from repro.dist import DistWorker
+from repro.dist.shards import make_shards
 from repro.serve.client import ServeHTTPError
 from repro.sweep.engine import SweepEngine
 from repro.sweep.store import ResultStore
@@ -41,6 +42,18 @@ def store_payloads(root: Path) -> dict[str, dict]:
             payload.pop(field, None)
         payloads[payload["key"]] = payload
     return payloads
+
+
+#: Every shard of SMALL_SPEC at the factory's shard size of 2, done.
+ALL_SHARDS_DONE = {
+    shard.shard_id: "done" for shard in make_shards(SMALL_SPEC.jobs(), 2)
+}
+
+
+def final_shard_states(events: list[dict]) -> dict[str, str]:
+    """Shard id -> status of its last journal line."""
+    return {event["shard"]: event["status"] for event in events
+            if "shard" in event}
 
 
 def run_workers(handle, count=2, **kwargs):
@@ -172,12 +185,35 @@ def test_resume_with_partially_written_manifest(
     run_workers(handle, count=2)
     handle.join()
     assert coordinator.aggregator.is_complete()
-    # The manifest was rewritten whole and is valid JSON again.
-    manifest = json.loads(manifest_path.read_text())
-    assert all(s == "done" for s in manifest["jobs"].values())
-    assert all(
-        s["status"] == "done" for s in manifest["shards"].values()
+    # The header was rewritten whole and is valid JSON again.
+    header = json.loads(manifest_path.read_text())
+    assert header["spec_key"] == SMALL_SPEC.spec_key()
+    assert header["jobs"] == [job.key for job in SMALL_SPEC.jobs()]
+    assert all(key in coordinator.store for key in header["jobs"])
+    assert final_shard_states(coordinator.manifest.journal()) == ALL_SHARDS_DONE
+
+
+def test_resume_after_torn_journal_line(coordinator_factory, tmp_path):
+    """A journal append cut mid-line is skipped, and later lines parse."""
+    journal_path = (
+        tmp_path / "cache" / "campaigns" / f"{SMALL_SPEC.name}.jsonl"
     )
+    journal_path.parent.mkdir(parents=True)
+    journal_path.write_text(
+        '{"shard": "shard-0000", "status": "pending", "jobs": [0, 1]}\n'
+        '{"shard": "shard-0000", "status": "lea'
+    )
+
+    coordinator, handle = coordinator_factory(exit_when_done=True)
+    run_workers(handle, count=2)
+    handle.join()
+    assert coordinator.aggregator.is_complete()
+    lines = journal_path.read_text().splitlines()
+    assert lines[1] == '{"shard": "shard-0000", "status": "lea'
+    events = coordinator.manifest.journal()
+    assert events[0]["status"] == "pending"
+    assert [json.dumps(event) for event in events[1:]] == lines[2:]
+    assert final_shard_states(events[1:]) == ALL_SHARDS_DONE
 
 
 def test_duplicate_shard_completion_merges_idempotently(coordinator_factory):

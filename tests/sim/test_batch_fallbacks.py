@@ -101,6 +101,26 @@ def test_event_budget_exhaustion_reruns_on_the_event_kernel(monkeypatch):
     assert _counted(run) == {"event-budget": 1}
 
 
+def test_traced_trials_count_as_traced():
+    """An ambient trace session keeps batch trials on the event kernel."""
+    config = _config()
+
+    def run() -> None:
+        with api.configure(trace=True):
+            api.run_trials([config] * 2, trials=[0, 1])
+
+    assert _counted(run) == {"traced": 2}
+
+
+def test_depletion_source_counts_only_its_trial():
+    config = _config()
+    order = iter([run for _ in range(30) for run in range(6)])
+    counted = _counted(
+        lambda: api.run_trials([config] * 2, depletion_sources=[order, None])
+    )
+    assert counted == {"depletion-source": 1}
+
+
 def test_concurrent_counting_loses_no_update():
     """Sweep, serve and dist threads share the tally."""
     threads, per_thread = 8, 2000
@@ -110,7 +130,7 @@ def test_concurrent_counting_loses_no_update():
 
         def count() -> None:
             for _ in range(per_thread):
-                batch._count_fallback("stress")
+                batch.count_fallback("stress")
 
         before = batch.fallback_counts().get("stress", 0)
         workers = [threading.Thread(target=count) for _ in range(threads)]

@@ -92,21 +92,24 @@ def test_unparseable_manifest_is_garbage(populated_store):
     campaigns = store.root / "campaigns"
     campaigns.mkdir()
     torn = campaigns / "torn.json"
-    torn.write_text('{"name": "torn", "jobs": {"k"')
+    torn.write_text('{"name": "torn", "jobs": ["k"')
+    journal = campaigns / "torn.jsonl"
+    journal.write_text('{"shard": "shard-0000", "status": "pending"}\n')
 
     report = collect_garbage(store, min_age_s=0.0, now=LATER)
     assert report.manifests_removed == [str(torn)]
     assert not torn.exists()
+    assert not journal.exists()  # the journal goes with its header
 
 
 def test_completed_manifest_removed_only_on_request(populated_store):
     store, key, _ = populated_store
     manifest = CampaignManifest(store.root, "finished")
     manifest.begin({"name": "finished"}, "spec-key", [key])
-    manifest.record(key, "done")
+    manifest.record_shard("shard-0000", "done", jobs=[0])
     in_flight = CampaignManifest(store.root, "running")
+    # "other-key" is not in the store, so the campaign is unfinished.
     in_flight.begin({"name": "running"}, "spec-key-2", [key, "other-key"])
-    in_flight.record(key, "done")  # "other-key" still pending
 
     default = collect_garbage(store, min_age_s=0.0, now=LATER)
     assert default.manifests_removed == []
@@ -116,7 +119,8 @@ def test_completed_manifest_removed_only_on_request(populated_store):
     )
     assert opted_in.manifests_removed == [str(manifest.path)]
     assert not manifest.path.exists()
-    assert in_flight.path.exists()  # pending jobs keep it alive
+    assert not manifest.journal_path.exists()
+    assert in_flight.path.exists()  # unstored jobs keep it alive
 
 
 def test_gc_never_touches_trial_entries(populated_store):

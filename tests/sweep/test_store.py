@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.parameters import SimulationConfig
 from repro.core.simulator import MergeSimulation
+from repro.dist import Coordinator, CoordinatorConfig
+from repro.sweep import store as store_module
 from repro.sweep import (
     CampaignManifest,
     ResultStore,
@@ -13,6 +15,8 @@ from repro.sweep import (
     compute_key,
     lookup,
 )
+from repro.sweep.engine import SweepEngine
+from repro.sweep.spec import SweepSpec
 
 
 @pytest.fixture
@@ -66,13 +70,64 @@ def test_purge_removes_everything(tmp_path, metrics_and_key):
 def test_manifest_checkpoints_and_resumes(tmp_path):
     manifest = CampaignManifest(tmp_path, "camp")
     manifest.begin({"name": "camp"}, "spec-hash", ["k1", "k2", "k3"])
-    manifest.record("k1", "done")
-    assert manifest.counts() == {"done": 1, "pending": 2}
+    header = manifest.load()
+    assert set(header) == {"name", "spec_key", "spec", "started_at", "jobs"}
+    assert header["jobs"] == ["k1", "k2", "k3"]
 
-    # A fresh manifest object (new process) resumes completed keys.
+    # Failed jobs and shard transitions append; the header never changes.
+    manifest.record("k1", "failed")
+    manifest.record_shard("shard-0000", "leased", worker="w0", jobs=[0, 1])
+    events = [
+        {"job": "k1", "status": "failed"},
+        {"shard": "shard-0000", "status": "leased", "worker": "w0",
+         "jobs": [0, 1]},
+    ]
+    assert manifest.journal() == events
+    assert manifest.load() == header
+
+    # A fresh manifest object (new process) resumes without a write.
     resumed = CampaignManifest(tmp_path, "camp")
     resumed.begin({"name": "camp"}, "spec-hash", ["k1", "k2", "k3"])
-    assert resumed.counts() == {"done": 1, "pending": 2}
+    assert resumed.load() == header
+    assert resumed.journal() == events
+
+
+def _campaign_files(root):
+    return {
+        path.name: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in (root / "campaigns").iterdir()
+    }
+
+
+def test_warm_rerun_writes_nothing_under_campaigns(tmp_path, monkeypatch):
+    """Every job is a store hit, so neither engine touches the manifest."""
+    spec = SweepSpec(
+        name="warm",
+        base={"num_runs": 3, "blocks_per_run": 20},
+        grid={"num_disks": [1, 2]},
+        trials=2,
+    )
+    store = ResultStore(tmp_path)
+    SweepEngine(store=store).run_spec(spec)
+    before = _campaign_files(tmp_path)
+
+    writes = []
+    write = store_module.atomic_write_json
+
+    def spy(path, payload):
+        writes.append(path)
+        write(path, payload)
+
+    monkeypatch.setattr(store_module, "atomic_write_json", spy)
+    result = SweepEngine(store=store).run_spec(spec)
+    assert result.stats.cached == len(spec.jobs())
+    coordinator = Coordinator(
+        spec, CoordinatorConfig(cache_dir=tmp_path), store=store
+    )
+    coordinator.prepare()
+    assert coordinator.leases.done
+    assert [path for path in writes if path.parent.name == "campaigns"] == []
+    assert _campaign_files(tmp_path) == before
 
 
 def test_manifest_rejects_spec_change_under_same_name(tmp_path):

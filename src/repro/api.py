@@ -15,7 +15,7 @@ scope::
 
     from repro.api import configure
 
-    with configure(kernel="batch", trace=True) as ctx:
+    with configure(kernel="reference", trace=True) as ctx:
         result = MergeSimulation(config).run()
     ctx.trace.export_chrome("merge.json")
 
@@ -233,7 +233,7 @@ def configure(
 ) -> RunContext:
     """Build a :class:`RunContext` — the idiomatic spelling.
 
-    ``with configure(kernel="batch"): ...`` reads better at call sites
+    ``with configure(kernel="reference"): ...`` reads better at call sites
     than naming the class; the two are interchangeable.
     """
     return RunContext(

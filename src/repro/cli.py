@@ -41,8 +41,9 @@ def _common_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--kernel", choices=kernel_names(), default=None,
-        help="simulation kernel (results are bit-identical across "
-        "kernels; 'batch' only changes wall-clock time)",
+        help="simulation kernel (default: batch, the flattened "
+        "interpreter; 'reference' is the readable event-loop oracle; "
+        "results are bit-identical across kernels)",
     )
     group.add_argument(
         "--faults", metavar="PLAN_JSON", default=None,
@@ -1142,6 +1143,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fault_plan = _load_fault_plan(args.faults)
         if fault_plan is None:
             return 2
+    # Without --kernel the config keeps its own default kernel.
+    kernel = {} if args.kernel is None else {"kernel": args.kernel}
     config = SimulationConfig(
         num_runs=args.runs,
         num_disks=args.disks,
@@ -1156,7 +1159,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trials=args.trials,
         base_seed=args.seed if args.seed is not None else 1992,
         fault_plan=fault_plan,
-        kernel=args.kernel if args.kernel is not None else "reference",
+        **kernel,
     )
     from repro.api import UNSET, configure
     from repro.obs import TraceSession

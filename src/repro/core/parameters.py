@@ -170,13 +170,15 @@ class SimulationConfig:
             reproduce the paper's perfectly reliable disks exactly.
         kernel: which simulation kernel runs the trial.  Any name in
             the :mod:`repro.sim.kernel` registry is accepted; the
-            built-ins are ``"reference"`` (the readable baseline and
-            bit-identity oracle) and ``"batch"`` (the flattened
+            built-ins are ``"batch"`` (the default: the flattened
             whole-batch interpreter, see :mod:`repro.sim.batch`,
-            dispatched through :func:`repro.api.run_trials`).  Every
-            registered kernel produces bit-identical metrics, so the
-            choice affects wall time only; it is deliberately excluded
-            from cache keys and from :meth:`describe`.
+            dispatched through :func:`repro.api.run_trials`, falling
+            back per trial to the event loop for configs it cannot run
+            natively) and ``"reference"`` (the readable event loop, the
+            opt-in bit-identity oracle).  Every registered kernel
+            produces bit-identical metrics, so the choice affects wall
+            time only; it is deliberately excluded from cache keys and
+            from :meth:`describe`.
     """
 
     num_runs: int
@@ -199,7 +201,7 @@ class SimulationConfig:
     write_buffer_blocks: int = 2
     adaptive_depth: bool = False
     fault_plan: Optional[FaultPlan] = None
-    kernel: str = "reference"
+    kernel: str = "batch"
 
     def __post_init__(self) -> None:
         # Registry lookup raises the canonical "unknown simulation

@@ -345,7 +345,7 @@ def ext_write_traffic(scale: Scale) -> ExperimentResult:
     "the uniformity assumption?",
 )
 def ext_skewed_depletion(scale: Scale) -> ExperimentResult:
-    from repro.core.merge_sim import MergeTrial
+    from repro import api
     from repro.workloads.depletion import skewed_depletion_sequence
 
     k, d = 20, 5
@@ -367,18 +367,19 @@ def ext_skewed_depletion(scale: Scale) -> ExperimentResult:
                 trials=scale.trials,
                 base_seed=scale.base_seed,
             )
-            times = []
-            for trial in range(scale.trials):
-                source = skewed_depletion_sequence(
-                    k, scale.blocks_per_run,
-                    seed=scale.base_seed + 100 + trial, alpha=alpha,
-                )
-                metrics = MergeTrial(
-                    config, seed=scale.base_seed + trial,
-                    depletion_source=source,
-                ).run()
-                times.append(metrics.total_time_s)
-            row.append(sum(times) / len(times))
+            trials = range(scale.trials)
+            results = api.run_trials(
+                [config] * scale.trials,
+                trials=trials,
+                depletion_sources=[
+                    skewed_depletion_sequence(
+                        k, scale.blocks_per_run,
+                        seed=scale.base_seed + 100 + trial, alpha=alpha,
+                    )
+                    for trial in trials
+                ],
+            )
+            row.append(sum(m.total_time_s for m in results) / len(results))
         rows.append(row)
     table = Table(
         title=(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.merge_sim import MergeTrial
+from repro import api
 from repro.core.metrics import MergeMetrics
 from repro.core.parameters import SimulationConfig
 from repro.mergesort.merge import BlockedRun, MergeResult, merge_runs
@@ -141,9 +141,8 @@ def trace_driven_metrics(
             f"run lengths {sorted(set(blocks))} do not all equal the "
             f"configured {config.blocks_per_run} blocks"
         )
-    source = iter(stats.final_depletion_trace)
-    return MergeTrial(
-        config,
-        seed=config.base_seed + trial,
-        depletion_source=source,
-    ).run()
+    return api.run_trials(
+        [config],
+        trials=[trial],
+        depletion_sources=[iter(stats.final_depletion_trace)],
+    )[0]

@@ -312,11 +312,21 @@ class SimulationServer:
         }
 
     def _refresh_gauges(self) -> None:
+        # Imported on first read, so importing the server stays light.
+        from repro.sim.batch import fallback_counts
+
         self.metrics.gauge("serve_queue_depth").set(
             float(self.admission.depth)
         )
         self.metrics.gauge("serve_inflight").set(float(len(self._active)))
         self.metrics.gauge("serve_flights").set(float(len(self.flights)))
+        # Trials the batch kernel ran off its interpreter, by reason.
+        # The tally is per process: it covers trials run in-process
+        # (workers=0), not those run in pool worker processes.
+        for reason, trials in fallback_counts().items():
+            self.metrics.gauge("batch_fallback_trials", reason=reason).set(
+                float(trials)
+            )
 
     # -- admission helpers ---------------------------------------------------
 

@@ -10,7 +10,8 @@ Python, each drive's service chain is computed arithmetically at the
 reference kernel's decision points, and block arrivals are folded into
 the cache as cursor scans over per-drive arrival lists.  Batch-wide
 setup (run layout, addresses, the config description) is computed once
-and shared by every trial.
+and shared by every trial.  It is the default kernel
+(``SimulationConfig.kernel``).
 
 **Bit-identity.**  The interpreter reproduces the reference kernel's
 trajectory exactly, not approximately: every random draw happens on
@@ -905,7 +906,9 @@ def fallback_counts() -> dict[str, int]:
     :class:`~repro.sim.kernel.TrialBudgetExceeded`).  ``"traced"`` (an
     ambient trace session) and ``"depletion-source"`` (a caller's
     depletion order) count trials :func:`repro.api.run_trials` keeps
-    off the batch runner, since both need the event kernel.
+    off the batch runner, since both need the event kernel.  ``repro
+    serve`` publishes the tally as ``batch_fallback_trials{reason=...}``
+    gauges on ``/v1/metricz``.
     """
     with _fallbacks_lock:
         return dict(_fallbacks)

@@ -260,8 +260,8 @@ register_kernel(
         name="reference",
         factory=Simulator,
         description=(
-            "the readable baseline: binary-heap event loop, generator "
-            "processes (the bit-identity oracle)"
+            "the readable event loop: binary-heap scheduler, generator "
+            "processes (the opt-in bit-identity oracle)"
         ),
     )
 )
@@ -270,10 +270,11 @@ register_kernel(
         name="batch",
         factory=Simulator,
         description=(
-            "batched trial tier: flattened lockstep interpreter for "
-            "whole trial batches, batches of one included "
-            "(repro.api.run_trials); unsupported configs fall back to "
-            "the reference kernel"
+            "the default: flattened lockstep interpreter for whole "
+            "trial batches, batches of one included "
+            "(repro.api.run_trials); unsupported configs fall back per "
+            "trial to the reference kernel, counted in "
+            "repro.sim.batch.fallback_counts()"
         ),
         batch_runner=_load_batch_runner,
     )

@@ -139,10 +139,11 @@ def test_traced_simulation_records_one_trial_per_run():
 
 def test_ambient_kernel_rewrites_config():
     config = _config()
-    assert MergeSimulation(config).config.kernel == "reference"
-    with configure(kernel="batch"):
-        assert MergeSimulation(config).config.kernel == "batch"
-    assert MergeSimulation(config).config.kernel == "reference"
+    assert config.kernel == "batch"  # the default
+    assert MergeSimulation(config).config.kernel == "batch"
+    with configure(kernel="reference"):
+        assert MergeSimulation(config).config.kernel == "reference"
+    assert MergeSimulation(config).config.kernel == "batch"
 
 
 def test_explicit_fault_plan_wins_over_ambient():
@@ -164,11 +165,11 @@ def test_backend_receives_the_resolved_config():
         seen.append(config)
         return None
 
-    with configure(fault_plan=plan, kernel="batch", backend=recorder):
+    with configure(fault_plan=plan, kernel="reference", backend=recorder):
         MergeSimulation(_config()).run()
     assert len(seen) == 1
     assert seen[0].fault_plan is plan
-    assert seen[0].kernel == "batch"
+    assert seen[0].kernel == "reference"
 
 
 # -------------------------------------------------- retired shims stay gone

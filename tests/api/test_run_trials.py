@@ -128,7 +128,7 @@ def test_tracing_forces_per_trial_execution(monkeypatch):
 
 
 def test_ambient_kernel_rewrites_configs():
-    config = _config()  # kernel="reference"
+    config = _config(kernel="reference")
     with api.configure(kernel="batch"):
         results = api.run_trials([config] * 2, trials=[0, 0])
     assert [m.to_dict() for m in results] == [

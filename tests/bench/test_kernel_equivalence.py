@@ -285,10 +285,11 @@ def test_kernel_registry():
 
 def test_kernel_context_rewrites_config():
     config = SimulationConfig(num_runs=4, num_disks=1, blocks_per_run=20)
-    assert MergeSimulation(config).config.kernel == "reference"
-    with configure(kernel="batch"):
-        assert MergeSimulation(config).config.kernel == "batch"
-    assert MergeSimulation(config).config.kernel == "reference"
+    assert config.kernel == "batch"  # the default
+    assert MergeSimulation(config).config.kernel == "batch"
+    with configure(kernel="reference"):
+        assert MergeSimulation(config).config.kernel == "reference"
+    assert MergeSimulation(config).config.kernel == "batch"
 
 
 def test_kernel_context_preserves_results():
@@ -301,7 +302,7 @@ def test_kernel_context_preserves_results():
         trials=2,
     )
     baseline = MergeSimulation(config).run()
-    with configure(kernel="batch"):
+    with configure(kernel="reference"):
         overridden = MergeSimulation(config).run()
     assert [t.to_dict() for t in overridden.trials] == [
         t.to_dict() for t in baseline.trials

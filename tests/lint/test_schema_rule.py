@@ -104,7 +104,7 @@ def test_new_field_on_the_real_config(tmp_path):
     params_source = (
         REPO_ROOT / "src/repro/core/parameters.py"
     ).read_text(encoding="utf-8")
-    anchor = 'kernel: str = "reference"'
+    anchor = 'kernel: str = "batch"'
     assert anchor in params_source
     (tmp_path / "parameters.py").write_text(
         params_source.replace(

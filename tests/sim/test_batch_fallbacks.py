@@ -12,6 +12,11 @@ import pytest
 
 from repro import api
 from repro.core.parameters import PrefetchStrategy, SimulationConfig
+from repro.experiments import Scale
+from repro.experiments.ablations import (
+    ablation_depletion_model,
+    ext_skewed_depletion,
+)
 from repro.faults.injector import FaultExhaustedError
 from repro.faults.plan import RetryPolicy, transient_plan
 from repro.sim import TrialBudgetExceeded, batch
@@ -119,6 +124,23 @@ def test_depletion_source_counts_only_its_trial():
         lambda: api.run_trials([config] * 2, depletion_sources=[order, None])
     )
     assert counted == {"depletion-source": 1}
+
+
+@pytest.mark.parametrize(
+    "experiment, trials",
+    [
+        # One trace-driven trial per key distribution (the random
+        # model's trials run natively).
+        (ablation_depletion_model, 4),
+        # Four skews x three strategies, one trial each.
+        (ext_skewed_depletion, 4 * 3),
+    ],
+)
+def test_depletion_source_experiments_count_every_trial(experiment, trials):
+    """Both experiments that replay a depletion order reach the tally."""
+    scale = Scale(trials=1, blocks_per_run=30, sweep_density=0.5)
+    counted = _counted(lambda: experiment(scale))
+    assert counted == {"depletion-source": trials}
 
 
 def test_concurrent_counting_loses_no_update():

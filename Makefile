@@ -49,17 +49,21 @@ serve-smoke:
 dist-smoke:
 	$(PYTHON) scripts/dist_smoke.py
 
-# Canonical benchmarks: every scenario on every kernel, reports written
-# as BENCH_<scenario>.json at the repo root (diff with
-# `python -m repro bench compare`).
+# Kernel speedup baselines: every scenario, reference and batch in
+# interleaved pairs, reports written as BENCH_<scenario>.json at the
+# repo root.  Record on CPython 3.11, the interpreter CI compares on.
 bench:
 	$(PYTHON) -m repro bench run
 
-# One tiny scenario against the committed baseline (what CI runs).
+# Every scenario against its committed baseline (what CI runs): fails
+# when the p90 paired speedup falls below the baseline's p10, or a
+# median exceeds 3x its baseline.
 bench-smoke:
-	$(PYTHON) -m repro bench run --scenario smoke-d2 --out-dir results/bench
-	$(PYTHON) -m repro bench compare BENCH_smoke-d2.json \
-		results/bench/BENCH_smoke-d2.json --threshold 2.0
+	$(PYTHON) -m repro bench run --out-dir results/bench
+	for baseline in BENCH_*.json; do \
+		$(PYTHON) -m repro bench compare $$baseline \
+			results/bench/$$baseline || exit 1; \
+	done
 
 # Traced replay of the pinned merge-d5 scenario: exercises the
 # repro.obs pipeline end to end (trace collection, busy-accounting
@@ -71,19 +75,15 @@ obs-smoke:
 
 # The full sim-vs-real loop on a temp-filesystem dataset: run both
 # strategies through the real-I/O backend with tracing, validate the
-# trace artifact, check the calibrated simulator agrees on strategy
-# ordering (exits non-zero on DISAGREE), and guard the realio-sort
-# bench scenario against its committed baseline.  What CI's
-# realio-smoke job runs; report + trace land in results/realio/.
+# trace artifact, and check the calibrated simulator agrees on strategy
+# ordering (exits non-zero on DISAGREE).  What CI's realio-smoke job
+# runs; report + trace land in results/realio/.
 realio-smoke:
 	$(PYTHON) -m repro realio validate --dir results/realio/dataset \
 		--throttle 0.2 --trials 2 \
 		--report results/realio/realio-report.json \
 		--trace-out results/realio/realio-trace.json
 	$(PYTHON) -m repro trace validate results/realio/realio-trace.json
-	$(PYTHON) -m repro bench run --scenario realio-sort --out-dir results/bench
-	$(PYTHON) -m repro bench compare BENCH_realio-sort.json \
-		results/bench/BENCH_realio-sort.json --threshold 2.0
 
 # The pytest-benchmark suite (paper-artifact regeneration timings).
 bench-pytest:

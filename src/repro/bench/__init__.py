@@ -1,23 +1,21 @@
-"""repro.bench: performance benchmarking with canonical reports.
+"""repro.bench: the kernel speedup baselines.
 
-Declarative scenarios (:mod:`repro.bench.scenarios`) run through one
-shared measurement harness (:mod:`repro.bench.harness`) and serialize
-to ``BENCH_<scenario>.json`` files that the comparator
-(:mod:`repro.bench.compare`) diffs across commits.  CLI:
-``repro bench run | compare | list``; see docs/BENCHMARKS.md.
+Four pinned scenarios (:mod:`repro.bench.scenarios`) each time the
+``reference`` and ``batch`` kernels in interleaved pairs
+(:mod:`repro.bench.harness`) and serialize to ``BENCH_<scenario>.json``
+files that the comparator (:mod:`repro.bench.compare`) gates on the
+paired speedup.  CLI: ``repro bench run | compare | list``; see
+docs/BENCHMARKS.md.  End-to-end wall time is the repository benchmark's
+job (``benchmark/``).
 """
 
-from repro.bench.compare import (
-    ComparisonRow,
-    compare_reports,
-    missing_baseline_variants,
-    regressions,
-    render_comparison,
-)
+from repro.bench.compare import MEDIAN_LIMIT, Comparison, compare_reports
 from repro.bench.harness import (
     BENCH_SCHEMA_VERSION,
+    KERNELS,
+    REPEATS,
+    WARMUP,
     BenchReport,
-    Measurement,
     VariantResult,
     bench_filename,
     measure,
@@ -40,20 +38,20 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchReport",
     "BenchScenario",
-    "ComparisonRow",
-    "Measurement",
+    "Comparison",
+    "KERNELS",
+    "MEDIAN_LIMIT",
+    "REPEATS",
     "SCENARIOS",
     "VariantResult",
+    "WARMUP",
     "bench_filename",
     "compare_reports",
     "get_scenario",
     "measure",
-    "missing_baseline_variants",
     "peak_rss_kb",
     "percentile",
     "provenance",
-    "regressions",
-    "render_comparison",
     "run_scenario",
     "scenario_config",
     "scenario_names",

@@ -1,104 +1,114 @@
 """Regression detection between two BENCH_*.json reports.
 
-``compare_reports`` diffs a *current* report against a *baseline* of the
-same scenario, per kernel variant, on the median: a variant regresses
-when ``current_median / baseline_median > 1 + threshold``.  Faster is
-never a failure.  CI runs this against the committed baselines with a
-deliberately generous threshold, so only order-of-magnitude regressions
-(algorithmic accidents, not runner noise) fail the build.
+The gate is the paired speedup.  Each report carries ``repeats`` paired
+``reference / batch`` ratios (see :mod:`repro.bench.harness`); the
+current report regresses when the p90 of its ratios falls below the
+p10 of the baseline's — when even its best rounds are slower, relative
+to the oracle, than the baseline's worst.  The limit comes from the
+measured spread, so a noisy scenario gets a wide band and a quiet one a
+narrow band, without a threshold option.
+
+A ratio says nothing about the reference kernel slowing down together
+with batch, so each variant's median also has an absolute backstop:
+more than :data:`MEDIAN_LIMIT` times its baseline fails.
+
+Ratios move with the interpreter (``batch`` and ``reference`` gain
+differently from each CPython release), so reports recorded on
+different Python minor versions are refused rather than compared.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.bench.harness import BenchReport
+from repro.bench.harness import KERNELS, BenchReport, percentile
+
+#: Absolute backstop: a variant whose median exceeds this multiple of
+#: its baseline median regresses whatever the paired speedup says.
+MEDIAN_LIMIT = 3.0
+
+
+def _python_minor(report: BenchReport) -> str:
+    return ".".join(report.provenance["python"].split(".")[:2])
 
 
 @dataclasses.dataclass(frozen=True)
-class ComparisonRow:
-    """One kernel variant's baseline-vs-current verdict."""
+class Comparison:
+    """Baseline-vs-current verdict for one scenario."""
 
     scenario: str
-    kernel: str
-    baseline_median_ns: float
-    current_median_ns: float
-    threshold: float
+    baseline_ratios: list[float]
+    current_ratios: list[float]
+    #: kernel -> current median / baseline median.
+    slowdowns: dict[str, float]
 
     @property
-    def ratio(self) -> float:
-        return self.current_median_ns / self.baseline_median_ns
+    def floor(self) -> float:
+        """p10 of the baseline's paired ratios: the limit."""
+        return percentile(self.baseline_ratios, 0.1)
+
+    @property
+    def ceiling(self) -> float:
+        """p90 of the current paired ratios: what is held to the limit."""
+        return percentile(self.current_ratios, 0.9)
+
+    @property
+    def speedup_regressed(self) -> bool:
+        return self.ceiling < self.floor
+
+    @property
+    def slowed_variants(self) -> list[str]:
+        return [k for k in KERNELS if self.slowdowns[k] > MEDIAN_LIMIT]
 
     @property
     def regressed(self) -> bool:
-        return self.ratio > 1.0 + self.threshold
+        return self.speedup_regressed or bool(self.slowed_variants)
 
     def render(self) -> str:
-        verdict = "REGRESSED" if self.regressed else "ok"
-        return (
-            f"[{verdict:9s}] {self.scenario}/{self.kernel}: "
-            f"{self.baseline_median_ns / 1e6:.2f} ms -> "
-            f"{self.current_median_ns / 1e6:.2f} ms "
-            f"({self.ratio:.2f}x, limit {1.0 + self.threshold:.2f}x)"
-        )
+        verdict = "REGRESSED" if self.speedup_regressed else "ok"
+        lines = [
+            f"[{verdict:9s}] {self.scenario} speedup: p90 "
+            f"{self.ceiling:.2f}x (median "
+            f"{percentile(self.current_ratios, 0.5):.2f}x) vs baseline p10 "
+            f"{self.floor:.2f}x (median "
+            f"{percentile(self.baseline_ratios, 0.5):.2f}x)"
+        ]
+        for kernel in KERNELS:
+            slowdown = self.slowdowns[kernel]
+            verdict = "REGRESSED" if slowdown > MEDIAN_LIMIT else "ok"
+            lines.append(
+                f"[{verdict:9s}] {self.scenario}/{kernel} median: "
+                f"{slowdown:.2f}x baseline (limit {MEDIAN_LIMIT:.1f}x)"
+            )
+        return "\n".join(lines)
 
 
-def compare_reports(
-    baseline: BenchReport,
-    current: BenchReport,
-    threshold: float = 0.25,
-) -> list[ComparisonRow]:
-    """Per-variant comparison rows; raises on mismatched reports.
+def compare_reports(baseline: BenchReport, current: BenchReport) -> Comparison:
+    """Compare ``current`` to ``baseline``; raises on mismatched reports.
 
-    Both reports must describe the same scenario, and every baseline
-    variant must be present in the current report (a dropped kernel is
-    a comparison error, not a silent pass).
+    Both reports must describe the same scenario and come from the same
+    Python minor version.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     if baseline.scenario != current.scenario:
         raise ValueError(
             f"scenario mismatch: baseline {baseline.scenario!r} vs "
             f"current {current.scenario!r}"
         )
-    rows = []
-    for kernel in sorted(baseline.variants):
-        if kernel not in current.variants:
-            raise ValueError(
-                f"current report is missing variant {kernel!r} present "
-                "in the baseline"
-            )
-        rows.append(
-            ComparisonRow(
-                scenario=baseline.scenario,
-                kernel=kernel,
-                baseline_median_ns=baseline.variants[kernel].median_ns,
-                current_median_ns=current.variants[kernel].median_ns,
-                threshold=threshold,
-            )
+    if _python_minor(baseline) != _python_minor(current):
+        raise ValueError(
+            f"python mismatch: baseline recorded on "
+            f"{baseline.provenance['python']}, current on "
+            f"{current.provenance['python']}; the batch/reference ratio "
+            "differs between interpreters, so re-run on the baseline's "
+            "Python version"
         )
-    return rows
-
-
-def missing_baseline_variants(
-    baseline: BenchReport, current: BenchReport
-) -> list[str]:
-    """Current-report variants that have no baseline to compare against.
-
-    A newly registered kernel shows up in fresh reports before anyone
-    refreshes the committed baselines; that is progress, not a
-    regression, so these variants are *listed* for the operator rather
-    than raised (the inverse case — a baseline variant missing from the
-    current report — stays an error in :func:`compare_reports`).
-    """
-    return sorted(set(current.variants) - set(baseline.variants))
-
-
-def regressions(rows: list[ComparisonRow]) -> list[ComparisonRow]:
-    """The subset of rows that exceeded the threshold."""
-    return [row for row in rows if row.regressed]
-
-
-def render_comparison(rows: list[ComparisonRow]) -> str:
-    """Multi-line human-readable comparison."""
-    return "\n".join(row.render() for row in rows)
+    return Comparison(
+        scenario=baseline.scenario,
+        baseline_ratios=baseline.ratios,
+        current_ratios=current.ratios,
+        slowdowns={
+            kernel: current.variants[kernel].median_ns
+            / baseline.variants[kernel].median_ns
+            for kernel in KERNELS
+        },
+    )

@@ -1,31 +1,31 @@
-"""Measurement harness: timed repeats, percentiles, canonical reports.
+"""Measurement harness: paired kernel timings and canonical reports.
 
-This is the single measurement path for all repo benchmarking: the
-``repro bench`` CLI, the ``make bench`` target, and the pytest-benchmark
-suite under ``benchmarks/`` all time workloads through
-:func:`timed_call` / :func:`measure`, so numbers from any of them are
-comparable.
+``repro.bench`` answers one question: is the ``batch`` interpreter
+still faster than the ``reference`` event loop by the recorded margin?
+End-to-end wall time of figures, campaigns and services is measured by
+the repository benchmark under ``benchmark/``, not here.
 
 A benchmark run produces a :class:`BenchReport` — one scenario, one
-:class:`VariantResult` per simulation kernel — serialized to a canonical
+:class:`VariantResult` per kernel — serialized to a canonical
 ``BENCH_<scenario>.json`` file (schema documented in
 ``docs/BENCHMARKS.md`` and enforced by :func:`validate_report`).
-Reports are diffable across commits with
-:func:`repro.bench.compare.compare_reports`.
+Reports are compared with :func:`repro.bench.compare.compare_reports`.
 
 Methodology:
 
-* ``warmup`` untimed calls absorb import costs, allocator warm-up and
-  branch-predictor training, then ``repeats`` timed calls sample the
-  steady state with :func:`time.perf_counter_ns`.
-* The headline statistic is the **median** (robust against scheduler
-  noise); p10/p90 bound the spread; the raw samples are kept in the
-  report so later analysis can recompute anything.
-* ``events_per_sec`` divides the scenario's nominal workload size (for
-  merge scenarios: blocks merged across all trials) by the median.
+* :func:`measure` runs ``warmup`` untimed calls of each kernel, then
+  ``repeats`` rounds that time one call of each kernel with
+  :func:`time.perf_counter_ns`, alternating which kernel goes first.
+  ``samples_ns[i]`` of ``reference`` and of ``batch`` were taken back
+  to back, so their quotient — the i-th *paired ratio* — cancels most
+  of the host drift that would swamp a comparison of absolute times.
+* ``speedup`` is the median paired ratio; the per-variant median, p10
+  and p90 bound the absolute spread, and the raw samples are kept so
+  later analysis can recompute anything.
+* ``events_per_sec`` divides the scenario's nominal workload size
+  (blocks merged across all trials) by the variant's median.
 * ``peak_rss_kb`` is the process-lifetime peak resident set after the
-  measurement (``ru_maxrss``) — an upper bound on the workload's
-  footprint, comparable between runs of the same scenario list.
+  measurement (``ru_maxrss``) — an upper bound on the footprint.
 """
 
 from __future__ import annotations
@@ -37,10 +37,17 @@ import resource
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 #: Bump whenever the BENCH_*.json layout changes incompatibly.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
+
+#: The two variants of every report: the oracle and the execution path.
+KERNELS = ("reference", "batch")
+
+#: Default timed rounds (pairs) and untimed warmup calls per kernel.
+REPEATS = 10
+WARMUP = 1
 
 
 def timed_call(fn: Callable[[], Any]) -> tuple[Any, int]:
@@ -54,7 +61,7 @@ def timed_call(fn: Callable[[], Any]) -> tuple[Any, int]:
     return result, time.perf_counter_ns() - start
 
 
-def percentile(samples: list[int], fraction: float) -> float:
+def percentile(samples: list[float], fraction: float) -> float:
     """Linear-interpolated percentile of ``samples`` (0 <= fraction <= 1)."""
     if not samples:
         raise ValueError("percentile of an empty sample set")
@@ -87,54 +94,57 @@ def provenance() -> dict:
     }
 
 
-@dataclasses.dataclass
-class Measurement:
-    """Raw timing samples of one workload variant."""
+def measure(
+    workloads: Mapping[str, Callable[[], Any]],
+    repeats: int = REPEATS,
+    warmup: int = WARMUP,
+) -> dict[str, list[int]]:
+    """Interleaved timings of several workloads, keyed like ``workloads``.
 
-    samples_ns: list[int]
-    warmup: int
-
-    @property
-    def median_ns(self) -> float:
-        return percentile(self.samples_ns, 0.5)
-
-    @property
-    def p10_ns(self) -> float:
-        return percentile(self.samples_ns, 0.1)
-
-    @property
-    def p90_ns(self) -> float:
-        return percentile(self.samples_ns, 0.9)
-
-
-def measure(fn: Callable[[], Any], repeats: int = 5, warmup: int = 1) -> Measurement:
-    """Warm up, then time ``repeats`` calls of ``fn``."""
+    Each of the ``repeats`` rounds times one call of every workload;
+    odd rounds run them in reverse order so no workload always pays
+    (or profits from) going first.
+    """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
+    order = list(workloads)
     for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(repeats):
-        _, elapsed_ns = timed_call(fn)
-        samples.append(elapsed_ns)
-    return Measurement(samples_ns=samples, warmup=warmup)
+        for name in order:
+            workloads[name]()
+    samples: dict[str, list[int]] = {name: [] for name in order}
+    for round_index in range(repeats):
+        for name in order if round_index % 2 == 0 else reversed(order):
+            _, elapsed_ns = timed_call(workloads[name])
+            samples[name].append(elapsed_ns)
+    return samples
 
 
 @dataclasses.dataclass
 class VariantResult:
-    """One kernel's measurement within a scenario."""
+    """One kernel's samples within a scenario."""
 
     kernel: str
-    repeats: int
-    warmup: int
     median_ns: float
     p10_ns: float
     p90_ns: float
     samples_ns: list[int]
     events_per_sec: float
-    peak_rss_kb: int
+
+    @classmethod
+    def from_samples(
+        cls, kernel: str, samples_ns: list[int], workload_events: int
+    ) -> "VariantResult":
+        median_ns = percentile(samples_ns, 0.5)
+        return cls(
+            kernel=kernel,
+            median_ns=median_ns,
+            p10_ns=percentile(samples_ns, 0.1),
+            p90_ns=percentile(samples_ns, 0.9),
+            samples_ns=samples_ns,
+            events_per_sec=workload_events / (median_ns / 1e9),
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -151,10 +161,28 @@ class BenchReport:
     scenario: str
     description: str
     workload_events: int
+    repeats: int
+    warmup: int
     variants: dict[str, VariantResult]
-    speedup: Optional[float]
+    peak_rss_kb: int
     provenance: dict
     schema_version: int = BENCH_SCHEMA_VERSION
+
+    @property
+    def ratios(self) -> list[float]:
+        """The paired ``reference / batch`` ratios, one per round."""
+        return [
+            reference / batch
+            for reference, batch in zip(
+                self.variants["reference"].samples_ns,
+                self.variants["batch"].samples_ns,
+            )
+        ]
+
+    @property
+    def speedup(self) -> float:
+        """Median paired ratio: how many times faster batch ran."""
+        return percentile(self.ratios, 0.5)
 
     def to_dict(self) -> dict:
         return {
@@ -162,11 +190,14 @@ class BenchReport:
             "scenario": self.scenario,
             "description": self.description,
             "workload_events": self.workload_events,
+            "repeats": self.repeats,
+            "warmup": self.warmup,
             "variants": {
                 name: variant.to_dict()
                 for name, variant in sorted(self.variants.items())
             },
             "speedup": self.speedup,
+            "peak_rss_kb": self.peak_rss_kb,
             "provenance": self.provenance,
         }
 
@@ -182,11 +213,13 @@ class BenchReport:
             scenario=data["scenario"],
             description=data["description"],
             workload_events=data["workload_events"],
+            repeats=data["repeats"],
+            warmup=data["warmup"],
             variants={
                 name: VariantResult.from_dict(variant)
                 for name, variant in data["variants"].items()
             },
-            speedup=data["speedup"],
+            peak_rss_kb=data["peak_rss_kb"],
             provenance=data["provenance"],
         )
 
@@ -206,18 +239,21 @@ class BenchReport:
         """Human-readable one-scenario summary."""
         lines = [
             f"scenario {self.scenario}: {self.description}",
-            f"  workload: {self.workload_events} events",
+            f"  workload: {self.workload_events} events, "
+            f"{self.repeats} paired rounds, rss {self.peak_rss_kb} KiB",
         ]
-        for name in sorted(self.variants):
+        for name in KERNELS:
             variant = self.variants[name]
             lines.append(
                 f"  {name:10s} median {variant.median_ns / 1e6:9.2f} ms  "
                 f"[p10 {variant.p10_ns / 1e6:.2f}, p90 {variant.p90_ns / 1e6:.2f}]  "
-                f"{variant.events_per_sec:10.0f} events/s  "
-                f"rss {variant.peak_rss_kb} KiB"
+                f"{variant.events_per_sec:10.0f} events/s"
             )
-        if self.speedup is not None:
-            lines.append(f"  speedup   batch is {self.speedup:.2f}x reference")
+        lines.append(
+            f"  speedup   batch is {self.speedup:.2f}x reference "
+            f"[p10 {percentile(self.ratios, 0.1):.2f}, "
+            f"p90 {percentile(self.ratios, 0.9):.2f}]"
+        )
         return "\n".join(lines)
 
 
@@ -228,29 +264,35 @@ _REPORT_FIELDS: dict[str, type | tuple[type, ...]] = {
     "scenario": str,
     "description": str,
     "workload_events": int,
+    "repeats": int,
+    "warmup": int,
     "variants": dict,
-    "speedup": (int, float, type(None)),
+    "speedup": (int, float),
+    "peak_rss_kb": int,
     "provenance": dict,
 }
 
 _VARIANT_FIELDS: dict[str, type | tuple[type, ...]] = {
     "kernel": str,
-    "repeats": int,
-    "warmup": int,
     "median_ns": (int, float),
     "p10_ns": (int, float),
     "p90_ns": (int, float),
     "samples_ns": list,
     "events_per_sec": (int, float),
-    "peak_rss_kb": int,
 }
 
 
 def validate_report(data: Any) -> list[str]:
     """Schema-check a decoded BENCH_*.json payload; returns error strings."""
-    errors: list[str] = []
     if not isinstance(data, dict):
         return [f"report must be a JSON object, got {type(data).__name__}"]
+    if data.get("schema_version") != BENCH_SCHEMA_VERSION:
+        return [
+            f"schema_version {data.get('schema_version')!r} is not "
+            f"{BENCH_SCHEMA_VERSION}; re-record the report with "
+            "`repro bench run`"
+        ]
+    errors: list[str] = []
     for field, expected in _REPORT_FIELDS.items():
         if field not in data:
             errors.append(f"missing field {field!r}")
@@ -260,12 +302,13 @@ def validate_report(data: Any) -> list[str]:
             )
     if errors:
         return errors
-    if data["schema_version"] != BENCH_SCHEMA_VERSION:
-        errors.append(
-            f"schema_version {data['schema_version']} != {BENCH_SCHEMA_VERSION}"
-        )
-    if not data["variants"]:
-        errors.append("no variants recorded")
+    if not isinstance(data["provenance"].get("python"), str):
+        errors.append("provenance lacks the 'python' version")
+    if sorted(data["variants"]) != sorted(KERNELS):
+        return errors + [
+            f"variants must be {' and '.join(KERNELS)}, got "
+            f"{', '.join(sorted(data['variants'])) or 'none'}"
+        ]
     for name, variant in data["variants"].items():
         if not isinstance(variant, dict):
             errors.append(f"variant {name!r} is not an object")
@@ -281,10 +324,16 @@ def validate_report(data: Any) -> list[str]:
         if variant.get("kernel") != name:
             errors.append(f"variant {name!r} kernel field mismatch")
         samples = variant.get("samples_ns")
-        if isinstance(samples, list) and not all(
-            isinstance(sample, int) and sample >= 0 for sample in samples
-        ):
-            errors.append(f"variant {name!r} has non-integer samples")
+        if isinstance(samples, list):
+            if not all(
+                isinstance(sample, int) and sample > 0 for sample in samples
+            ):
+                errors.append(f"variant {name!r} has non-positive samples")
+            if len(samples) != data["repeats"] or not samples:
+                errors.append(
+                    f"variant {name!r} has {len(samples)} samples, "
+                    f"expected repeats={data['repeats']} (at least 1)"
+                )
     return errors
 
 
@@ -298,37 +347,30 @@ def run_scenario(
     repeats: Optional[int] = None,
     warmup: Optional[int] = None,
 ) -> BenchReport:
-    """Benchmark every kernel variant of one scenario.
+    """Benchmark one scenario on both kernels, in interleaved pairs.
 
     ``scenario`` is a :class:`repro.bench.scenarios.BenchScenario`;
-    ``repeats`` / ``warmup`` override the scenario defaults.
+    ``repeats`` / ``warmup`` default to :data:`REPEATS` / :data:`WARMUP`.
     """
-    repeats = scenario.repeats if repeats is None else repeats
-    warmup = scenario.warmup if warmup is None else warmup
-    variants: dict[str, VariantResult] = {}
-    for kernel in scenario.kernels:
-        workload = scenario.build(kernel)
-        measurement = measure(workload, repeats=repeats, warmup=warmup)
-        median_s = measurement.median_ns / 1e9
-        variants[kernel] = VariantResult(
-            kernel=kernel,
-            repeats=repeats,
-            warmup=warmup,
-            median_ns=measurement.median_ns,
-            p10_ns=measurement.p10_ns,
-            p90_ns=measurement.p90_ns,
-            samples_ns=measurement.samples_ns,
-            events_per_sec=scenario.workload_events / median_s,
-            peak_rss_kb=peak_rss_kb(),
-        )
-    speedup = None
-    if "reference" in variants and "batch" in variants:
-        speedup = variants["reference"].median_ns / variants["batch"].median_ns
+    repeats = REPEATS if repeats is None else repeats
+    warmup = WARMUP if warmup is None else warmup
+    samples = measure(
+        {kernel: scenario.build(kernel) for kernel in KERNELS},
+        repeats=repeats,
+        warmup=warmup,
+    )
     return BenchReport(
         scenario=scenario.name,
         description=scenario.description,
         workload_events=scenario.workload_events,
-        variants=variants,
-        speedup=speedup,
+        repeats=repeats,
+        warmup=warmup,
+        variants={
+            kernel: VariantResult.from_samples(
+                kernel, samples[kernel], scenario.workload_events
+            )
+            for kernel in KERNELS
+        },
+        peak_rss_kb=peak_rss_kb(),
         provenance=provenance(),
     )

@@ -28,7 +28,7 @@ from repro.sim.kernel import kernel_names
 
 
 def _common_parser() -> argparse.ArgumentParser:
-    """The shared parent parser of ``run``/``simulate``/``sweep``/``bench run``.
+    """The shared parent parser of ``run``/``simulate``/``sweep``.
 
     One definition per flag, uniform spelling and defaults everywhere:
     ``--kernel``/``--faults``/``--seed`` default to None (each command
@@ -37,7 +37,7 @@ def _common_parser() -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group(
-        "common options (uniform across run, simulate, sweep, bench run)"
+        "common options (uniform across run, simulate, sweep)"
     )
     group.add_argument(
         "--kernel", choices=kernel_names(), default=None,
@@ -285,13 +285,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="performance benchmarks: fixed scenarios, canonical "
-        "BENCH_<scenario>.json reports, regression comparison",
+        help="kernel speedup baselines: batch vs reference on pinned "
+        "scenarios, BENCH_<scenario>.json reports, paired regression gate",
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_run = bench_sub.add_parser(
-        "run", parents=[common],
-        help="benchmark scenarios and write BENCH_<scenario>.json",
+        "run", help="benchmark scenarios and write BENCH_<scenario>.json",
     )
     bench_run.add_argument(
         "--scenario", action="append", default=None, metavar="NAME",
@@ -299,11 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_run.add_argument(
         "--repeats", type=int, default=None,
-        help="timed repetitions per variant (default: per scenario)",
+        help="timed reference/batch pairs (default: 10)",
     )
     bench_run.add_argument(
         "--warmup", type=int, default=None,
-        help="untimed warmup calls per variant (default: per scenario)",
+        help="untimed warmup calls per kernel (default: 1)",
     )
     bench_run.add_argument(
         "--out-dir", default=".",
@@ -312,15 +311,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_compare = bench_sub.add_parser(
         "compare",
-        help="diff two bench reports; non-zero exit on median regression",
+        help="gate a bench report on its baseline; exit 1 when the p90 "
+        "paired speedup falls below the baseline's p10 or a median "
+        "exceeds 3x its baseline",
     )
     bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
     bench_compare.add_argument("current", help="current BENCH_*.json")
-    bench_compare.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="fail when current/baseline median exceeds 1+threshold "
-        "(default 0.25 = 25%% slower)",
-    )
     bench_sub.add_parser("list", help="list registered bench scenarios")
 
     trace_cmd = sub.add_parser(
@@ -1215,21 +1211,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         bench_filename,
         compare_reports,
         get_scenario,
-        regressions,
-        render_comparison,
         run_scenario,
         scenario_names,
     )
 
     if args.bench_command == "list":
         for name in scenario_names():
-            scenario = get_scenario(name)
-            kernels = ", ".join(scenario.kernels)
-            print(f"{name:18s} [{kernels}] {scenario.description}")
+            print(f"{name:16s} {get_scenario(name).description}")
         return 0
     if args.bench_command == "run":
-        import dataclasses
-
         names = args.scenario or scenario_names()
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -1238,53 +1228,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.seed is not None:
-            print("note: --seed is ignored by 'bench run' (scenario seeds "
-                  "are pinned for comparability)", file=sys.stderr)
-        if args.kernel is not None:
-            # Restrict each scenario to the requested kernel variant
-            # rather than setting an ambient override, which would run
-            # every variant on one kernel but label them differently.
-            scenarios = [
-                dataclasses.replace(scenario, kernels=(args.kernel,))
-                for scenario in scenarios
-                if args.kernel in scenario.kernels
-            ]
-            if not scenarios:
-                print(f"error: none of the selected scenarios has a "
-                      f"{args.kernel!r} variant", file=sys.stderr)
-                return 2
-        plan = None
-        if args.faults is not None:
-            plan = _load_fault_plan(args.faults)
-            if plan is None:
-                return 2
-        session = _trace_session(args, "bench")
-        if plan is not None or session is not None:
-            print("note: fault injection and tracing perturb timings; do "
-                  "not compare this report against committed baselines",
-                  file=sys.stderr)
-        from repro.api import UNSET, RunContext
-
-        context = RunContext(
-            fault_plan=plan if plan is not None else UNSET,
-            trace=session if session is not None else UNSET,
-        )
-        with context:
-            for scenario in scenarios:
-                report = run_scenario(
-                    scenario, repeats=args.repeats, warmup=args.warmup
-                )
-                path = report.write(out_dir / bench_filename(scenario.name))
-                print(report.render())
-                print(f"  report written to {path}\n")
-        _export_trace(session, args)
+        for scenario in scenarios:
+            report = run_scenario(
+                scenario, repeats=args.repeats, warmup=args.warmup
+            )
+            path = report.write(out_dir / bench_filename(scenario.name))
+            print(report.render())
+            print(f"  report written to {path}\n")
         return 0
     if args.bench_command == "compare":
         try:
-            baseline = BenchReport.load(args.baseline)
-            current = BenchReport.load(args.current)
-            rows = compare_reports(baseline, current, threshold=args.threshold)
+            comparison = compare_reports(
+                BenchReport.load(args.baseline), BenchReport.load(args.current)
+            )
         except FileNotFoundError as exc:
             missing = exc.filename or str(exc)
             print(f"error: no baseline report at {missing}; run "
@@ -1293,19 +1249,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(render_comparison(rows))
-        from repro.bench import missing_baseline_variants
-
-        unbaselined = missing_baseline_variants(baseline, current)
-        if unbaselined:
-            print(f"note: no baseline for variant(s) "
-                  f"{', '.join(unbaselined)}; refresh the committed "
-                  f"baseline with `repro bench run` to start tracking "
-                  f"them", file=sys.stderr)
-        regressed = regressions(rows)
-        if regressed:
-            print(f"\n{len(regressed)} variant(s) regressed beyond "
-                  f"{args.threshold:.0%}")
+        print(comparison.render())
+        if comparison.regressed:
+            print(f"\n{comparison.scenario} regressed")
             return 1
         print("\nno regressions")
         return 0

@@ -5,7 +5,8 @@ it holds (at most) a :class:`TrialTrace` and calls :meth:`span` /
 :meth:`instant` on it.  Every call site is guarded by ``if trace is
 not None`` so an untraced run pays exactly one attribute load and
 branch per *potential* emission -- the zero-overhead-when-off
-contract enforced by the bench-smoke comparison.
+contract; the repository benchmark's ``trace_overhead`` measures what
+tracing costs when on.
 
 A :class:`TraceSession` owns the trials of one observed scope (one
 ``RunContext(trace=...)``): each :class:`MergeTrial` that starts while

@@ -261,9 +261,11 @@ def write_trace(session, path: Union[str, Path]) -> str:
     """Write the session in the format implied by ``path``'s suffix.
 
     ``.jsonl`` -> JSONL event log; anything else -> Chrome trace JSON.
-    Returns the format written (``"jsonl"`` or ``"chrome"``).
+    Missing parent directories are created.  Returns the format written
+    (``"jsonl"`` or ``"chrome"``).
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix == ".jsonl":
         write_jsonl(session, path)
         return "jsonl"

@@ -158,8 +158,7 @@ class KernelSpec:
             Factories are deliberately lazy callables so registering a
             kernel never imports its implementation module — that keeps
             this registry import-light and cycle-free.
-        description: one-line summary shown by ``repro bench list`` and
-            the docs.
+        description: one-line summary for listings and the docs.
         batch_runner: optional zero-argument loader returning a *batch
             runner* — ``runner(config, seeds, ...) ->
             list[MergeMetrics]`` executing many seeded trials of one

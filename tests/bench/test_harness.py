@@ -1,11 +1,14 @@
 """The measurement harness: timing, percentiles, report schema."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
+    KERNELS,
+    REPEATS,
     BenchReport,
     BenchScenario,
     bench_filename,
@@ -43,17 +46,22 @@ def test_percentile_rejects_bad_input():
 
 def test_measure_counts_calls():
     calls = []
-    measurement = measure(lambda: calls.append(1), repeats=4, warmup=2)
-    assert len(calls) == 6
-    assert len(measurement.samples_ns) == 4
-    assert measurement.p10_ns <= measurement.median_ns <= measurement.p90_ns
+    samples = measure(
+        {"a": lambda: calls.append("a"), "b": lambda: calls.append("b")},
+        repeats=4,
+        warmup=2,
+    )
+    assert calls == ["a", "b"] * 2 + ["a", "b", "b", "a"] * 2
+    assert {name: len(times) for name, times in samples.items()} == {
+        "a": 4, "b": 4
+    }
 
 
 def test_measure_rejects_bad_repeats():
     with pytest.raises(ValueError):
-        measure(lambda: None, repeats=0)
+        measure({"a": lambda: None}, repeats=0)
     with pytest.raises(ValueError):
-        measure(lambda: None, warmup=-1)
+        measure({"a": lambda: None}, warmup=-1)
 
 
 def _tiny_scenario() -> BenchScenario:
@@ -62,26 +70,22 @@ def _tiny_scenario() -> BenchScenario:
         description="a trivial workload for harness tests",
         workload_events=100,
         build=lambda kernel: (lambda: sum(range(500))),
-        repeats=3,
-        warmup=1,
     )
 
 
 def test_run_scenario_produces_valid_report(tmp_path):
-    report = run_scenario(_tiny_scenario())
+    report = run_scenario(_tiny_scenario(), repeats=3, warmup=1)
     data = report.to_dict()
     assert validate_report(data) == []
     assert data["schema_version"] == BENCH_SCHEMA_VERSION
-    # The default kernel list comes from the registry, so the harness
-    # measures every registered kernel.
-    assert set(data["variants"]) == {"reference", "batch"}
-    variants = report.variants
-    assert report.speedup == (
-        variants["reference"].median_ns / variants["batch"].median_ns
-    )
+    assert set(data["variants"]) == set(KERNELS)
+    reference = report.variants["reference"].samples_ns
+    batch = report.variants["batch"].samples_ns
+    assert report.ratios == [r / b for r, b in zip(reference, batch)]
+    assert report.speedup == sorted(report.ratios)[1]
+    assert report.peak_rss_kb > 0
     for variant in report.variants.values():
         assert variant.events_per_sec > 0
-        assert variant.peak_rss_kb > 0
         assert len(variant.samples_ns) == 3
     path = report.write(tmp_path / bench_filename(report.scenario))
     assert path.name == "BENCH_unit-tiny.json"
@@ -90,13 +94,13 @@ def test_run_scenario_produces_valid_report(tmp_path):
 
 
 def test_report_render_mentions_speedup():
-    text = run_scenario(_tiny_scenario()).render()
+    text = run_scenario(_tiny_scenario(), repeats=3).render()
     assert "unit-tiny" in text
     assert "speedup" in text
 
 
 def test_validate_report_flags_corruption(tmp_path):
-    report = run_scenario(_tiny_scenario())
+    report = run_scenario(_tiny_scenario(), repeats=3)
     data = report.to_dict()
 
     missing = dict(data)
@@ -111,6 +115,10 @@ def test_validate_report_flags_corruption(tmp_path):
     del bad_variant["variants"]["batch"]["median_ns"]
     assert any("median_ns" in e for e in validate_report(bad_variant))
 
+    unpaired = json.loads(json.dumps(data))
+    unpaired["variants"]["batch"]["samples_ns"].pop()
+    assert any("expected repeats=3" in e for e in validate_report(unpaired))
+
     assert validate_report([1, 2, 3])  # not even an object
 
     with pytest.raises(ValueError, match="invalid bench report"):
@@ -118,15 +126,28 @@ def test_validate_report_flags_corruption(tmp_path):
 
 
 def test_registered_scenarios_are_well_formed():
-    names = scenario_names()
-    assert "merge-d5" in names
-    assert "smoke-d2" in names
-    for name in names:
+    assert scenario_names() == [
+        "merge-d5", "merge-faults-d5", "smoke-d2", "sweep-batch"
+    ]
+    for name in scenario_names():
         scenario = get_scenario(name)
         assert scenario.workload_events > 0
-        assert scenario.repeats >= 1
-        for kernel in scenario.kernels:
+        for kernel in KERNELS:
             assert callable(scenario.build(kernel))
+
+
+def test_committed_baselines_cover_the_registry():
+    """One schema-valid baseline per scenario, recorded with at least
+    REPEATS pairs on the interpreter CI compares on."""
+    root = Path(__file__).resolve().parents[2]
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert [bench_filename(name) for name in scenario_names()] == [
+        path.name for path in paths
+    ]
+    for path in paths:
+        report = BenchReport.load(path)
+        assert report.repeats >= REPEATS
+        assert report.provenance["python"].startswith("3.11.")
 
 
 def test_unknown_scenario_rejected():
@@ -138,7 +159,7 @@ def test_smoke_scenario_runs_and_matches_across_kernels():
     """The CI smoke scenario really exercises both kernels on one
     workload — and their simulation results agree."""
     scenario = get_scenario("smoke-d2")
-    results = {kernel: scenario.build(kernel)() for kernel in scenario.kernels}
+    results = {kernel: scenario.build(kernel)() for kernel in KERNELS}
     reference = results["reference"]
     batched = results["batch"]
     assert [t.to_dict() for t in batched.trials] == [

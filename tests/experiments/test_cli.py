@@ -202,7 +202,7 @@ def test_run_replays_bench_scenario_with_trace(tmp_path, capsys):
 
 
 def test_run_rejects_composite_scenario(capsys):
-    assert main(["run", "sweep-small"]) == 1
+    assert main(["run", "sweep-batch"]) == 1
     err = capsys.readouterr().err
     assert "cannot be replayed" in err
 
@@ -224,7 +224,6 @@ def test_kernel_flag_is_uniform_across_commands():
         ["run", "tab-seek", "--kernel", "batch"],
         ["simulate", "-k", "4", "-D", "2", "--kernel", "batch"],
         ["sweep", "-k", "4", "-D", "2", "--kernel", "batch"],
-        ["bench", "run", "--kernel", "batch"],
     ):
         args = parser.parse_args(command)
         assert args.kernel == "batch"

@@ -129,7 +129,7 @@ def test_jsonl_event_lines_reference_their_trial():
 
 def test_write_trace_dispatches_on_suffix(tmp_path, traced_session):
     chrome_path = tmp_path / "trace.json"
-    jsonl_path = tmp_path / "trace.jsonl"
+    jsonl_path = tmp_path / "new" / "dir" / "trace.jsonl"
     assert write_trace(traced_session, chrome_path) == "chrome"
     assert write_trace(traced_session, jsonl_path) == "jsonl"
     assert validate_chrome_trace_file(chrome_path) == []

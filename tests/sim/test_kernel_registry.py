@@ -1,8 +1,7 @@
 """The kernel registry: the single source of truth for the kernel axis.
 
-``SimulationConfig.kernel`` validation, ``create_kernel``, the CLI
-``--kernel`` choices and the bench scenario variants all read the
-:mod:`repro.sim.kernel` registry, so registering a kernel in one place
+``SimulationConfig.kernel`` validation, ``create_kernel`` and the CLI
+``--kernel`` choices all read the :mod:`repro.sim.kernel` registry, so registering a kernel in one place
 makes it available everywhere — and *un*known names fail with the same
 actionable message everywhere.
 """

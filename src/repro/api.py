@@ -1,17 +1,14 @@
 """The run API: ambient run options plus the batch trial entry point.
 
-Historically the repo grew three parallel ambient mechanisms, each a
-module global plus a setter plus a context manager in
-:mod:`repro.core.simulator`:
+:class:`RunContext` is the one surface for the ambient run options:
 
-* ``simulation_backend`` — route :meth:`MergeSimulation.run` through
-  the sweep engine's cache and worker pool,
-* ``fault_plan_override`` — subject plan-free configs to a fault
-  schedule,
-* ``kernel_override`` — execute on a named (result-equivalent) kernel.
+* ``backend`` — route :meth:`MergeSimulation.run` through the sweep
+  engine's cache and worker pool,
+* ``fault_plan`` — subject plan-free configs to a fault schedule,
+* ``kernel`` — execute on a named (result-equivalent) kernel,
+* ``trace`` — collect a structured trace.
 
-:class:`RunContext` composes all three, plus tracing, behind a single
-scope::
+All four sit behind a single scope::
 
     from repro.api import configure
 
@@ -24,12 +21,14 @@ an explicit ``None`` (clear for this scope), so contexts nest the way
 lexical scopes do.
 
 :func:`run_trials` is the one trial-execution path: it applies the
-ambient options and dispatches whole batches to kernels that register a
-batch runner (the ``batch`` tier).  Runaway protection is not its job:
-every trial carries a deterministic event budget
+ambient options and hands whole batches of ``kernel="batch"`` trials
+to the flattened interpreter (:func:`repro.sim.batch.run_trial_batch`).
+Runaway protection is not its job: every trial carries a
+deterministic event budget
 (:attr:`~repro.core.parameters.SimulationConfig.event_budget`) that the
 kernels enforce themselves, raising
-:class:`~repro.sim.kernel.TrialBudgetExceeded` on any thread.  ``MergeSimulation.run_trial``/``run``, the sweep engine's
+:class:`~repro.sim.kernel.TrialBudgetExceeded` on any thread.
+``MergeSimulation.run_trial``/``run``, the sweep engine's
 :func:`~repro.sweep.worker.execute_job`, and through it the serve and
 dist workers are all thin wrappers over it.
 
@@ -76,8 +75,8 @@ UNSET = _Unset()
 #: The ambient option names, in the order RunContext accepts them.
 _FIELDS = ("backend", "fault_plan", "kernel", "trace")
 
-#: Ambient state shared by every RunContext (module-level, like the
-#: three globals it replaces).  Values are ``None`` when inactive.
+#: Ambient state shared by every RunContext (module-level).  Values are
+#: ``None`` when inactive.
 _state: dict[str, Any] = {name: None for name in _FIELDS}
 
 
@@ -124,20 +123,6 @@ def _set(name: str, value: Any) -> Any:
     previous = _state[name]
     _state[name] = value
     return previous
-
-
-def set_option(name: str, value: Any) -> Any:
-    """Unscoped install of one ambient option; returns the previous value.
-
-    Prefer :class:`RunContext` — this exists for embedders that need
-    set-and-return-previous semantics without a lexical scope (e.g.
-    per-task option juggling in async servers).
-    """
-    if name not in _FIELDS:
-        raise ValueError(
-            f"unknown run option {name!r} (known: {', '.join(_FIELDS)})"
-        )
-    return _set(name, value)
 
 
 class RunContext:
@@ -268,12 +253,13 @@ def run_trials(
     * **obs emission** — with an ambient trace session installed,
       trials run per-trial on their event kernel so the trace stays
       complete (the flattened batch tier emits no trace);
-    * **batch dispatch** — trials whose effective kernel registers a
-      batch runner (``kernel="batch"``) are grouped by config and
-      handed to it wholesale; the runner masks out trials it cannot
-      execute natively and falls back to the reference kernel for
-      them.  Traced and depletion-source trials run on the reference
-      kernel, tallied in :func:`repro.sim.batch.fallback_counts`.
+    * **batch dispatch** — trials whose effective kernel is ``batch``
+      are grouped by config and handed wholesale to
+      :func:`repro.sim.batch.run_trial_batch`, which falls back to the
+      reference kernel for the trials it cannot execute natively.
+      Traced and depletion-source trials run on the reference kernel,
+      tallied in :func:`repro.sim.batch.fallback_counts`;
+      ``kernel="reference"`` trials run one by one.
 
     Keyword-only by design: new execution capabilities land here, not
     on the thin ``simulate_merge``/``run_trial`` wrappers.
@@ -281,7 +267,6 @@ def run_trials(
     # Lazy core imports: this module must stay import-light (the core
     # modules read ambient state from here at import time).
     from repro.core.merge_sim import MergeTrial
-    from repro.sim.kernel import get_kernel
 
     n = len(configs)
     if trials is None:
@@ -302,12 +287,12 @@ def run_trials(
     results: list[Optional["MergeMetrics"]] = [None] * n
     tracing = current_trace() is not None
 
-    # Group batchable trials by (identical) config; everything else
-    # runs per-trial on its event kernel.
+    # Group batch-kernel trials by (identical) config; everything else
+    # runs per-trial on the event kernel.
     serial: list[int] = []
     groups: list[tuple["SimulationConfig", list[int]]] = []
     for i, config in enumerate(effective):
-        if get_kernel(config.kernel).batch_runner is None:
+        if config.kernel != "batch":
             serial.append(i)
             continue
         if tracing or depletion_sources[i] is not None:
@@ -323,12 +308,16 @@ def run_trials(
         else:
             groups.append((config, [i]))
 
-    for config, members in groups:
-        runner = get_kernel(config.kernel).batch_runner()
-        seeds = [config.base_seed + trials[i] for i in members]
-        batch = runner(config, seeds)
-        for i, metrics in zip(members, batch):
-            results[i] = metrics
+    if groups:
+        # Imported per call, never at module top: repro.sim.batch
+        # imports repro.core, which imports this module.
+        from repro.sim.batch import run_trial_batch
+
+        for config, members in groups:
+            seeds = [config.base_seed + trials[i] for i in members]
+            batch = run_trial_batch(config, seeds)
+            for i, metrics in zip(members, batch):
+                results[i] = metrics
 
     for i in serial:
         config = effective[i]

@@ -39,11 +39,10 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
+from repro.sim.kernel import KERNELS
+
 #: Bump whenever the BENCH_*.json layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 2
-
-#: The two variants of every report: the oracle and the execution path.
-KERNELS = ("reference", "batch")
 
 #: Default timed rounds (pairs) and untimed warmup calls per kernel.
 REPEATS = 10

@@ -35,7 +35,7 @@ from repro.disks.request import BlockFetchRequest, FetchKind
 from repro.faults.injector import FaultInjector
 from repro.obs.events import EventKind
 from repro.sim.events import AllOf, AnyOf, Event
-from repro.sim.kernel import create_kernel
+from repro.sim.kernel import Simulator
 from repro.sim.random_streams import RandomStreams
 
 #: A depletion source yields the run to deplete next, given the list of
@@ -54,7 +54,7 @@ class MergeTrial:
     ) -> None:
         self.config = config
         self.seed = seed
-        self.sim = create_kernel(config.kernel)
+        self.sim = Simulator()
         # Tracing is ambient (RunContext), never part of the config:
         # the trace can't perturb results or sweep cache keys.  With no
         # session installed, ``self.trace`` stays None and every hook

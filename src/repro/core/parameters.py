@@ -20,7 +20,7 @@ from typing import Optional
 from repro.disks.drive import QueueDiscipline
 from repro.disks.geometry import PAPER_GEOMETRY, DiskGeometry
 from repro.faults.plan import FaultPlan
-from repro.sim.kernel import get_kernel
+from repro.sim.kernel import KERNELS
 
 
 @dataclass(frozen=True)
@@ -168,17 +168,16 @@ class SimulationConfig:
             resilience policy responding to it (see
             :mod:`repro.faults`).  ``None`` -- and an *empty* plan --
             reproduce the paper's perfectly reliable disks exactly.
-        kernel: which simulation kernel runs the trial.  Any name in
-            the :mod:`repro.sim.kernel` registry is accepted; the
-            built-ins are ``"batch"`` (the default: the flattened
-            whole-batch interpreter, see :mod:`repro.sim.batch`,
-            dispatched through :func:`repro.api.run_trials`, falling
-            back per trial to the event loop for configs it cannot run
-            natively) and ``"reference"`` (the readable event loop, the
-            opt-in bit-identity oracle).  Every registered kernel
-            produces bit-identical metrics, so the choice affects wall
-            time only; it is deliberately excluded from cache keys and
-            from :meth:`describe`.
+        kernel: which simulation kernel runs the trial, one of
+            :data:`repro.sim.kernel.KERNELS`: ``"batch"`` (the default:
+            the flattened whole-batch interpreter, see
+            :mod:`repro.sim.batch`, dispatched through
+            :func:`repro.api.run_trials`, falling back per trial to the
+            event loop for configs it cannot run natively) or
+            ``"reference"`` (the readable event loop, the opt-in
+            bit-identity oracle).  Both produce bit-identical metrics,
+            so the choice affects wall time only; it is deliberately
+            excluded from cache keys and from :meth:`describe`.
     """
 
     num_runs: int
@@ -204,9 +203,11 @@ class SimulationConfig:
     kernel: str = "batch"
 
     def __post_init__(self) -> None:
-        # Registry lookup raises the canonical "unknown simulation
-        # kernel ...: choose one of ..." ValueError for bad names.
-        get_kernel(self.kernel)
+        if self.kernel not in KERNELS:
+            raise ValueError(
+                f"unknown simulation kernel {self.kernel!r}: "
+                f"choose one of {', '.join(sorted(KERNELS))}"
+            )
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
         if self.num_disks < 1:

@@ -75,8 +75,8 @@ class MergeSimulation:
 
         Delegates to the ambient simulation backend, if any (see
         ``repro.api.RunContext(backend=...)``); otherwise the trials
-        run as one :func:`repro.api.run_trials` batch (so a ``batch``
-        kernel executes them through its batch runner) and aggregate
+        run as one :func:`repro.api.run_trials` batch (on the ``batch``
+        kernel, one flattened-interpreter call) and aggregate
         in trial order.
         """
         backend = api.current_backend()

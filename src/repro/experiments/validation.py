@@ -4,7 +4,7 @@ EXPERIMENTS.md narrates paper-vs-measured; this module *checks* it.
 :data:`PAPER_EXPECTATIONS` is the machine-readable list of every value
 the paper prints, each tied to a simulation configuration and a
 tolerance; :func:`validate` runs them and returns verdicts.  The CLI
-exposes this as ``python -m repro validate`` (full scale, ~3 minutes)
+exposes this as ``python -m repro validate`` (full scale, ~7 s)
 so the headline claim of this repository is one command to audit.
 """
 

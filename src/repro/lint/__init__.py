@@ -4,9 +4,9 @@ A zero-dependency (stdlib :mod:`ast`) analysis suite that mechanically
 checks what PRs 1–3 enforced only by convention and tests-after-the-
 fact: simulation determinism (RPR001), hot-path slotting (RPR002),
 cache-key schema completeness (RPR003), serialization symmetry
-(RPR004), supporting hygiene rules (RPR005–RPR008), and deprecated
-override shims (RPR009).  See
-``docs/LINT.md`` for the full rule catalogue and workflow.
+(RPR004), supporting hygiene rules (RPR005–RPR008), and the
+cross-file rules (RPR010–RPR013).  See ``docs/LINT.md`` for the full
+rule catalogue and workflow.
 
 Programmatic use::
 

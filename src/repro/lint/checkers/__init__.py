@@ -16,9 +16,6 @@ RPR005    iterating a set in event-ordering code is replay-hazardous
 RPR006    bare / swallowed / unjustified-broad exception handlers
 RPR007    mutable default arguments
 RPR008    ``print()`` without an explicit stream outside the CLI
-RPR009    deprecated override shims (``kernel_override`` & co.)
-          used outside their shim module — use
-          ``repro.api.RunContext``/``configure`` in-repo
 RPR010    layering: the declared layer DAG (pyproject
           ``[tool.repro-lint.layers]``) forbids upward and cyclic
           imports — cross-file, runs on the project model
@@ -32,7 +29,6 @@ RPR013    unawaited coroutine / fire-and-forget ``create_task``
 
 from repro.lint.checkers import (  # noqa: F401  (register rules on import)
     concurrency,
-    deprecated,
     determinism,
     hygiene,
     layering,

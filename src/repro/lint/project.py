@@ -1,6 +1,6 @@
 """Pass 1 of the project-wide analyzer: the whole-repo model.
 
-The per-file rules (RPR001-RPR009) see one module at a time.  The
+The per-file rules (RPR001-RPR008) see one module at a time.  The
 cross-file rules added for the concurrent subsystems (layering,
 blocking-in-async, lock discipline, unawaited coroutines) need to know
 how modules relate: who imports whom, which functions call which, what

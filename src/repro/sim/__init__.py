@@ -16,24 +16,18 @@ Public surface:
 * :class:`Store` -- an unbounded/bounded FIFO channel between processes.
 * :class:`Resource` -- a counting semaphore with FIFO queueing.
 * :class:`RandomStreams` -- named, independently seeded RNG streams.
-* :class:`KernelSpec`, :func:`register_kernel`,
-  :func:`available_kernels`, :func:`kernel_names`, :func:`get_kernel`,
-  :func:`create_kernel` -- the kernel registry every execution tier
-  (reference, batch, plug-ins) is selected through.
+* :data:`KERNELS` -- the kernel names a config may choose:
+  ``reference`` (this event loop) and ``batch`` (the default, which
+  :func:`repro.api.run_trials` hands to the flattened interpreter in
+  :mod:`repro.sim.batch`).
 """
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import (
-    KernelSpec,
+    KERNELS,
     SimulationError,
     Simulator,
     TrialBudgetExceeded,
-    available_kernels,
-    create_kernel,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-    unregister_kernel,
 )
 from repro.sim.process import Process, ProcessFailure
 from repro.sim.random_streams import RandomStreams
@@ -43,7 +37,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "KernelSpec",
+    "KERNELS",
     "Process",
     "ProcessFailure",
     "RandomStreams",
@@ -53,10 +47,4 @@ __all__ = [
     "Store",
     "Timeout",
     "TrialBudgetExceeded",
-    "available_kernels",
-    "create_kernel",
-    "get_kernel",
-    "kernel_names",
-    "register_kernel",
-    "unregister_kernel",
 ]

@@ -889,8 +889,8 @@ def _fallback_trial(config: SimulationConfig, seed: int) -> MergeMetrics:
     """Run one seed on the reference kernel (the always-correct path)."""
     from repro.core.merge_sim import MergeTrial
 
-    # config.kernel == "batch" resolves to the reference Simulator
-    # through the registry factory.
+    # MergeTrial always runs on the reference Simulator, whatever
+    # config.kernel names.
     return MergeTrial(config, seed=seed).run()
 
 
@@ -906,7 +906,7 @@ def fallback_counts() -> dict[str, int]:
     :class:`~repro.sim.kernel.TrialBudgetExceeded`).  ``"traced"`` (an
     ambient trace session) and ``"depletion-source"`` (a caller's
     depletion order) count trials :func:`repro.api.run_trials` keeps
-    off the batch runner, since both need the event kernel.  ``repro
+    off the interpreter, since both need the event kernel.  ``repro
     serve`` publishes the tally as ``batch_fallback_trials{reason=...}``
     gauges on ``/v1/metricz``.
     """
@@ -926,15 +926,15 @@ def run_trial_batch(
 ) -> list[MergeMetrics]:
     """Execute ``seeds`` trials of ``config``; the batch kernel's entry.
 
-    Registered as the ``batch`` kernel's batch runner (see
-    :mod:`repro.sim.kernel`); callers go through
-    :func:`repro.api.run_trials`, never here directly.  Trials the
-    flattened interpreter cannot execute natively — an unsupported
-    config, a runtime :class:`BatchDivergence`, a terminal fault, or an
-    exhausted event budget — fall back to the reference kernel; once
-    the batch's native success rate drops below :data:`EFFICIENCY_FLOOR`
-    the remaining trials skip the interpreter.  Every fallback is
-    tallied in :func:`fallback_counts`.
+    :func:`repro.api.run_trials` calls it for every group of
+    ``kernel="batch"`` trials; other callers go through ``run_trials``,
+    never here directly.  Trials the flattened interpreter cannot
+    execute natively — an unsupported config, a runtime
+    :class:`BatchDivergence`, a terminal fault, or an exhausted event
+    budget — fall back to the reference kernel; once the batch's native
+    success rate drops below :data:`EFFICIENCY_FLOOR` the remaining
+    trials skip the interpreter.  Every fallback is tallied in
+    :func:`fallback_counts`.
     """
     reason = unsupported_reason(config)
     if reason is not None:

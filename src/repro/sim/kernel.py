@@ -13,18 +13,11 @@ streams produce identical trajectories.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.metrics import MergeMetrics
-    from repro.core.parameters import SimulationConfig
     from repro.sim.events import Event, Timeout
     from repro.sim.process import Process
-
-    #: A batch runner executes many seeded trials of one configuration
-    #: and returns their metrics in seed order.
-    BatchRunner = Callable[..., "list[MergeMetrics]"]
 
 
 class SimulationError(RuntimeError):
@@ -143,138 +136,9 @@ class Simulator:
         return self._now
 
 
-# ----------------------------------------------------------------------
-# Kernel registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class KernelSpec:
-    """One registered execution kernel.
-
-    Attributes:
-        name: the identifier accepted by ``SimulationConfig.kernel``
-            and the CLI ``--kernel`` flag.
-        factory: zero-argument callable returning a fresh
-            :class:`Simulator` (or drop-in subclass) for one trial.
-            Factories are deliberately lazy callables so registering a
-            kernel never imports its implementation module — that keeps
-            this registry import-light and cycle-free.
-        description: one-line summary for listings and the docs.
-        batch_runner: optional zero-argument loader returning a *batch
-            runner* — ``runner(config, seeds, ...) ->
-            list[MergeMetrics]`` executing many seeded trials of one
-            configuration at once.  ``repro.api.run_trials`` routes
-            whole trial batches through it when present; kernels
-            without one run trial-at-a-time through ``factory``.
-    """
-
-    name: str
-    factory: Callable[[], "Simulator"]
-    description: str = ""
-    batch_runner: Optional[Callable[[], "BatchRunner"]] = None
-
-
-#: The process-wide kernel registry, keyed by spec name.
-_REGISTRY: dict[str, KernelSpec] = {}
-
-
-def register_kernel(spec: KernelSpec, *, replace: bool = False) -> KernelSpec:
-    """Register ``spec``; returns it for chaining.
-
-    Raises:
-        ValueError: when ``spec.name`` is already registered and
-            ``replace`` is False, or the name is empty.
-    """
-    if not spec.name:
-        raise ValueError("kernel name must be non-empty")
-    if spec.name in _REGISTRY and not replace:
-        raise ValueError(
-            f"kernel {spec.name!r} is already registered; pass "
-            "replace=True to override it"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister_kernel(name: str) -> KernelSpec:
-    """Remove and return a registered spec (mainly for test teardown).
-
-    Raises:
-        ValueError: for unregistered names.
-    """
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise ValueError(f"kernel {name!r} is not registered") from None
-
-
-def available_kernels() -> Sequence[KernelSpec]:
-    """Every registered kernel spec, sorted by name."""
-    return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
-
-
-def kernel_names() -> list[str]:
-    """The registered kernel names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def get_kernel(name: str) -> KernelSpec:
-    """Look up the spec registered under ``name``.
-
-    Raises:
-        ValueError: for unregistered names, listing the valid choices.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown simulation kernel {name!r}: "
-            f"choose one of {', '.join(kernel_names())}"
-        ) from None
-
-
-def create_kernel(name: str) -> "Simulator":
-    """Instantiate the kernel registered under ``name``.
-
-    Raises:
-        ValueError: for unregistered names, listing the valid choices.
-    """
-    return get_kernel(name).factory()
-
-
-# -- built-in kernels ---------------------------------------------------
-#
-# The batch tier's runner is loaded lazily: looking it up (config
-# validation, CLI choices) never imports repro.sim.batch, which would
-# otherwise cycle through repro.core.
-
-
-def _load_batch_runner() -> "BatchRunner":
-    from repro.sim.batch import run_trial_batch
-
-    return run_trial_batch
-
-
-register_kernel(
-    KernelSpec(
-        name="reference",
-        factory=Simulator,
-        description=(
-            "the readable event loop: binary-heap scheduler, generator "
-            "processes (the opt-in bit-identity oracle)"
-        ),
-    )
-)
-register_kernel(
-    KernelSpec(
-        name="batch",
-        factory=Simulator,
-        description=(
-            "the default: flattened lockstep interpreter for whole "
-            "trial batches, batches of one included "
-            "(repro.api.run_trials); unsupported configs fall back per "
-            "trial to the reference kernel, counted in "
-            "repro.sim.batch.fallback_counts()"
-        ),
-        batch_runner=_load_batch_runner,
-    )
-)
+#: The simulation kernels ``SimulationConfig.kernel`` accepts.  Both run
+#: trials on :class:`Simulator`; ``batch`` (the default) first hands
+#: whole trial batches to the flattened interpreter in
+#: :mod:`repro.sim.batch` (see :func:`repro.api.run_trials`), while
+#: ``reference`` is the readable event loop, the bit-identity oracle.
+KERNELS = ("reference", "batch")

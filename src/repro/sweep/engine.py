@@ -37,7 +37,6 @@ from repro.sweep.progress import (
     ProgressListener,
     SweepStats,
 )
-from repro.sim.kernel import get_kernel
 from repro.sweep.spec import SweepJob, SweepSpec, jobs_for_config
 from repro.sweep.store import CampaignManifest, ResultStore
 from repro.sweep.worker import execute_batch, execute_job
@@ -112,14 +111,6 @@ class SweepResult:
                 for failure in data["failures"]
             ],
         )
-
-
-def _batchable(config: SimulationConfig) -> bool:
-    """Does ``config``'s kernel execute whole trial groups at once?"""
-    try:
-        return get_kernel(config.kernel).batch_runner is not None
-    except ValueError:  # unregistered kernel: let the per-job path report it
-        return False
 
 
 class SweepEngine:
@@ -274,9 +265,10 @@ class SweepEngine:
 
     def _run_inline(self, pending, complete, fail, stats: SweepStats) -> None:
         for group in self._cell_groups(pending):
-            if len(group) > 1 and _batchable(group[0].config):
-                # One worker call per cell: a batch-capable kernel runs
-                # the whole trial group through its flattened runner.
+            if len(group) > 1:
+                # One worker call per cell: run_trials decides how the
+                # cell's trials execute (batch kernel: one interpreter
+                # batch; reference: trial by trial).
                 try:
                     payload = {
                         "config": config_to_dict(group[0].config),

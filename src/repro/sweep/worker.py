@@ -5,8 +5,8 @@
 serialized form, runs exactly one seeded trial through
 :func:`repro.api.run_trials`, and hands the metrics back as a JSON-able
 dict.  ``execute_batch`` is its many-trials sibling: one config, many
-trial indices, one ``run_trials`` call — which lets a ``batch`` kernel
-execute the whole group through its flattened batch runner.
+trial indices, one ``run_trials`` call — which runs a ``batch``-kernel
+group through the flattened interpreter in one go.
 
 Runaway protection is the trial's own event budget
 (:attr:`~repro.core.parameters.SimulationConfig.event_budget`), checked
@@ -43,8 +43,8 @@ def execute_batch(payload: dict) -> list[dict]:
     """Run many trials of one config; returns one result dict per trial.
 
     Payload keys: ``config`` (dict) and ``trials`` (list of ints).  The
-    trials execute as a single :func:`repro.api.run_trials` batch — a
-    ``batch`` kernel runs them through its flattened batch runner — and
+    trials execute as a single :func:`repro.api.run_trials` batch — on
+    the ``batch`` kernel, one flattened-interpreter call — and
     results come back in ``trials`` order, shaped exactly like
     :func:`execute_job` results.  ``elapsed_s`` is the batch wall-clock
     split evenly across the trials (individual trials are not timed

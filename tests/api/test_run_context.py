@@ -65,11 +65,6 @@ def test_unknown_option_rejected():
         configure(kern="batch")
 
 
-def test_set_option_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown run option"):
-        api.set_option("kern", "batch")
-
-
 # ------------------------------------------------------- UNSET vs None
 
 
@@ -176,17 +171,17 @@ def test_backend_receives_the_resolved_config():
 
 
 def test_override_shims_are_retired():
-    # The deprecated per-option setters/context managers were removed
-    # once RunContext/configure became the only ambient surface.  Keep
-    # them gone: a reappearance would split ambient state again.
+    # The six per-option setters/context managers were removed once
+    # RunContext/configure became the only ambient surface.  Keep them
+    # gone: a reappearance would split ambient state again.
     from repro.core import simulator
 
     for name in (
-        "set_kernel_override",
-        "kernel_override",
-        "set_backend_override",
-        "backend_override",
+        "set_simulation_backend",
+        "simulation_backend",
         "set_fault_plan_override",
         "fault_plan_override",
+        "set_kernel_override",
+        "kernel_override",
     ):
         assert not hasattr(simulator, name), name

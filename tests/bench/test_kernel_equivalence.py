@@ -31,7 +31,8 @@ from repro.faults.plan import (
     fail_slow_plan,
     transient_plan,
 )
-from repro.sim import Simulator, batch, create_kernel, kernel_names
+from repro.core.merge_sim import MergeTrial
+from repro.sim import KERNELS, Simulator, batch
 
 
 def _outcome(run) -> object:
@@ -49,8 +50,8 @@ def _trial_dict(config: SimulationConfig, kernel: str, trial: int = 0):
     )
 
 
-#: Every registered kernel that is *not* the baseline itself.
-NON_REFERENCE = [name for name in kernel_names() if name != "reference"]
+#: Every kernel that is *not* the baseline itself.
+NON_REFERENCE = [name for name in KERNELS if name != "reference"]
 
 #: Fault plans inside the batch tier's native envelope: transients on
 #: one of five drives, fail-slow, a finite outage, and flapping that
@@ -270,17 +271,25 @@ def test_unknown_kernel_rejected_by_config():
 
 
 def test_unknown_kernel_rejected_by_factory():
-    with pytest.raises(ValueError, match="choose one of batch, reference"):
-        create_kernel("turbo")
+    # An ambient kernel override is validated when run_trials applies it.
+    config = SimulationConfig(num_runs=4, num_disks=1, blocks_per_run=20)
+    with configure(kernel="turbo"):
+        with pytest.raises(
+            ValueError, match="choose one of batch, reference"
+        ):
+            api.run_trials([config])
 
 
 def test_kernel_registry():
-    assert kernel_names() == ["batch", "reference"]
-    # The batch tier's per-trial factory (its fallback path) is the
-    # reference simulator; its batched entry is the flattened runner
-    # (see repro.sim.batch).
-    assert type(create_kernel("batch")) is Simulator
-    assert type(create_kernel("reference")) is Simulator
+    assert KERNELS == ("reference", "batch")
+    # A per-trial run (the batch tier's fallback path included) is on
+    # the reference simulator whatever the kernel; the batched entry is
+    # the flattened runner (see repro.sim.batch).
+    for kernel in KERNELS:
+        config = SimulationConfig(
+            num_runs=4, num_disks=1, blocks_per_run=20, kernel=kernel
+        )
+        assert type(MergeTrial(config, seed=0).sim) is Simulator
 
 
 def test_kernel_context_rewrites_config():

@@ -65,7 +65,7 @@ def test_json_format_is_the_machine_readable_contract(capsys):
     assert payload["stale_baseline_entries"] == []
     assert payload["baseline"] == "lint-baseline.json"
     assert payload["stats"]["files_scanned"] > 20
-    assert payload["stats"]["rules_run"] == 13
+    assert payload["stats"]["rules_run"] == 12
 
 
 def test_no_baseline_exposes_exactly_the_grandfathered_findings(capsys):
@@ -182,7 +182,7 @@ def test_sarif_format_carries_rule_metadata_and_suppressions(capsys):
     run = payload["runs"][0]
     rules = run["tool"]["driver"]["rules"]
     assert [rule["id"] for rule in rules] == [
-        f"RPR{index:03d}" for index in range(1, 14)
+        f"RPR{index:03d}" for index in range(1, 14) if index != 9
     ]
     assert all(rule["fullDescription"]["text"] for rule in rules)
     # The committed tree is clean, so every result is grandfathered and

@@ -101,4 +101,4 @@ def test_findings_come_out_sorted_by_path_then_line(tmp_path):
         ("src/repro/sim/a.py", 3),
         ("src/repro/sim/b.py", 2),
     ]
-    assert report.rules_run == 12  # thirteen registered minus disabled RPR003
+    assert report.rules_run == 11  # twelve registered minus disabled RPR003

@@ -38,8 +38,6 @@ GOLDEN_CASES = [
      "src/repro/mergesort/lint_fixture.py", Severity.ERROR),
     ("RPR008", "rpr008_print.py",
      "src/repro/analysis/lint_fixture.py", Severity.WARNING),
-    ("RPR009", "rpr009_overrides.py",
-     "src/repro/experiments/lint_fixture.py", Severity.ERROR),
 ]
 
 
@@ -190,17 +188,6 @@ def test_scoped_rule_is_silent_outside_its_modules(rule_id, fixture, relpath):
     assert run_rule(rule_id, load_fixture(fixture, relpath)) == []
 
 
-def test_retired_overrides_flagged_even_in_the_old_shim_module():
-    # The shims were deleted from repro.core.simulator, and with them
-    # the carve-out: RPR009 now fires everywhere, shim module included.
-    module = load_fixture(
-        "rpr009_overrides.py", "src/repro/core/simulator.py"
-    )
-    findings = run_rule("RPR009", module)
-    assert findings, "RPR009 must fire inside repro/core/simulator.py too"
-    assert all("retired override shim" in f.message for f in findings)
-
-
 def test_broad_except_needs_retry_scope_but_bare_except_does_not():
     # Outside the broad-except modules the catch-all stops firing while
     # the universal checks (bare except, swallowed failure) remain.
@@ -213,9 +200,10 @@ def test_broad_except_needs_retry_scope_but_bare_except_does_not():
 
 
 def test_registry_covers_all_thirteen_rules_with_stable_ids():
+    # RPR009 (deprecated-overrides) is retired; its id is not reused.
     rules = all_rules()
     assert [rule.rule_id for rule in rules] == [
-        f"RPR{index:03d}" for index in range(1, 14)
+        f"RPR{index:03d}" for index in range(1, 14) if index != 9
     ]
     assert all(rule.rationale for rule in rules)
     assert {rule.scope for rule in rules} == {"file", "project", "model"}

@@ -1,97 +1,72 @@
-"""The kernel registry: the single source of truth for the kernel axis.
+"""The kernel axis: ``KERNELS`` is the single source of truth.
 
-``SimulationConfig.kernel`` validation, ``create_kernel`` and the CLI
-``--kernel`` choices all read the :mod:`repro.sim.kernel` registry, so registering a kernel in one place
-makes it available everywhere — and *un*known names fail with the same
+``SimulationConfig.kernel`` validation, the CLI ``--kernel`` choices
+and the benchmark harness all read :data:`repro.sim.kernel.KERNELS`,
+and :func:`repro.api.run_trials` is the one place that decides which
+trials go to the batch interpreter.  Unknown names fail with the same
 actionable message everywhere.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import api
+from repro.bench import harness
 from repro.core.parameters import SimulationConfig
-from repro.sim import Simulator
-from repro.sim.kernel import (
-    KernelSpec,
-    available_kernels,
-    create_kernel,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-    unregister_kernel,
-)
+from repro.sim import KERNELS, batch
 
-
-@pytest.fixture
-def scratch_kernel():
-    """Register a throwaway kernel; always unregistered on exit."""
-    spec = KernelSpec(
-        name="scratch", factory=Simulator, description="test-only"
-    )
-    register_kernel(spec)
-    yield spec
-    unregister_kernel("scratch")
+SMALL = SimulationConfig(num_runs=4, num_disks=1, blocks_per_run=20)
 
 
 # ------------------------------------------------------------ built-ins
 
 
 def test_builtin_kernels_present():
-    assert kernel_names() == ["batch", "reference"]
+    assert KERNELS == ("reference", "batch")
+    assert harness.KERNELS is KERNELS
 
 
-def test_available_kernels_sorted_specs():
-    specs = available_kernels()
-    assert [spec.name for spec in specs] == kernel_names()
-    assert all(isinstance(spec, KernelSpec) for spec in specs)
-    assert all(spec.description for spec in specs)
+def test_only_batch_kernel_has_a_batch_runner(monkeypatch):
+    seen = []
+    original = batch.run_trial_batch
 
+    def spy(config, seeds):
+        seen.append((config.kernel, list(seeds)))
+        return original(config, seeds)
 
-def test_only_batch_kernel_has_a_batch_runner():
-    runners = {
-        spec.name: spec.batch_runner is not None
-        for spec in available_kernels()
-    }
-    assert runners == {"reference": False, "batch": True}
+    monkeypatch.setattr(batch, "run_trial_batch", spy)
+    configs = [
+        dataclasses.replace(SMALL, kernel=kernel)
+        for kernel in ("reference", "batch", "reference", "batch")
+    ]
+    results = api.run_trials(configs, trials=[0, 1, 2, 3])
+    assert seen == [("batch", [SMALL.base_seed + 1, SMALL.base_seed + 3])]
+    assert len(results) == 4 and all(results)
 
 
 def test_batch_runner_loads_lazily():
-    from repro.sim.batch import run_trial_batch
-
-    assert get_kernel("batch").batch_runner() is run_trial_batch
-
-
-# -------------------------------------------------------- registration
-
-
-def test_register_and_unregister(scratch_kernel):
-    assert "scratch" in kernel_names()
-    assert get_kernel("scratch") is scratch_kernel
-    assert type(create_kernel("scratch")) is Simulator
-
-
-def test_duplicate_registration_rejected(scratch_kernel):
-    with pytest.raises(ValueError, match="already registered"):
-        register_kernel(
-            KernelSpec(name="scratch", factory=Simulator)
-        )
-
-
-def test_replace_overrides_existing(scratch_kernel):
-    replacement = KernelSpec(
-        name="scratch", factory=Simulator, description="v2"
+    # Importing the package and the CLI, validating a config and
+    # running a reference trial never load the batch interpreter.
+    script = (
+        "import sys\n"
+        "import repro, repro.cli\n"
+        "from repro.core.parameters import SimulationConfig\n"
+        "from repro.api import run_trials\n"
+        "config = SimulationConfig(num_runs=4, num_disks=1,\n"
+        "                          blocks_per_run=20, kernel='reference')\n"
+        "run_trials([config])\n"
+        "assert 'repro.sim.batch' not in sys.modules\n"
     )
-    register_kernel(replacement, replace=True)
-    assert get_kernel("scratch").description == "v2"
-
-
-def test_empty_name_rejected():
-    with pytest.raises(ValueError, match="non-empty"):
-        register_kernel(KernelSpec(name="", factory=Simulator))
-
-
-def test_unregister_unknown_rejected():
-    with pytest.raises(ValueError, match="not registered"):
-        unregister_kernel("never-registered")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, timeout=120
+    )
 
 
 # ------------------------------------------------- unknown-name errors
@@ -103,15 +78,12 @@ def test_get_kernel_unknown_lists_choices():
         match="unknown simulation kernel 'turbo': "
         "choose one of batch, reference",
     ):
-        get_kernel("turbo")
+        SimulationConfig(num_runs=4, num_disks=1, kernel="turbo")
 
 
-def test_config_validation_reads_the_registry(scratch_kernel):
-    # A config may name any registered kernel, not a hardcoded set.
-    config = SimulationConfig(
-        num_runs=4, num_disks=1, blocks_per_run=20, kernel="scratch"
-    )
-    assert config.kernel == "scratch"
+def test_config_validation_reads_the_registry():
+    for name in KERNELS:
+        assert dataclasses.replace(SMALL, kernel=name).kernel == name
     for name in ("warp", "fast"):
         with pytest.raises(ValueError, match="unknown simulation kernel"):
             SimulationConfig(num_runs=4, num_disks=1, kernel=name)
@@ -124,7 +96,8 @@ def test_cli_kernel_choices_come_from_registry():
     import repro.cli as cli
 
     parser = cli._build_parser()
-    args = parser.parse_args(["run", "--kernel", "batch", "fig-3.2a"])
-    assert args.kernel == "batch"
+    for name in KERNELS:
+        args = parser.parse_args(["run", "--kernel", name, "fig-3.2a"])
+        assert args.kernel == name
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "--kernel", "turbo", "fig-3.2a"])

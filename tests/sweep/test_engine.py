@@ -14,7 +14,7 @@ from repro.sweep import (
     SweepSpec,
     SweepStats,
 )
-from repro.sweep.worker import execute_job
+from repro.sweep.worker import execute_batch, execute_job
 
 #: 12 cells x 2 trials = 24 jobs — covers the ">= 20 jobs, workers=4"
 #: acceptance criterion while staying fast (30-block runs).
@@ -77,6 +77,35 @@ def test_inline_engine_matches_pool(tmp_path):
     pooled = SweepEngine(store=ResultStore(tmp_path / "a"), workers=4)
     inline = SweepEngine(store=ResultStore(tmp_path / "b"), workers=1)
     assert _dump(pooled.run_spec(SPEC).cells) == _dump(inline.run_spec(SPEC).cells)
+
+
+def test_inline_engine_batches_reference_cells(monkeypatch, tmp_path):
+    # The engine does not know kernels: every multi-trial cell is one
+    # execute_batch call, and run_trials runs reference trials one by
+    # one without entering the batch interpreter.
+    calls = []
+
+    def spy(payload):
+        calls.append(payload)
+        return execute_batch(payload)
+
+    def no_interpreter(config, seeds):
+        raise AssertionError("reference trials reached run_trial_batch")
+
+    monkeypatch.setattr("repro.sweep.engine.execute_batch", spy)
+    monkeypatch.setattr("repro.sim.batch.run_trial_batch", no_interpreter)
+    spec = SweepSpec(
+        name="engine-reference",
+        base={"num_runs": 3, "blocks_per_run": 25, "kernel": "reference"},
+        grid={"num_disks": [1, 2]},
+        trials=3,
+        base_seed=42,
+    )
+    result = SweepEngine(store=ResultStore(tmp_path), workers=1).run_spec(spec)
+    assert [len(payload["trials"]) for payload in calls] == [3, 3]
+    assert {payload["config"]["kernel"] for payload in calls} == {"reference"}
+    assert result.stats.computed == len(spec.jobs())
+    assert _dump(result.cells) == _dump(_serial_reference(spec))
 
 
 def test_uncached_engine_recomputes_every_time():

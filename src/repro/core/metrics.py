@@ -12,7 +12,7 @@ and cache occupancy statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.disks.drive import DriveStats
@@ -153,22 +153,12 @@ class MergeMetrics:
         know are ignored, and known-but-absent keys fall back to their
         field defaults -- so caches written by newer writers (extra
         counters) and by older writers (missing counters) both load.
+        A missing key without a default raises ``KeyError``.
         """
-        import dataclasses
-
-        defaults = {
-            f.name: f.default
-            for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING
-        }
         kwargs = {
-            name: data[name] if name in data else defaults[name]
+            name: data[name] if name in data else _METRICS_DEFAULTS[name]
             for name in cls._SCALAR_FIELDS
-            if name in data or name in defaults
         }
-        for name in cls._SCALAR_FIELDS:
-            if name not in kwargs:  # required field genuinely missing
-                kwargs[name] = data[name]
         kwargs["drive_stats"] = [
             DriveStats.from_dict(stats) for stats in data["drive_stats"]
         ]
@@ -209,6 +199,12 @@ class MergeMetrics:
     @property
     def total_transfer_ms(self) -> float:
         return sum(stats.transfer_ms for stats in self.drive_stats)
+
+
+#: Field defaults :meth:`MergeMetrics.from_dict` falls back on, read once.
+_METRICS_DEFAULTS = {
+    f.name: f.default for f in fields(MergeMetrics) if f.default is not MISSING
+}
 
 
 #: Two-sided 95% Student-t critical values by degrees of freedom; the

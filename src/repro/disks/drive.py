@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.disks.geometry import DiskGeometry
@@ -94,8 +94,33 @@ class DriveStats:
         return self.seek_ms + self.rotation_ms + self.transfer_ms
 
     def to_dict(self) -> dict:
-        """JSON-able snapshot (see :meth:`from_dict`)."""
-        return asdict(self)
+        """JSON-able snapshot (see :meth:`from_dict`).
+
+        Keys in field order; the two histograms are fresh copies, so
+        the snapshot never aliases live counters.
+        """
+        return {
+            "requests": self.requests,
+            "blocks": self.blocks,
+            "demand_requests": self.demand_requests,
+            "prefetch_requests": self.prefetch_requests,
+            "seek_ms": self.seek_ms,
+            "rotation_ms": self.rotation_ms,
+            "transfer_ms": self.transfer_ms,
+            "busy_ms": self.busy_ms,
+            "queue_wait_ms": self.queue_wait_ms,
+            "sequential_requests": self.sequential_requests,
+            "seek_cylinders": self.seek_cylinders,
+            "max_queue_length": self.max_queue_length,
+            "faults": self.faults,
+            "retries": self.retries,
+            "retry_backoff_ms": self.retry_backoff_ms,
+            "fault_ms": self.fault_ms,
+            "outage_wait_ms": self.outage_wait_ms,
+            "requeues": self.requeues,
+            "retry_histogram": dict(self.retry_histogram),
+            "samples": dict(self.samples),
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DriveStats":
@@ -105,12 +130,17 @@ class DriveStats:
         defaults, so snapshots written by other schema versions (older
         or newer) always load.
         """
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        if not data.keys() <= _DRIVE_STATS_FIELDS:
+            data = {k: v for k, v in data.items() if k in _DRIVE_STATS_FIELDS}
+        return cls(**data)
 
     @property
     def mean_seek_cylinders(self) -> float:
         return self.seek_cylinders / self.requests if self.requests else 0.0
+
+
+#: Every :class:`DriveStats` field name, read once for ``from_dict``.
+_DRIVE_STATS_FIELDS = frozenset(f.name for f in fields(DriveStats))
 
 
 class DiskDrive:

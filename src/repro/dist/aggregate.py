@@ -17,7 +17,7 @@ aggregator keeps a per-job result map and can produce, at any moment,
 from __future__ import annotations
 
 from repro.core.metrics import AggregateMetrics, MergeMetrics
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepSpec, cells_key, jobs_for_cells
 
 
 class CampaignAggregator:
@@ -25,9 +25,10 @@ class CampaignAggregator:
 
     def __init__(self, spec: SweepSpec) -> None:
         self.spec = spec
-        self.jobs = spec.jobs()
-        self._by_index = {job.index: job for job in self.jobs}
         self._configs = spec.cells()
+        self.jobs = jobs_for_cells(self._configs)
+        self.spec_key = cells_key(self._configs)
+        self._by_index = {job.index: job for job in self.jobs}
         self._results: dict[int, MergeMetrics] = {}
         self._failures: dict[int, str] = {}
         self.cached = 0  # jobs settled from the store at startup
@@ -105,7 +106,7 @@ class CampaignAggregator:
         """The JSON body of ``GET /v1/campaigns/<name>`` (partial OK)."""
         body: dict = {
             "campaign": self.spec.name,
-            "spec_key": self.spec.spec_key(),
+            "spec_key": self.spec_key,
             "jobs": {
                 "total": self.total,
                 "completed": self.completed,

@@ -164,7 +164,7 @@ class Coordinator:
             return
         self.manifest.begin(
             self.spec.to_dict(),
-            self.spec.spec_key(),
+            self.aggregator.spec_key,
             [job.key for job in self.aggregator.jobs],
         )
         remaining = self._settle_cached()

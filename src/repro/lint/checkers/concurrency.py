@@ -220,7 +220,7 @@ def check_blocking_in_async(
                     # One finding per (coroutine, sink function): the
                     # fix is moving the whole chain off the loop, not
                     # patching individual syscalls.
-                    sink, sink_line = sinks[0]
+                    sink, _ = sinks[0]
                     key = (f"{callee.module}.{callee.qualname}", "*")
                     if key not in reported:
                         reported.add(key)
@@ -228,7 +228,7 @@ def check_blocking_in_async(
                             rule, module.info.relpath, entry_line,
                             f"async def {fn.qualname} reaches blocking "
                             f"{sink} via {' -> '.join(chain)} "
-                            f"({callee.module}:{sink_line}); move the "
+                            f"({callee.module}); move the "
                             "sync chain off the event loop "
                             "(await loop.run_in_executor(...))",
                         )

@@ -414,7 +414,7 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        # Module-level ``alias = name`` (e.g. _atomic_write_json).
+        # Module-level ``alias = name`` (e.g. ``write = atomic_write_json``).
         if (
             not self._function and not self._class
             and len(node.targets) == 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core.metrics import MergeMetrics
 from repro.core.parameters import SimulationConfig
-from repro.sweep.keys import config_to_dict
+from repro.sweep.keys import config_to_dict, trial_keys
 from repro.sweep.store import ResultStore, compute_key
 
 
@@ -39,8 +39,9 @@ class CacheFront:
         """
         hits: dict[int, MergeMetrics] = {}
         misses: list[int] = []
-        for trial in range(config.trials):
-            cached = self.store.get(self.key_for(config, trial))
+        seeds = [config.base_seed + trial for trial in range(config.trials)]
+        for trial, key in enumerate(trial_keys(config, seeds)):
+            cached = self.store.get(key)
             if cached is not None:
                 hits[trial] = cached
             else:

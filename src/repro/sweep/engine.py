@@ -37,7 +37,13 @@ from repro.sweep.progress import (
     ProgressListener,
     SweepStats,
 )
-from repro.sweep.spec import SweepJob, SweepSpec, jobs_for_config
+from repro.sweep.spec import (
+    SweepJob,
+    SweepSpec,
+    cells_key,
+    jobs_for_cells,
+    jobs_for_config,
+)
 from repro.sweep.store import CampaignManifest, ResultStore
 from repro.sweep.worker import execute_batch, execute_job
 
@@ -148,20 +154,21 @@ class SweepEngine:
 
     def run_spec(self, spec: SweepSpec) -> SweepResult:
         """Run a whole campaign; cells aggregate in expansion order."""
-        jobs = spec.jobs()
+        configs = spec.cells()
+        jobs = jobs_for_cells(configs)
         manifest = None
         if self.store is not None:
             manifest = CampaignManifest(self.store.root, spec.name)
-            manifest.begin(spec.to_dict(), spec.spec_key(), [j.key for j in jobs])
+            manifest.begin(spec.to_dict(), cells_key(configs), [j.key for j in jobs])
         metrics, stats, failures = self._run_jobs(jobs, manifest)
-        cells: list[AggregateMetrics] = []
-        for cell_index, config in enumerate(spec.cells()):
-            trials = [
-                metrics[job.index]
-                for job in jobs
-                if job.cell == cell_index and metrics[job.index] is not None
-            ]
-            cells.append(AggregateMetrics(config.describe(), trials))
+        trials: list[list[MergeMetrics]] = [[] for _ in configs]
+        for job, result in zip(jobs, metrics):
+            if result is not None:
+                trials[job.cell].append(result)
+        cells = [
+            AggregateMetrics(config.describe(), cell_trials)
+            for config, cell_trials in zip(configs, trials)
+        ]
         return SweepResult(spec=spec, cells=cells, stats=stats, failures=failures)
 
     def run_config(self, config: SimulationConfig) -> AggregateMetrics:

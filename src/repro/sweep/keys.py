@@ -20,7 +20,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.parameters import (
     CachePolicy,
@@ -91,18 +91,32 @@ NESTED_FIELDS: dict[str, type] = {
 }
 
 
+#: Field names of every ``SimulationConfig`` and of its flat nested
+#: dataclasses, read once: ``dataclasses.fields`` and ``asdict`` are
+#: reflection that every key derivation would otherwise repeat.
+_CONFIG_FIELDS = tuple(
+    field.name for field in dataclasses.fields(SimulationConfig)
+)
+_FLAT_FIELDS = {
+    data_cls: tuple(field.name for field in dataclasses.fields(data_cls))
+    for data_cls in NESTED_FIELDS.values()
+}
+
+
 def config_to_dict(config: SimulationConfig) -> dict:
     """Flatten a config to a JSON-able dict (inverse: :func:`config_from_dict`)."""
     out: dict[str, Any] = {}
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
+    for name in _CONFIG_FIELDS:
+        value = getattr(config, name)
         if isinstance(value, enum.Enum):
             value = value.value
         elif isinstance(value, FaultPlan):
             value = value.to_dict()
-        elif dataclasses.is_dataclass(value):
-            value = dataclasses.asdict(value)
-        out[field.name] = value
+        else:
+            flat = _FLAT_FIELDS.get(type(value))
+            if flat is not None:
+                value = {key: getattr(value, key) for key in flat}
+        out[name] = value
     return out
 
 
@@ -135,8 +149,23 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: The key-payload entry holding the trial seed.
+_SEED = "__seed__"
+
+
 def cache_key(config: SimulationConfig, seed: int) -> str:
     """Content address of one simulation trial: sha256 hex digest."""
+    return trial_keys(config, (seed,))[0]
+
+
+def trial_keys(config: SimulationConfig, seeds: Iterable[int]) -> list[str]:
+    """Content addresses of ``config``'s trials at ``seeds``, in order.
+
+    Key ``i`` is the sha256 of the canonical JSON of the config's key
+    payload plus ``"__seed__": seeds[i]``.  The payload is serialized
+    once: canonical JSON sorts keys, so the text around the seed is the
+    same for every seed and only the seed itself is spliced in.
+    """
     payload = config_to_dict(config)
     for name in KEY_EXCLUDED_FIELDS:
         payload.pop(name, None)
@@ -144,6 +173,15 @@ def cache_key(config: SimulationConfig, seed: int) -> str:
     # both address the same cached trial.
     if config.fault_plan is not None and config.fault_plan.is_empty():
         payload["fault_plan"] = None
-    payload["__seed__"] = seed
     payload["__schema__"] = CACHE_SCHEMA_VERSION
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    before = {k: v for k, v in payload.items() if k < _SEED}
+    after = {k: v for k, v in payload.items() if k > _SEED}
+    head = canonical_json(before)[:-1] + ("," if before else "")
+    head += canonical_json(_SEED) + ":"
+    tail = ("," if after else "") + canonical_json(after)[1:]
+    return [
+        hashlib.sha256(
+            (head + canonical_json(seed) + tail).encode("utf-8")
+        ).hexdigest()
+        for seed in seeds
+    ]

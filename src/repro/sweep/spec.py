@@ -20,8 +20,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.core.parameters import SimulationConfig
-from repro.sweep.keys import canonical_json, coerce_params, config_to_dict
-from repro.sweep.store import compute_key
+from repro.sweep.keys import (
+    canonical_json,
+    coerce_params,
+    config_to_dict,
+    trial_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -47,17 +51,36 @@ def jobs_for_config(
     cell: int = 0,
     first_index: int = 0,
 ) -> list[SweepJob]:
-    """Expand one configuration into its per-trial jobs."""
+    """Expand one configuration into its per-trial jobs.
+
+    Trial ``t`` is keyed by its seed ``config.base_seed + t``, exactly
+    as :func:`repro.sweep.store.compute_key` derives it.
+    """
+    seeds = [config.base_seed + trial for trial in range(config.trials)]
     return [
         SweepJob(
             index=first_index + trial,
             cell=cell,
             trial=trial,
             config=config,
-            key=compute_key(config, trial),
+            key=key,
         )
-        for trial in range(config.trials)
+        for trial, key in enumerate(trial_keys(config, seeds))
     ]
+
+
+def jobs_for_cells(cells: Sequence[SimulationConfig]) -> list[SweepJob]:
+    """Every (cell, trial) job of already-expanded ``cells``, in order."""
+    jobs: list[SweepJob] = []
+    for cell, config in enumerate(cells):
+        jobs.extend(jobs_for_config(config, cell=cell, first_index=len(jobs)))
+    return jobs
+
+
+def cells_key(cells: Sequence[SimulationConfig]) -> str:
+    """Stable hash of already-expanded ``cells`` (see :meth:`SweepSpec.spec_key`)."""
+    payload = [config_to_dict(config) for config in cells]
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -114,10 +137,7 @@ class SweepSpec:
 
     def jobs(self) -> list[SweepJob]:
         """Every (cell, trial) job, in deterministic order."""
-        jobs: list[SweepJob] = []
-        for cell, config in enumerate(self.cells()):
-            jobs.extend(jobs_for_config(config, cell=cell, first_index=len(jobs)))
-        return jobs
+        return jobs_for_cells(self.cells())
 
     def to_dict(self) -> dict:
         """JSON-able form (inverse: :meth:`from_dict`).
@@ -146,8 +166,7 @@ class SweepSpec:
 
     def spec_key(self) -> str:
         """Stable hash of the whole spec (checkpoint sanity check)."""
-        cells = [config_to_dict(config) for config in self.cells()]
-        return hashlib.sha256(canonical_json(cells).encode("utf-8")).hexdigest()
+        return cells_key(self.cells())
 
 
 def _plain(value: Any) -> Any:

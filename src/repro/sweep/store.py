@@ -69,11 +69,12 @@ def atomic_write_json(path: Path, payload: dict) -> None:
     sibling (reclaimed by :func:`repro.sweep.gc.collect_garbage` — live
     entries never end in ``.tmp``, so that namespace is all garbage).
     """
+    data = json.dumps(payload).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+        with open(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -81,10 +82,6 @@ def atomic_write_json(path: Path, payload: dict) -> None:
         except OSError:
             pass
         raise
-
-
-#: Backward-compat spelling (pre-GC internal name).
-_atomic_write_json = atomic_write_json
 
 
 class ResultStore:
@@ -131,7 +128,7 @@ class ResultStore:
             "metrics": metrics.to_dict(),
         }
         path = self.path_for(key)
-        _atomic_write_json(path, payload)
+        atomic_write_json(path, payload)
         return path
 
     def __contains__(self, key: str) -> bool:

@@ -1,5 +1,6 @@
 """JSON round-trips for MergeMetrics / AggregateMetrics / DriveStats."""
 
+import dataclasses
 import json
 
 from repro.core.metrics import AggregateMetrics, MergeMetrics
@@ -77,3 +78,21 @@ def test_drive_stats_round_trip():
     stats = DriveStats(requests=3, blocks=9, seek_ms=1.5,
                        samples={"seek": 0.5})
     assert DriveStats.from_dict(json.loads(json.dumps(stats.to_dict()))) == stats
+
+
+def test_drive_stats_to_dict_matches_asdict():
+    # to_dict spells its fields out instead of reflecting; it must stay
+    # exactly what dataclasses.asdict produced: same keys, same order,
+    # same values, and fresh copies of the two histograms.
+    stats = DriveStats(requests=3, blocks=9, seek_ms=1.5, faults=2,
+                       retry_histogram={"2": 1, "3": 1},
+                       samples={"seek": 0.5})
+    snapshot = stats.to_dict()
+    assert list(snapshot.items()) == list(dataclasses.asdict(stats).items())
+    assert snapshot["retry_histogram"] is not stats.retry_histogram
+    assert snapshot["samples"] is not stats.samples
+    snapshot["retry_histogram"]["4"] = 1
+    snapshot["samples"]["rotation"] = 2.0
+    assert stats.retry_histogram == {"2": 1, "3": 1}
+    assert stats.samples == {"seek": 0.5}
+

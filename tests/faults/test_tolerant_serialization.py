@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.metrics import MergeMetrics
 from repro.core.parameters import PrefetchStrategy, SimulationConfig
 from repro.core.simulator import MergeSimulation
@@ -58,3 +60,11 @@ def test_merge_metrics_fills_missing_fault_fields_with_defaults():
     assert restored.fault_stall_ms == 0.0
     assert restored.demand_timeouts == 0
     assert restored.total_time_ms == metrics.total_time_ms
+
+
+def test_merge_metrics_missing_required_key_is_a_key_error():
+    # No default to fall back on: the store counts the entry as a miss.
+    data = _metrics().to_dict()
+    del data["seed"]
+    with pytest.raises(KeyError, match="seed"):
+        MergeMetrics.from_dict(data)

@@ -165,7 +165,33 @@ def test_transitive_blocking_chain_crosses_module_boundaries():
     assert finding.path == "src/repro/serve/handlers.py"
     assert finding.line == 3
     assert "handle -> persist -> flush" in finding.message
-    assert "repro.serve.diskio:2" in finding.message
+    assert "(repro.serve.diskio)" in finding.message
+
+
+def test_transitive_blocking_fingerprint_ignores_the_sink_line():
+    # The baseline matches by fingerprint, which excludes line numbers:
+    # an edit above the sink must not turn a grandfathered finding into
+    # a "new" plus a "stale" one.
+    handler = module_from_source(
+        "from repro.serve.diskio import flush\n"
+        "async def handle(payload):\n"
+        "    return flush(payload)\n",
+        "src/repro/serve/handlers.py",
+    )
+
+    def diskio(padding: int):
+        return module_from_source(
+            "\n" * padding
+            + "def flush(payload):\n"
+            "    with open('state.json', 'w') as handle:\n"
+            "        handle.write(payload)\n",
+            "src/repro/serve/diskio.py",
+        )
+
+    before = run_model_rule("RPR011", [handler, diskio(0)])
+    after = run_model_rule("RPR011", [handler, diskio(5)])
+    assert len(before) == len(after) == 1
+    assert before[0].fingerprint == after[0].fingerprint
 
 
 #: Scoped rules go silent when the same fixture lives outside their

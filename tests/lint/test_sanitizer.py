@@ -109,7 +109,7 @@ def test_concurrent_same_key_puts_are_reported_once(tmp_path, monkeypatch):
         barrier.wait()  # both writers provably in flight at once
         real_write(path, payload)
 
-    monkeypatch.setattr(store_module, "_atomic_write_json", rendezvous_write)
+    monkeypatch.setattr(store_module, "atomic_write_json", rendezvous_write)
     with sanitizer.sanitized() as report:
         store = ResultStore(tmp_path)
         metrics = _metrics()

@@ -10,6 +10,7 @@ from repro.core.parameters import (
     VictimSelector,
 )
 from repro.disks.drive import QueueDiscipline
+from repro.faults.plan import transient_plan
 from repro.sweep.keys import (
     cache_key,
     coerce_params,
@@ -33,6 +34,26 @@ def test_key_ignores_trials_and_base_seed():
     a = SimulationConfig(trials=5, base_seed=1, **BASE)
     b = SimulationConfig(trials=10, base_seed=999, **BASE)
     assert cache_key(a, 7) == cache_key(b, 7)
+
+
+def test_golden_keys_are_pinned():
+    # Literal keys: every store entry ever written is addressed by these
+    # bytes, so any change to the codec must leave them untouched (or
+    # bump CACHE_SCHEMA_VERSION deliberately).
+    assert cache_key(SimulationConfig(num_runs=25, num_disks=5), 1992) == (
+        "4b9b470ad712615e62450f9dfe2f6a70b3d33f047d44a688690a31c3c1249b1e"
+    )
+    faulty = SimulationConfig(
+        num_runs=8,
+        num_disks=3,
+        blocks_per_run=50,
+        strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=4,
+        fault_plan=transient_plan(0.05),
+    )
+    assert cache_key(faulty, 1992) == (
+        "7d7fd72c891fe9a25fbb30c1b3adee05a67f08becf15f0dcd74b6a985038bd66"
+    )
 
 
 def test_seed_changes_key():

@@ -1,5 +1,6 @@
 """ResultStore and CampaignManifest behaviour."""
 
+import io
 import json
 
 import pytest
@@ -25,6 +26,16 @@ def metrics_and_key():
                               trials=1)
     metrics = MergeSimulation(config).run_trial(trial=0)
     return metrics, cache_key(config, config.base_seed)
+
+
+def test_entry_bytes_are_json_dumps_of_the_payload(tmp_path, metrics_and_key):
+    metrics, key = metrics_and_key
+    store = ResultStore(tmp_path)
+    path = store.put(key, metrics, config={"num_runs": 3}, seed=1992,
+                     elapsed_s=0.25)
+    payload = json.loads(path.read_bytes())
+    assert payload["metrics"] == metrics.to_dict()
+    assert path.read_bytes() == json.dumps(payload).encode("utf-8")
 
 
 def test_put_get_round_trip(tmp_path, metrics_and_key):
@@ -169,6 +180,17 @@ class TestPublicKeyHelpers:
         assert restored.to_dict() == metrics.to_dict()
 
 
+def _tear_writes(monkeypatch):
+    """Make the store's one temp-file write fail after partial bytes."""
+
+    class TornFile(io.FileIO):
+        def write(self, data):
+            super().write(bytes(data)[:11])  # partial bytes hit the temp file
+            raise OSError("disk full")
+
+    monkeypatch.setattr(store_module, "open", TornFile, raising=False)
+
+
 class TestAtomicWrites:
     """A crash mid-write must never corrupt or shadow an entry."""
 
@@ -177,11 +199,7 @@ class TestAtomicWrites:
         metrics, key = metrics_and_key
         store = ResultStore(tmp_path)
 
-        def exploding_dump(payload, handle, **kwargs):
-            handle.write('{"schema": ')  # partial bytes hit the temp file
-            raise OSError("disk full")
-
-        monkeypatch.setattr("repro.sweep.store.json.dump", exploding_dump)
+        _tear_writes(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
             store.put(key, metrics)
         monkeypatch.undo()
@@ -199,11 +217,7 @@ class TestAtomicWrites:
         store.put(key, metrics, seed=1992)
         before = store.path_for(key).read_bytes()
 
-        def exploding_dump(payload, handle, **kwargs):
-            handle.write("garbage")
-            raise OSError("disk full")
-
-        monkeypatch.setattr("repro.sweep.store.json.dump", exploding_dump)
+        _tear_writes(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
             store.put(key, metrics, seed=1992)
         monkeypatch.undo()

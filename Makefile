@@ -94,7 +94,7 @@ check:
 	$(PYTHON) -m repro paper-check
 	$(PYTHON) -m repro selfcheck
 
-# Full paper-scale regeneration of every figure and table (~25 min).
+# Full paper-scale regeneration of every figure and table (~6 min).
 reproduce:
 	$(PYTHON) -m repro run all --out full_results.txt --export-dir results/
 

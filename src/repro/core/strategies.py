@@ -197,6 +197,10 @@ class InterRunPlanner(FetchPlanner):
         self.chooser = chooser
         self.rng = rng
         self.adaptive = adaptive
+        # Per disk, in runs_on_disk order: the runs with blocks left on
+        # disk (the victim candidates), built on the first full plan and
+        # pruned as each run's last block is planned.
+        self._live: Optional[list[list[int]]] = None
 
     def plan(self, view: SystemView, demand_run: int) -> FetchPlan:
         if self.adaptive:
@@ -210,11 +214,7 @@ class InterRunPlanner(FetchPlanner):
                 counts_as_decision=True,
             )
         if self.policy is CachePolicy.CONSERVATIVE:
-            return FetchPlan(
-                groups=(FetchGroup(demand_run, 1, demand=True),),
-                full_prefetch=False,
-                counts_as_decision=True,
-            )
+            return self._demand_block_plan(view, demand_run)
         # Greedy: spend all free space, demand group first.
         groups, _ = self._full_plan(view, demand_run, budget=view.cache.free)
         return FetchPlan(groups=groups, full_prefetch=False, counts_as_decision=True)
@@ -237,11 +237,24 @@ class InterRunPlanner(FetchPlanner):
                 full_prefetch=depth_now == self.depth and skipped == 0,
                 counts_as_decision=True,
             )
+        return self._demand_block_plan(view, demand_run)
+
+    def _demand_block_plan(
+        self, view: SystemView, demand_run: int
+    ) -> FetchPlan:
+        """Fetch only the demand block (the cache cannot take more)."""
+        self._planned(view, demand_run, 1)
         return FetchPlan(
             groups=(FetchGroup(demand_run, 1, demand=True),),
             full_prefetch=False,
             counts_as_decision=True,
         )
+
+    def _planned(self, view: SystemView, run: int, count: int) -> None:
+        """Note a planned fetch: a run whose last blocks it takes
+        leaves its disk's victim candidates."""
+        if self._live is not None and count == view.cache.runs[run].on_disk:
+            self._live[view.layout.disk_of_run(run)].remove(run)
 
     def _full_plan(
         self,
@@ -260,10 +273,21 @@ class InterRunPlanner(FetchPlanner):
         regardless of drive health.
         """
         depth = self.depth if depth is None else depth
+        runs = view.cache.runs
+        live = self._live
+        if live is None:
+            live = self._live = [
+                [
+                    run
+                    for run in view.layout.runs_on_disk(disk)
+                    if runs[run].on_disk > 0
+                ]
+                for disk in range(self.num_disks)
+            ]
         remaining = budget if budget is not None else float("inf")
-        demand_state = view.cache.runs[demand_run]
-        demand_count = min(depth, demand_state.on_disk, remaining)
+        demand_count = min(depth, runs[demand_run].on_disk, remaining)
         demand_count = max(int(demand_count), 1)
+        self._planned(view, demand_run, demand_count)
         groups = [FetchGroup(demand_run, demand_count, demand=True)]
         remaining -= demand_count
 
@@ -279,17 +303,16 @@ class InterRunPlanner(FetchPlanner):
             if is_degraded(disk):
                 skipped += 1
                 continue
-            candidates = [
-                run
-                for run in view.layout.runs_on_disk(disk)
-                if view.cache.runs[run].on_disk > 0
-            ]
+            candidates = live[disk]
             if not candidates:
                 continue
             victim = self.chooser.choose(view, disk, candidates)
-            count = int(min(depth, view.cache.runs[victim].on_disk, remaining))
+            on_disk = runs[victim].on_disk
+            count = int(min(depth, on_disk, remaining))
             if count < 1:
                 break
+            if count == on_disk:
+                candidates.remove(victim)
             groups.append(FetchGroup(victim, count))
             remaining -= count
         return tuple(groups), skipped

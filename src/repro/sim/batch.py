@@ -6,11 +6,15 @@ spinning up the event kernel once per trial.  The flattened interpreter
 replaces the reference kernel's per-event machinery — heap pops,
 generator resumes, event objects, callback lists — with a direct walk
 of the merge trial's structure: the CPU's merge loop runs as plain
-Python, each drive's service chain is computed arithmetically at the
-reference kernel's decision points, and block arrivals are folded into
-the cache as cursor scans over per-drive arrival lists.  Batch-wide
-setup (run layout, addresses, the config description) is computed once
-and shared by every trial.  It is the default kernel
+Python, and each drive's service chain is computed arithmetically at
+the reference kernel's decision points.  Time advances in two phases
+per CPU step: every drive runs its own free points up to the step's
+limit, then each drive's block arrivals are folded into the cache in
+bulk — a bisection into the drive's float arrival schedule, the
+per-run counters moved a request slice at a time, and the occupancy
+integral taken in one pass over the merged fold times.
+Batch-wide setup (run layout, addresses, the config description) is
+computed once and shared by every trial.  It is the default kernel
 (``SimulationConfig.kernel``).
 
 **Bit-identity.**  The interpreter reproduces the reference kernel's
@@ -18,13 +22,18 @@ trajectory exactly, not approximately: every random draw happens on
 the same :class:`~repro.sim.random_streams.RandomStreams` stream in
 the same order, and every floating-point accumulation (service times,
 stall attribution, occupancy/concurrency integrals) performs the same
-operations in the same order.  Event ordering at equal timestamps
-follows the reference heap's sequence-number discipline: a drive's
-synchronous continuation (head update, next pick, idle transition)
-precedes same-time event deliveries, and a CPU wake folds only the
-arrivals that the reference would have delivered before the resume.
-``tests/bench/test_kernel_equivalence.py`` enforces the identity
-against the reference kernel across the full configuration matrix.
+operations in the same order.  Between two CPU actions only two
+things cross drives: idle transitions, which reach the concurrency
+tracker sorted by ``(time, drive)`` — the reference heap's order — and
+the occupancy integral, whose weight (the reserved space) is constant
+because nothing reserves or depletes inside one advance.  Everything
+else is per drive: disk streams are per drive, and
+:func:`unsupported_reason` keeps the fault stream's draws on one.  A
+drive's free point precedes same-time arrivals, and a CPU wake folds
+only the arrivals the reference would have delivered before the
+resume.  ``tests/bench/test_kernel_equivalence.py`` enforces the
+identity against the reference kernel across the full configuration
+matrix.
 
 **Faults.**  Fault plans run natively (:class:`_FaultyFlatTrial`): the
 flat drive chain mirrors ``DiskDrive._service`` attempt by attempt
@@ -56,7 +65,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from typing import Optional, Sequence
 
 from repro.core.cache import BlockCache, CacheAccountingError
@@ -153,11 +162,15 @@ class _Clock:
 
 
 class _Request:
-    """Flat mirror of :class:`~repro.disks.request.BlockFetchRequest`."""
+    """Flat mirror of :class:`~repro.disks.request.BlockFetchRequest`.
+
+    Once serviced, the request's block arrivals are
+    ``times[start:end]`` of its drive's schedule.
+    """
 
     __slots__ = (
         "run", "first_block", "count", "demand", "issue_time",
-        "last_address", "finish", "arrival0",
+        "last_address", "finish", "start", "end",
     )
 
     def __init__(
@@ -171,22 +184,25 @@ class _Request:
         self.issue_time = issue_time
         self.last_address = 0
         self.finish: Optional[float] = None
-        self.arrival0 = 0.0
+        self.start = 0
+        self.end = 0
 
 
 class _Drive:
     """Flat mirror of one :class:`~repro.disks.drive.DiskDrive`.
 
-    ``arrivals`` is the drive's (strictly increasing) block-arrival
-    schedule — ``(time, run, block_index)`` tuples appended as requests
-    are serviced and consumed through ``cursor`` as the interpreter
-    folds them into the cache in global time order.
+    ``times`` is the drive's block-arrival schedule, strictly
+    increasing floats appended as requests are serviced.  ``served``
+    holds, oldest first, the serviced requests whose slices of
+    ``times`` are not wholly folded yet; ``cursor`` indexes the first
+    unfolded arrival.  The interpreter folds ``times[cursor:hi]`` in
+    bulk and releases each request once its slice is folded.
     """
 
     __slots__ = (
         "drive_id", "rng", "stats", "head_cylinder",
         "next_sequential_address", "pending", "free_time", "current",
-        "arrivals", "cursor",
+        "times", "served", "cursor",
     )
 
     def __init__(self, drive_id: int, rng) -> None:
@@ -198,8 +214,28 @@ class _Drive:
         self.pending: list[_Request] = []
         self.free_time: Optional[float] = None
         self.current: Optional[_Request] = None
-        self.arrivals: list[tuple[float, int, int]] = []
+        self.times: list[float] = []
+        self.served: deque[_Request] = deque()
         self.cursor = 0
+
+
+def _schedule(
+    drive: _Drive, request: _Request, when: float, transfer: float
+) -> float:
+    """Put ``request`` in service on ``drive``, its first block's
+    transfer starting at ``when``: append its arrivals to the drive's
+    schedule and return its finish time."""
+    times = drive.times
+    request.start = len(times)
+    for _ in range(request.count):
+        when = when + transfer
+        times.append(when)
+    request.end = len(times)
+    request.finish = when
+    drive.served.append(request)
+    drive.current = request
+    drive.free_time = when
+    return when
 
 
 class _Shared:
@@ -309,28 +345,6 @@ class _FlatTrial:
     def head_cylinder(self, disk: int) -> int:
         return self.drives[disk].head_cylinder
 
-    # The occupancy-integral updates below are BlockCache._account
-    # inlined at every reference account point: the integral is float-
-    # partition-sensitive, so each update must happen at the same
-    # timestamp in the same global order as the reference kernel's.
-
-    def _apply_arrival(self, drive: _Drive) -> None:
-        when, run, index = drive.arrivals[drive.cursor]
-        drive.cursor += 1
-        cache = self.cache
-        state = cache.runs[run]
-        if index != state.next_deplete + state.cached or state.in_flight <= 0:
-            raise BatchDivergence(
-                f"run {run}: flat arrival {index} out of order"
-            )
-        self.clock.now = when
-        cache._occupancy_weighted_ms += (cache.capacity - cache._free) * (
-            when - cache._last_change_ms
-        )
-        cache._last_change_ms = when
-        state.in_flight -= 1
-        state.cached += 1
-
     # -- drive service (flat mirror of DiskDrive._service) -------------
     def _start_service(
         self, drive: _Drive, request: _Request, start: float
@@ -364,15 +378,7 @@ class _FlatTrial:
             stats.rotation_ms += rotation_ms
         when = start + positioning if positioning > 0 else start
         transfer = shared.transfer_ms
-        arrivals = drive.arrivals
-        run = request.run
-        first_block = request.first_block
-        first_index = len(arrivals)
-        for offset in range(request.count):
-            when = when + transfer
-            arrivals.append((when, run, first_block + offset))
-        request.arrival0 = arrivals[first_index][0]
-        request.finish = when
+        when = _schedule(drive, request, when, transfer)
         stats.transfer_ms += request.count * transfer
         stats.busy_ms += when - start
         stats.requests += 1
@@ -381,8 +387,6 @@ class _FlatTrial:
             stats.demand_requests += 1
         else:
             stats.prefetch_requests += 1
-        drive.current = request
-        drive.free_time = when
 
     def _pick_next(self, drive: _Drive) -> _Request:
         pending = drive.pending
@@ -414,102 +418,127 @@ class _FlatTrial:
         )
         return pending.pop(best)
 
-    def _finish_request(self, drive: _Drive) -> None:
+    def _finish_request(self, drive: _Drive) -> bool:
         """Process the drive's free point (reference: the synchronous
-        continuation after the request's final transfer timeout)."""
+        continuation after the request's final transfer timeout).
+
+        Returns True when the drive goes idle; the caller reports that
+        to the tracker.
+        """
         request = drive.current
-        when = drive.free_time
         drive.head_cylinder = (
             request.last_address // self.shared.blocks_per_cylinder
         )
         drive.next_sequential_address = request.last_address + 1
         if drive.pending:
-            self._start_service(drive, self._pick_next(drive), when)
-        else:
-            drive.current = None
-            drive.free_time = None
-            self.clock.now = when
-            self.tracker.on_busy_change(drive.drive_id, False)
+            self._start_service(
+                drive, self._pick_next(drive), drive.free_time
+            )
+            return False
+        drive.current = None
+        drive.free_time = None
+        return True
 
-    # -- global event ordering -----------------------------------------
-    def _step_free(self) -> None:
-        """Process the globally earliest drive free point."""
-        best = None
-        best_time = float("inf")
-        for drive in self.drives:
-            when = drive.free_time
-            if when is not None and when < best_time:
-                best_time = when
-                best = drive
-        if best is None:
-            raise BatchDivergence("flat merge deadlocked: no drive busy")
-        self._finish_request(best)
+    # The occupancy-integral updates below are BlockCache._account
+    # inlined at every reference account point: the integral is float-
+    # partition-sensitive, so each update must happen at the same
+    # timestamp in the same global order as the reference kernel's.
+    # An update over a zero-length interval adds exactly +0.0 and is
+    # skipped.
 
+    # -- advancing time ------------------------------------------------
     def _advance(self, limit: float, arrivals_at_limit: bool) -> None:
         """Process frees ``<= limit`` and fold arrivals up to ``limit``.
 
         Arrivals strictly before ``limit`` always fold;
         ``arrivals_at_limit`` additionally folds arrivals exactly at it
-        (the synchronized-wake rule).  At equal timestamps a drive's
-        free point precedes its arrival deliveries, mirroring the
-        reference heap's sequence ordering.
+        (the synchronized-wake rule).  Each drive first runs its own
+        free points, so its schedule is complete up to ``limit`` before
+        any of it folds.
         """
         drives = self.drives
-        cache = self.cache
-        runs = cache.runs
-        clock = self.clock
-        capacity = cache.capacity
-        infinity = float("inf")
-        while True:
-            # One pass over the drives finds both the earliest free
-            # point and the earliest unfolded arrival.
-            free_drive = None
-            free_time = infinity
-            arrival_drive = None
-            arrival_time = infinity
-            for drive in drives:
+        idle = []
+        for drive in drives:
+            when = drive.free_time
+            while when is not None and when <= limit:
+                if self._finish_request(drive):
+                    idle.append((when, drive.drive_id))
                 when = drive.free_time
-                if when is not None and when < free_time:
-                    free_time = when
-                    free_drive = drive
-                arrivals = drive.arrivals
-                cursor = drive.cursor
-                if cursor < len(arrivals):
-                    when = arrivals[cursor][0]
-                    if when < arrival_time:
-                        arrival_time = when
-                        arrival_drive = drive
-            if (
-                free_drive is not None
-                and free_time <= limit
-                and free_time <= arrival_time
-            ):
-                self._finish_request(free_drive)
-                continue
-            if arrival_drive is not None and (
-                arrival_time < limit
-                or (arrivals_at_limit and arrival_time == limit)
-            ):
-                drive = arrival_drive
-                when, run, index = drive.arrivals[drive.cursor]
-                drive.cursor += 1
-                state = runs[run]
-                if (
-                    index != state.next_deplete + state.cached
-                    or state.in_flight <= 0
-                ):
-                    raise BatchDivergence(
-                        f"run {run}: flat arrival {index} out of order"
-                    )
+        if idle:
+            idle.sort()
+            clock = self.clock
+            on_busy_change = self.tracker.on_busy_change
+            for when, disk in idle:
                 clock.now = when
-                cache._occupancy_weighted_ms += (capacity - cache._free) * (
-                    when - cache._last_change_ms
+                on_busy_change(disk, False)
+
+        cut = bisect_right if arrivals_at_limit else bisect_left
+        stamps = []
+        for drive in drives:
+            times = drive.times
+            cursor = drive.cursor
+            end = cut(times, limit, cursor)
+            if end > cursor:
+                self._fold(drive, end)
+                stamps += times[cursor:end]
+        if stamps:
+            stamps.sort()
+            # Reserved space is constant inside one advance, so the
+            # per-arrival updates reduce to one pass over the merged
+            # fold times: the same multiplies and adds, in time order.
+            cache = self.cache
+            occupied = cache.capacity - cache._free
+            weighted = cache._occupancy_weighted_ms
+            last = cache._last_change_ms
+            for when in stamps:
+                weighted += occupied * (when - last)
+                last = when
+            cache._occupancy_weighted_ms = weighted
+            cache._last_change_ms = self.clock.now = last
+
+    def _fold(self, drive: _Drive, end: int) -> None:
+        """Move ``times[cursor:end]`` into the cache's per-run counters,
+        one request slice at a time."""
+        runs = self.cache.runs
+        served = drive.served
+        cursor = drive.cursor
+        while cursor < end:
+            request = served[0]
+            stop = request.end
+            if end < stop:
+                stop = end
+            else:
+                served.popleft()
+            folded = stop - cursor
+            state = runs[request.run]
+            index = request.first_block + cursor - request.start
+            if (
+                index != state.next_deplete + state.cached
+                or state.in_flight < folded
+            ):
+                raise BatchDivergence(
+                    f"run {request.run}: flat arrival {index} out of order"
                 )
-                cache._last_change_ms = when
-                state.in_flight -= 1
-                state.cached += 1
-                continue
-            return
+            state.in_flight -= folded
+            state.cached += folded
+            cursor = stop
+        drive.cursor = end
+
+    def _fold_next(self, drive: _Drive, position: int, what: str) -> float:
+        """Fold the drive's next arrival, which must be ``position``."""
+        if drive.cursor != position:
+            raise BatchDivergence(f"{what} arrival fold out of order")
+        when = drive.times[position]
+        cache = self.cache
+        last = cache._last_change_ms
+        if when != last:
+            cache._occupancy_weighted_ms += (cache.capacity - cache._free) * (
+                when - last
+            )
+            cache._last_change_ms = when
+        self.clock.now = when
+        self._fold(drive, position + 1)
+        return when
 
     # -- CPU-side actions ----------------------------------------------
     def _issue(self, plan, now: float) -> list[_Request]:
@@ -528,10 +557,12 @@ class _FlatTrial:
                 # Genuine over-subscription: raise the reference error.
                 cache.reserve(run, count)
             first_block = state.next_fetch
-            cache._occupancy_weighted_ms += (capacity - free) * (
-                now - cache._last_change_ms
-            )
-            cache._last_change_ms = now
+            last = cache._last_change_ms
+            if now != last:
+                cache._occupancy_weighted_ms += (capacity - free) * (
+                    now - last
+                )
+                cache._last_change_ms = now
             free -= count
             cache._free = free
             state.in_flight += count
@@ -556,45 +587,41 @@ class _FlatTrial:
             self._blocks_fetched += count
         return requests
 
+    def _serve(self, request: _Request) -> _Drive:
+        """Step the request's drive through its free points until the
+        request is in service; other drives catch up in the
+        :meth:`_advance` that follows every wait."""
+        drive = self.drives[self.shared.run_disk[request.run]]
+        while request.finish is None:
+            if drive.free_time is None or self._finish_request(drive):
+                raise BatchDivergence("flat merge deadlocked: drive idle")
+        return drive
+
     def _wait_demand(self, request: _Request) -> float:
         """Unsynchronized demand wait: the request's first block."""
-        while request.finish is None:
-            self._step_free()
-        when = request.arrival0
-        self._advance(when, arrivals_at_limit=False)
-        drive = self.drives[self.shared.run_disk[request.run]]
-        entry = drive.arrivals[drive.cursor]
-        if entry != (when, request.run, request.first_block):
-            raise BatchDivergence("demand arrival fold out of order")
-        self._apply_arrival(drive)
-        return when
+        drive = self._serve(request)
+        self._advance(drive.times[request.start], arrivals_at_limit=False)
+        return self._fold_next(drive, request.start, "demand")
 
     def _wait_in_flight(self, run: int, index: int) -> float:
         """Demand wait for a block already on its way from disk."""
         drive = self.drives[self.shared.run_disk[run]]
-        scan = drive.cursor
-        when: Optional[float] = None
-        while when is None:
-            arrivals = drive.arrivals
-            for j in range(scan, len(arrivals)):
-                if arrivals[j][1] == run and arrivals[j][2] == index:
-                    when = arrivals[j][0]
-                    break
-            else:
-                scan = len(arrivals)
-                self._step_free()
-        self._advance(when, arrivals_at_limit=False)
-        entry = drive.arrivals[drive.cursor]
-        if entry != (when, run, index):
-            raise BatchDivergence("in-flight arrival fold out of order")
-        self._apply_arrival(drive)
-        return when
+        for request in (*drive.served, *drive.pending):
+            if request.run == run and (
+                0 <= index - request.first_block < request.count
+            ):
+                break
+        else:
+            raise BatchDivergence(f"run {run}: block {index} not in flight")
+        self._serve(request)
+        position = request.start + index - request.first_block
+        self._advance(drive.times[position], arrivals_at_limit=False)
+        return self._fold_next(drive, position, "in-flight")
 
     def _wait_all(self, requests: list[_Request]) -> float:
         """Synchronized demand wait: every block of every group."""
         for request in requests:
-            while request.finish is None:
-                self._step_free()
+            self._serve(request)
         when = max(request.finish for request in requests)
         self._advance(when, arrivals_at_limit=True)
         return when
@@ -612,7 +639,9 @@ class _FlatTrial:
 
         unfinished = list(range(config.num_runs))
         depletion_rng = self._depletion_rng
-        randrange = depletion_rng.randrange
+        # randrange(n) is _randbelow(n) for n > 0; the direct call
+        # skips its argument handling, draw for draw.
+        randbelow = depletion_rng._randbelow
         planner = self.planner
         capacity = cache.capacity
         sick = self._sick
@@ -620,15 +649,17 @@ class _FlatTrial:
         budget = shared.event_budget
         now = 0.0
         while unfinished:
-            run = unfinished[randrange(len(unfinished))]
+            run = unfinished[randbelow(len(unfinished))]
             state = states[run]
             if state.cached < 1:
                 raise BatchDivergence(f"run {run}: flat deplete underflow")
             clock.now = now
-            cache._occupancy_weighted_ms += (capacity - cache._free) * (
-                now - cache._last_change_ms
-            )
-            cache._last_change_ms = now
+            last = cache._last_change_ms
+            if now != last:
+                cache._occupancy_weighted_ms += (capacity - cache._free) * (
+                    now - last
+                )
+                cache._last_change_ms = now
             state.cached -= 1
             state.next_deplete += 1
             cache._free += 1
@@ -858,15 +889,7 @@ class _FaultyFlatTrial(_FlatTrial):
             if delay > 0:
                 now = now + delay
 
-        arrivals = drive.arrivals
-        run = request.run
-        first_block = request.first_block
-        first_index = len(arrivals)
-        for offset in range(count):
-            now = now + transfer
-            arrivals.append((now, run, first_block + offset))
-        request.arrival0 = arrivals[first_index][0]
-        request.finish = now
+        now = _schedule(drive, request, now, transfer)
         stats.transfer_ms += count * transfer
         stats.fault_ms += (factor - 1.0) * (
             seek_ms + rotation_ms + count * healthy_transfer
@@ -881,8 +904,6 @@ class _FaultyFlatTrial(_FlatTrial):
             stats.demand_requests += 1
         else:
             stats.prefetch_requests += 1
-        drive.current = request
-        drive.free_time = now
 
 
 def _fallback_trial(config: SimulationConfig, seed: int) -> MergeMetrics:

@@ -18,6 +18,7 @@ import pytest
 from repro import api
 from repro.api import configure
 from repro.core.parameters import (
+    CachePolicy,
     PrefetchStrategy,
     SimulationConfig,
     VictimSelector,
@@ -178,12 +179,98 @@ MATRIX = [
 ]
 
 
+_INTER_RUN = SimulationConfig(
+    num_runs=10,
+    num_disks=5,
+    strategy=PrefetchStrategy.INTER_RUN,
+    prefetch_depth=6,
+    blocks_per_run=50,
+)
+#: Cache of the initial load plus 25 blocks: fewer than ``D*N = 30``
+#: free after a stall, so plans go partial.
+_SQUEEZED = _INTER_RUN.minimum_cache_capacity + 25
+
+#: One fault-free row per inter-run planner path the rows above leave
+#: out (``describe()`` does not name policy, selector or adaptivity,
+#: hence explicit ids).
+PLANNER_ROWS = [
+    pytest.param(
+        dataclasses.replace(
+            _INTER_RUN,
+            cache_policy=CachePolicy.GREEDY,
+            cache_capacity=_SQUEEZED,
+        ),
+        id="greedy",
+    ),
+    pytest.param(
+        dataclasses.replace(
+            _INTER_RUN, adaptive_depth=True, cache_capacity=_SQUEEZED
+        ),
+        id="adaptive-depth",
+    ),
+    *(
+        pytest.param(
+            dataclasses.replace(_INTER_RUN, victim_selector=selector),
+            id=f"victims-{selector.value}",
+        )
+        for selector in (
+            VictimSelector.ROUND_ROBIN,
+            VictimSelector.MOST_DEPLETED,
+            VictimSelector.NEAREST_HEAD,
+        )
+    ),
+    pytest.param(
+        dataclasses.replace(
+            _INTER_RUN, cache_capacity=_INTER_RUN.minimum_cache_capacity
+        ),
+        id="minimum-cache",
+    ),
+]
+
+
 @pytest.mark.parametrize("kernel", NON_REFERENCE)
-@pytest.mark.parametrize("config", MATRIX, ids=lambda c: c.describe())
+@pytest.mark.parametrize(
+    "config", [*MATRIX, *PLANNER_ROWS], ids=lambda c: c.describe()
+)
 @pytest.mark.parametrize("seed", [1, 1992])
 def test_kernel_bit_identical(config, kernel, seed):
     config = dataclasses.replace(config, base_seed=seed)
     assert _trial_dict(config, kernel) == _trial_dict(config, "reference")
+
+
+def test_batch_idles_drives_in_reference_order(monkeypatch):
+    """Drives idled in one time advance reach the concurrency tracker
+    in time order, whichever drive the advance visited first."""
+    calls: list[tuple[float, int, bool]] = []
+
+    class RecordingTracker(batch.ConcurrencyTracker):
+        def on_busy_change(self, disk, busy):
+            calls.append((self.sim.now, disk, busy))
+            super().on_busy_change(disk, busy)
+
+    idled_per_advance: list[int] = []
+    advance = batch._FlatTrial._advance
+
+    def counting_advance(self, limit, arrivals_at_limit):
+        before = len(calls)
+        advance(self, limit, arrivals_at_limit)
+        idled_per_advance.append(len(calls) - before)
+
+    monkeypatch.setattr(batch, "ConcurrencyTracker", RecordingTracker)
+    monkeypatch.setattr(batch._FlatTrial, "_advance", counting_advance)
+    config = SimulationConfig(
+        num_runs=10,
+        num_disks=5,
+        strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=6,
+        blocks_per_run=40,
+        synchronized=True,
+    )
+    flat = batch._FlatTrial(batch._Shared(config), 7).run()
+    assert max(idled_per_advance) >= 2
+    times = [when for when, _, _ in calls]
+    assert times == sorted(times)
+    assert flat.to_dict() == MergeTrial(config, seed=7).run().to_dict()
 
 
 @pytest.mark.parametrize("kernel", NON_REFERENCE)
@@ -222,7 +309,9 @@ def _assert_batch_matches_reference(config, trials) -> None:
     assert grouped == (failures[0] if failures else expected)
 
 
-@pytest.mark.parametrize("config", MATRIX, ids=lambda c: c.describe())
+@pytest.mark.parametrize(
+    "config", [*MATRIX, *PLANNER_ROWS], ids=lambda c: c.describe()
+)
 def test_batch_group_execution_bit_identical(config):
     """Whole-group batch dispatch matches per-trial reference runs."""
     _assert_batch_matches_reference(config, [0, 1, 2])

@@ -3,8 +3,11 @@
 Random small configurations must always complete the merge, deplete the
 exact block count, fetch every non-preloaded block exactly once, and
 respect timing lower bounds -- regardless of strategy, cache size, or
-synchronization.
+synchronization -- and the batch kernel must reproduce the reference
+kernel on every one of them, bit for bit.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from repro.core.parameters import (
     VictimSelector,
 )
 from repro.disks.drive import QueueDiscipline
+from repro.sim import batch
 
 
 @st.composite
@@ -110,3 +114,27 @@ def test_determinism(config_and_seed):
     assert first.total_time_ms == second.total_time_ms
     assert first.fetch_requests == second.fetch_requests
     assert first.full_prefetch_decisions == second.full_prefetch_decisions
+
+
+def _outcome(run) -> object:
+    """``run()``'s metrics as a dict, or the (type, message) of its failure."""
+    try:
+        return run().to_dict()
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+@given(small_configs())
+@settings(max_examples=2000, deadline=None)
+def test_batch_kernel_matches_reference(config_and_seed):
+    """Every strategy, selector, policy and discipline, sync or async,
+    with CPU cost, squeezed caches and write disks (which the batch tier
+    hands to the reference kernel): the same metrics, and no trial the
+    interpreter starts diverges."""
+    config, seed = config_and_seed
+    before = Counter(batch.fallback_counts())
+    flat = _outcome(lambda: batch.run_trial_batch(config, [seed])[0])
+    reference = _outcome(lambda: MergeTrial(config, seed=seed).run())
+    assert flat == reference
+    added = Counter(batch.fallback_counts()) - before
+    assert "divergence" not in added

@@ -165,3 +165,30 @@ def test_concurrent_counting_loses_no_update():
         sys.setswitchinterval(previous)
     after = batch.fallback_counts()["stress"]
     assert after - before == threads * per_thread
+
+
+def test_out_of_order_arrival_slice_diverges(monkeypatch):
+    """A request slice folded out of order trips the bulk fold's guard;
+    the seed is tallied and re-run on the reference kernel."""
+    from repro.core.merge_sim import MergeTrial
+
+    schedule = batch._schedule
+
+    def misnumbered(drive, request, when, transfer):
+        finish = schedule(drive, request, when, transfer)
+        request.first_block += 1  # the slice now claims the next blocks
+        return finish
+
+    monkeypatch.setattr(batch, "_schedule", misnumbered)
+    config = _config()
+    with pytest.raises(batch.BatchDivergence, match="out of order"):
+        batch._FlatTrial(batch._Shared(config), 3).run()
+
+    results: list = []
+    counted = _counted(
+        lambda: results.extend(batch.run_trial_batch(config, [3]))
+    )
+    assert counted == {"divergence": 1}
+    assert [m.to_dict() for m in results] == [
+        MergeTrial(config, seed=3).run().to_dict()
+    ]

@@ -6,7 +6,7 @@ PYTHON ?= python3
 # import path without requiring an install step.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast lint sanitize-smoke sweep-smoke serve-smoke dist-smoke bench bench-smoke bench-pytest obs-smoke realio-smoke check reproduce reproduce-quick clean
+.PHONY: install test test-fast lint sanitize-smoke sweep-smoke serve-smoke dist-smoke bench bench-smoke obs-smoke realio-smoke check reproduce reproduce-quick clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -84,10 +84,6 @@ realio-smoke:
 		--report results/realio/realio-report.json \
 		--trace-out results/realio/realio-trace.json
 	$(PYTHON) -m repro trace validate results/realio/realio-trace.json
-
-# The pytest-benchmark suite (paper-artifact regeneration timings).
-bench-pytest:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 check:
 	$(PYTHON) -m repro lint src --stats

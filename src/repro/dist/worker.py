@@ -84,7 +84,7 @@ class DistWorker:
         connect_retry: RetryPolicy = CONNECT_RETRY,
     ) -> None:
         self.client = client if client is not None else CoordinatorClient(
-            host, port, client_id=worker_id
+            host, port, client_id=worker_id, sleep=sleep
         )
         self.worker_id = worker_id
         self.clock = clock

@@ -186,3 +186,11 @@ def test_metrics_time_positive_and_consistent():
     assert metrics.mean_io_ms_per_block == pytest.approx(
         metrics.total_time_ms / metrics.blocks_depleted
     )
+
+
+def test_inter_run_trial_depletes_every_block():
+    cfg = SimulationConfig(
+        num_runs=10, num_disks=5, strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=10, blocks_per_run=200, trials=1,
+    )
+    assert run(cfg).blocks_depleted == 2000

@@ -1,5 +1,7 @@
 """Worker-before-coordinator startup: first contact retries, never dies."""
 
+import time
+
 import pytest
 
 from repro.dist.worker import CONNECT_RETRY, DistWorker
@@ -74,6 +76,31 @@ def test_connection_loss_after_contact_is_not_retried():
     stats = worker.run()
     assert stats.coordinator_gone
     assert stats.connect_retries == 0
+
+
+def test_built_client_backs_off_through_the_injected_sleep(monkeypatch):
+    """The worker's own CoordinatorClient retries a refused lease after
+    first contact; every backoff must go through the worker's seam."""
+
+    def forbidden_sleep(_seconds):
+        raise AssertionError("the real sleep was called")
+
+    monkeypatch.setattr(time, "sleep", forbidden_sleep)
+    sleeps = []
+    worker = DistWorker(port=1, sleep=sleeps.append)
+    answers = iter([(200, {}, {"status": "wait", "retry_after_s": 0})])
+
+    def once(method, path, body):
+        answer = next(answers, None)
+        if answer is None:
+            raise ConnectionRefusedError("connection refused")
+        return answer
+
+    worker.client._once = once
+    stats = worker.run()
+    assert stats.coordinator_gone
+    # The wait answer's retry_after_s, then the client's three backoffs.
+    assert sleeps == [0.0, 0.25, 0.5, 1.0]
 
 
 def test_connect_retries_round_trip_through_stats():

@@ -173,3 +173,15 @@ def test_anonymous_processes_get_unique_names():
     first = sim.process(body())
     second = sim.process(body())
     assert first.name != second.name
+
+
+def test_long_timeout_chain_advances_clock_exactly():
+    sim = Simulator()
+
+    def body():
+        for _ in range(10_000):
+            yield sim.timeout(1.0)
+
+    sim.process(body())
+    sim.run()
+    assert sim.now == 10_000.0

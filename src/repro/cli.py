@@ -661,6 +661,13 @@ def _partition_run_ids(ids: list) -> tuple[list, list]:
     return experiments, scenarios
 
 
+#: What a traced run prints once ``repro.obs.check_busy_spans`` passes.
+_BUSY_SPANS_OK = (
+    "trace check   : per-drive busy spans match DriveStats.busy_ms "
+    "(<= 1e-6 ms)"
+)
+
+
 def _replay_scenario(name: str, args: argparse.Namespace, session) -> bool:
     """Run one bench scenario's pinned config outside the timing harness.
 
@@ -696,22 +703,24 @@ def _replay_scenario(name: str, args: argparse.Namespace, session) -> bool:
     print(f"total time    : {result.total_time_s.mean:.2f} s "
           f"(95% CI [{low:.2f}, {high:.2f}], {config.trials} trials)")
     print(f"success ratio : {result.success_ratio.mean:.3f}")
-    if session is not None:
-        worst = 0.0
-        for index, metrics in enumerate(result.trials):
-            trial = session.trials[first_trial + index]
-            for disk, stats in enumerate(metrics.drive_stats):
-                worst = max(
-                    worst,
-                    abs(trial.service_busy_ms(disk) - stats.busy_ms),
-                )
-        if worst > 1e-6:
-            print(f"error: trace busy spans drift from DriveStats.busy_ms "
-                  f"by {worst:.3e} ms", file=sys.stderr)
-            return False
-        print("trace check   : per-drive busy spans match "
-              "DriveStats.busy_ms (<= 1e-6 ms)")
+    if session is not None and not _busy_span_check(
+        session, result.trials, first_trial
+    ):
+        return False
     print()
+    return True
+
+
+def _busy_span_check(session, trials, first_trial: int) -> bool:
+    """Print the obs-smoke invariant's verdict for traced ``trials``."""
+    from repro.obs import BusySpanDrift, check_busy_spans
+
+    try:
+        check_busy_spans(session, trials, first_trial)
+    except BusySpanDrift as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    print(_BUSY_SPANS_OK)
     return True
 
 
@@ -1280,24 +1289,6 @@ def _realio_dataset(args) -> "object":
     )
 
 
-def _realio_busy_check(session, trials, first_trial: int) -> bool:
-    """The obs-smoke invariant on real traces: spans == DriveStats.busy_ms."""
-    worst = 0.0
-    for index, metrics in enumerate(trials):
-        trial = session.trials[first_trial + index]
-        for disk, stats in enumerate(metrics.drive_stats):
-            worst = max(
-                worst, abs(trial.service_busy_ms(disk) - stats.busy_ms)
-            )
-    if worst > 1e-6:
-        print(f"error: trace busy spans drift from DriveStats.busy_ms "
-              f"by {worst:.3e} ms", file=sys.stderr)
-        return False
-    print("trace check   : per-drive busy spans match "
-          "DriveStats.busy_ms (<= 1e-6 ms)")
-    return True
-
-
 def _cmd_realio(args: argparse.Namespace) -> int:
     if args.realio_command == "gen":
         dataset = _realio_dataset(args)
@@ -1339,7 +1330,7 @@ def _cmd_realio(args: argparse.Namespace) -> int:
             print(f"output written: {args.out}")
         ok = outcome.sorted_ok
         if session is not None:
-            ok = _realio_busy_check(session, outcome.trials, 0) and ok
+            ok = _busy_span_check(session, outcome.trials, 0) and ok
         _export_trace(session, args)
         return 0 if ok else 1
 
@@ -1368,28 +1359,31 @@ def _cmd_realio(args: argparse.Namespace) -> int:
         return 0
 
     if args.realio_command == "validate":
+        from repro.obs import BusySpanDrift
         from repro.realio import run_validation
 
         dataset = _realio_dataset(args)
         session = _trace_session(args, "realio-validate")
-        report = run_validation(
-            dataset,
-            prefetch_depth=args.depth,
-            trials=args.trials,
-            base_seed=args.seed,
-            throttle_ms_per_block=args.throttle,
-            session=session,
-        )
+        try:
+            report = run_validation(
+                dataset,
+                prefetch_depth=args.depth,
+                trials=args.trials,
+                base_seed=args.seed,
+                throttle_ms_per_block=args.throttle,
+                session=session,
+            )
+        except BusySpanDrift as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(report.render())
         ok = report.agrees
         if args.strict and not report.total_ordering_agrees:
             ok = False
         if session is not None:
-            # run_validation already cross-checked every real-backend
-            # trial's service spans against DriveStats.busy_ms (it
-            # raises on drift); the simulator side runs untraced.
-            print("trace check   : per-drive busy spans match "
-                  "DriveStats.busy_ms (<= 1e-6 ms)")
+            # run_validation already checked every real-backend trial's
+            # trace (check_busy_spans); the simulator side runs untraced.
+            print(_BUSY_SPANS_OK)
             _export_trace(session, args)
         if args.report:
             from pathlib import Path

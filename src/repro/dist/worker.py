@@ -31,16 +31,28 @@ import dataclasses
 from typing import Optional
 
 from repro.dist.client import CoordinatorClient, is_lease_lost
-from repro.serve.client import RetryPolicy, ServeError, ServeHTTPError
+from repro.serve.client import (
+    NO_RETRY,
+    RetryPolicy,
+    ServeError,
+    ServeHTTPError,
+)
 from repro.serve.clock import Clock, Sleep, blocking_sleep, monotonic_clock
 from repro.sweep.worker import execute_job
 
 #: Default first-contact retry: workers are routinely launched before
 #: the coordinator's socket listens (e.g. `repro dist work` in one
 #: terminal, `repro dist coordinate` still starting in another), so a
-#: refused connection before first contact is retried with the same
-#: capped-backoff shape ServeClient uses, not treated as fatal.
-CONNECT_RETRY = RetryPolicy(max_attempts=6, backoff_s=0.25)
+#: refused connection before first contact is retried with capped
+#: backoff, not treated as fatal: ~19 s in all and at most 0.25 s
+#: apart, so a worker started beside an ``exit_when_done`` coordinator
+#: rarely misses a campaign that lasts under a second.  It is the
+#: worker's only retry layer: the coordinator never answers
+#: 429/503/504, so the built client retries nothing, and a refused
+#: lease after first contact ends the run at once.
+CONNECT_RETRY = RetryPolicy(
+    max_attempts=80, backoff_s=0.05, max_backoff_s=0.25
+)
 
 
 @dataclasses.dataclass
@@ -84,7 +96,7 @@ class DistWorker:
         connect_retry: RetryPolicy = CONNECT_RETRY,
     ) -> None:
         self.client = client if client is not None else CoordinatorClient(
-            host, port, client_id=worker_id, sleep=sleep
+            host, port, client_id=worker_id, sleep=sleep, retry=NO_RETRY
         )
         self.worker_id = worker_id
         self.clock = clock

@@ -84,7 +84,7 @@ class LintConfig:
     #: Worker/retry code where a broad ``except`` needs a baseline entry.
     broad_except_modules: list[str] = field(default_factory=lambda: [
         "repro/sweep", "repro/experiments/runner.py", "repro/faults",
-        "repro/serve", "repro/dist",
+        "repro/serve", "repro/dist", "repro/netutil.py",
     ])
 
     # -- RPR008 stdout discipline --------------------------------------------
@@ -119,13 +119,13 @@ class LintConfig:
     # -- RPR011/RPR013 async rules ---------------------------------------------
     #: Packages whose ``async def`` bodies must not (transitively) block.
     async_blocking_modules: list[str] = field(default_factory=lambda: [
-        "repro/serve", "repro/dist",
+        "repro/serve", "repro/dist", "repro/netutil.py",
     ])
 
     # -- RPR012 lock discipline ------------------------------------------------
     #: Packages where shared attribute writes need a lock or annotation.
     lock_discipline_modules: list[str] = field(default_factory=lambda: [
-        "repro/realio", "repro/dist", "repro/serve",
+        "repro/realio", "repro/dist", "repro/serve", "repro/netutil.py",
     ])
 
     def is_disabled(self, rule_id: str) -> bool:

@@ -1,16 +1,24 @@
-"""Shared asyncio HTTP/1.1 plumbing for the repo's JSON services.
+"""The JSON-over-HTTP service lifecycle shared by serve and dist.
 
-Both network subsystems — :mod:`repro.serve` (the simulation front
-door) and :mod:`repro.dist` (the distributed sweep coordinator) —
-speak the same deliberately minimal HTTP/1.1 dialect: one request per
-connection (request line, headers, ``Content-Length`` body), JSON
-bodies both ways, ``Connection: close`` responses.  This module owns
-that dialect so the two servers share one implementation instead of
-two drifting copies; it is pure plumbing and must stay free of wall
-clocks, routing policy, and anything simulation-specific.
+:mod:`repro.serve` (the simulation front door) and the
+:mod:`repro.dist` coordinator are both a :class:`JsonService`, speaking
+one deliberately minimal HTTP/1.1 dialect: one request per connection
+(request line, headers, ``Content-Length`` body), JSON bodies both
+ways, ``Connection: close`` answers.  This module owns all they share:
 
-Extracted verbatim from ``serve/server.py`` (PR 6); the serve e2e
-suite pins the behaviour.
+* the wire format (:func:`read_http_request`, :func:`write_json_response`);
+* the lifecycle: bind, SIGTERM/SIGINT drain handlers, the
+  per-connection task set, and a drain that closes the listener, waits
+  ``drain_grace_s`` for in-flight work and cancels the stragglers;
+* the request path: the read under :data:`READ_TIMEOUT_S`, 413/404/405
+  from the service's route table, ``healthz`` and ``metricz``, the 500
+  request-isolation boundary, and the ``{prefix}_requests``,
+  ``{prefix}_responses`` and ``{prefix}_latency_ms`` metrics;
+* the threaded harness (:class:`ServiceHandle`, :func:`start_in_thread`).
+
+A service supplies its routes, its handlers and its hooks.  Latency is
+read through the service's injected clock: this module is in the lint
+determinism scope and reads no wall clock of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +26,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import Optional
+import signal
+import threading
+from typing import Callable, Optional
+
+from repro.obs.registry import MetricsRegistry
 
 #: Reason phrases for every status the repo's services emit.
 REASONS = {
@@ -41,9 +53,19 @@ REQUEST_READ_ERRORS = (
     ValueError,
 )
 
+#: Latency histogram buckets (ms): sub-millisecond cache hits through
+#: multi-second simulations.
+LATENCY_BUCKETS_MS = (
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
+    500.0, 1000.0, 2500.0, 5000.0, 10000.0,
+)
+
 #: A parsed request: ``(method, target, headers, body)``; ``body`` is
 #: ``None`` when Content-Length exceeded the caller's limit (413).
 ParsedRequest = tuple[str, str, dict, Optional[bytes]]
+
+#: One answer: ``(status, JSON body, extra headers)``.
+Answer = tuple[int, dict, dict]
 
 
 async def read_http_request(
@@ -98,7 +120,278 @@ async def write_json_response(
         await writer.drain()
 
 
-def method_not_allowed(allowed: str) -> tuple[int, dict, dict]:
+def method_not_allowed(allowed: str) -> Answer:
     """The uniform 405 answer: ``(status, body, extra_headers)``."""
     return 405, {"error": "method-not-allowed",
                  "detail": f"use {allowed}"}, {"Allow": allowed}
+
+
+class JsonService:
+    """One JSON service bound to one event loop.
+
+    Construct, then either ``asyncio.run(service.run())`` (the CLI
+    path: installs SIGTERM/SIGINT drain handlers when possible) or
+    :func:`start_in_thread`.  ``config`` needs ``host``, ``port`` and
+    ``drain_grace_s``; ``clock`` is the service's injected seconds
+    clock.
+
+    A subclass sets :attr:`prefix`, :attr:`routes` and
+    :attr:`max_body_bytes`, answers its own endpoints in
+    :meth:`_handle` and ``healthz`` in :meth:`_health_body`, and may
+    override the hooks :meth:`_refresh_gauges`,
+    :meth:`_after_response` and :meth:`_shutdown`.
+    """
+
+    #: Metric name prefix: ``{prefix}_requests{endpoint}``,
+    #: ``{prefix}_responses{code}``, ``{prefix}_latency_ms{endpoint}``.
+    prefix = "service"
+    #: ``(method, path, endpoint)`` rows; a path ending in ``/`` matches
+    #: every path under it.  The endpoint is the metric label and the
+    #: key :meth:`_handle` dispatches on; unrouted paths count as
+    #: ``other``.
+    routes: tuple[tuple[str, str, str], ...] = (
+        ("GET", "/v1/healthz", "healthz"),
+        ("GET", "/v1/metricz", "metricz"),
+    )
+    #: Larger bodies are answered 413 without being read.
+    max_body_bytes = 1 << 20
+
+    def __init__(self, config, clock: Callable[[], float]) -> None:
+        self.config = config
+        self.clock = clock
+        self.metrics = MetricsRegistry()
+        self.port: Optional[int] = None  # bound port, set by start()
+        self._draining = False
+        self._started_at: Optional[float] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stopped: Optional[asyncio.Event] = None
+        self._active: set[asyncio.Task] = set()
+        #: Work besides connections that a drain waits on (serve's
+        #: sweep jobs); the owning service adds and discards tasks.
+        self._background: set[asyncio.Task] = set()
+        self._drain_task: Optional[asyncio.Task] = None
+
+    # -- lifecycle -----------------------------------------------------------
+
+    async def start(self) -> None:
+        """Bind and start accepting; sets :attr:`port`."""
+        self._loop = asyncio.get_running_loop()
+        self._stopped = asyncio.Event()
+        self._started_at = self.clock()
+        self._server = await asyncio.start_server(
+            self._on_connection, self.config.host, self.config.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def run(
+        self,
+        *,
+        install_signal_handlers: bool = True,
+        on_ready: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Start, serve until drained, then clean up."""
+        await self.start()
+        if install_signal_handlers:
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                try:
+                    self._loop.add_signal_handler(signum, self.request_drain)
+                except (NotImplementedError, RuntimeError, ValueError):
+                    # Non-main thread or platform without loop signal
+                    # support: drain stays available via request_drain().
+                    break
+        if on_ready is not None:
+            on_ready()
+        try:
+            await self._stopped.wait()
+        finally:
+            await self._shutdown()
+
+    def request_drain(self) -> None:
+        """Begin a graceful shutdown (idempotent; SIGTERM handler).
+
+        Stops accepting connections, lets in-flight requests and
+        background work finish (bounded by ``drain_grace_s``), cancels
+        the rest, then releases :meth:`run`.
+        """
+        if self._draining:
+            return
+        self._draining = True
+        self._drain_task = self._loop.create_task(self._drain())
+
+    async def _drain(self) -> None:
+        self._server.close()
+        await self._server.wait_closed()
+        pending = self._active | self._background
+        if pending:
+            _done, straggling = await asyncio.wait(
+                pending, timeout=self.config.drain_grace_s
+            )
+            for task in straggling:
+                task.cancel()
+            if straggling:
+                await asyncio.wait(straggling, timeout=1.0)
+        self._stopped.set()
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    # -- one connection ------------------------------------------------------
+
+    async def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        self._active.add(task)
+        try:
+            await self._serve_one(reader, writer)
+        finally:
+            self._active.discard(task)
+            writer.close()
+            with contextlib.suppress(OSError):
+                await writer.wait_closed()
+
+    async def _serve_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            parsed = await asyncio.wait_for(
+                read_http_request(reader, max_body_bytes=self.max_body_bytes),
+                READ_TIMEOUT_S,
+            )
+        except REQUEST_READ_ERRORS:
+            return  # unparseable or abandoned connection: nothing to answer
+        if parsed is None:
+            return
+        method, path, headers, body = parsed
+        start = self.clock()
+        endpoint, allowed = self._route(path)
+        self.metrics.counter(
+            f"{self.prefix}_requests", endpoint=endpoint
+        ).inc()
+        try:
+            status, payload, extra = await self._answer(
+                method, path, headers, body, endpoint, allowed
+            )
+        except Exception as exc:
+            # Request isolation boundary: one failing handler must
+            # answer 500 and leave the service (and its event loop)
+            # serving every other connection.
+            status, extra = 500, {}
+            payload = {"error": "internal", "detail": f"{type(exc).__name__}"}
+        self.metrics.counter(f"{self.prefix}_responses", code=status).inc()
+        self.metrics.histogram(
+            f"{self.prefix}_latency_ms", bounds=LATENCY_BUCKETS_MS,
+            endpoint=endpoint,
+        ).observe((self.clock() - start) * 1000.0)
+        await write_json_response(writer, status, payload, extra)
+        self._after_response()
+
+    def _route(self, path: str) -> tuple[str, Optional[str]]:
+        """``(endpoint, allowed method)``; ``("other", None)`` unrouted."""
+        for method, route, endpoint in self.routes:
+            prefix = route.endswith("/") and path.startswith(route)
+            if path == route or prefix:
+                return endpoint, method
+        return "other", None
+
+    async def _answer(
+        self, method: str, path: str, headers: dict, body: Optional[bytes],
+        endpoint: str, allowed: Optional[str],
+    ) -> Answer:
+        if body is None:
+            return 413, {"error": "payload-too-large",
+                         "detail": f"body exceeds {self.max_body_bytes} "
+                         "bytes"}, {}
+        if allowed is None:
+            return 404, {"error": "not-found",
+                         "detail": f"no route for {path}"}, {}
+        if method != allowed:
+            return method_not_allowed(allowed)
+        if endpoint == "healthz":
+            return 200, self._health_body(), {}
+        if endpoint == "metricz":
+            self._refresh_gauges()
+            return 200, self.metrics.to_dict(), {}
+        return await self._handle(endpoint, path, headers, body)
+
+    # -- service hooks -------------------------------------------------------
+
+    async def _handle(
+        self, endpoint: str, path: str, headers: dict, body: bytes
+    ) -> Answer:
+        """Answer one routed request to a service-specific endpoint."""
+        raise NotImplementedError
+
+    def _health_body(self) -> dict:
+        """The ``GET /v1/healthz`` answer."""
+        raise NotImplementedError
+
+    def _refresh_gauges(self) -> None:
+        """Bring gauges up to date before ``GET /v1/metricz`` reads them."""
+
+    def _after_response(self) -> None:
+        """Called once each answer is written."""
+
+    async def _shutdown(self) -> None:
+        """Release service resources once the drain has finished."""
+
+
+# -- threaded harness (tests, benchmarks, smoke scripts) ---------------------
+
+
+class ServiceHandle:
+    """A running service on a daemon thread, stoppable from outside."""
+
+    def __init__(self, service: JsonService, thread: threading.Thread):
+        self.service = service
+        self.thread = thread
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.service.config.host, self.service.port
+
+    def stop(self, timeout_s: float = 15.0) -> None:
+        """Trigger a graceful drain and join the service thread."""
+        loop = self.service._loop
+        if loop is not None and not loop.is_closed():
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(self.service.request_drain)
+        self.thread.join(timeout_s)
+
+    def join(self, timeout_s: float = 60.0) -> None:
+        """Wait for the service to stop on its own (``exit_when_done``)."""
+        self.thread.join(timeout_s)
+
+
+def start_in_thread(
+    service: JsonService, *, ready_timeout_s: float = 15.0
+) -> ServiceHandle:
+    """Run ``service`` on a daemon thread; returns once it is accepting."""
+    ready = threading.Event()
+    failures: list[BaseException] = []
+
+    def runner() -> None:
+        try:
+            asyncio.run(
+                service.run(install_signal_handlers=False, on_ready=ready.set)
+            )
+        except BaseException as exc:
+            failures.append(exc)
+            ready.set()
+            raise
+
+    thread = threading.Thread(
+        target=runner, name=f"repro-{service.prefix}", daemon=True
+    )
+    thread.start()
+    if not ready.wait(ready_timeout_s):
+        raise RuntimeError(
+            f"{service.prefix} service did not start within the ready timeout"
+        )
+    if failures:
+        raise RuntimeError(
+            f"{service.prefix} service failed to start"
+        ) from failures[0]
+    return ServiceHandle(service, thread)

@@ -11,7 +11,12 @@ Tracing is off unless a :class:`TraceSession` is made ambient through
 ``if trace is not None`` guards.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.collector import TraceSession, TrialTrace
+from repro.obs.collector import (
+    BusySpanDrift,
+    TraceSession,
+    TrialTrace,
+    check_busy_spans,
+)
 from repro.obs.events import SERVICE_KINDS, EventKind, TraceEvent, track_sort_key
 from repro.obs.export import (
     chrome_trace,
@@ -30,6 +35,7 @@ from repro.obs.schema import (
 )
 
 __all__ = [
+    "BusySpanDrift",
     "Counter",
     "EventKind",
     "Gauge",
@@ -39,6 +45,7 @@ __all__ = [
     "TraceEvent",
     "TraceSession",
     "TrialTrace",
+    "check_busy_spans",
     "chrome_trace",
     "jsonl_lines",
     "load_schema",

@@ -101,8 +101,8 @@ class TrialTrace:
         """Sum of service-span durations on one disk track.
 
         Request services on a drive never overlap, so this equals the
-        drive's ``DriveStats.busy_ms`` (pinned to 1e-6 ms by
-        ``tests/obs/test_trace_consistency.py``).
+        drive's ``DriveStats.busy_ms`` (:func:`check_busy_spans`; pinned
+        by ``tests/obs/test_trace_invariants.py``).
         """
         track = f"disk-{disk}"
         return sum(
@@ -208,3 +208,36 @@ class TraceSession:
         from repro.obs.export import render_timeline
 
         return render_timeline(self.trials[trial], width=width)
+
+
+#: How far one drive's traced service spans may sit from its busy time.
+BUSY_SPAN_TOLERANCE_MS = 1e-6
+
+
+class BusySpanDrift(RuntimeError):
+    """Traced service spans disagree with ``DriveStats.busy_ms``."""
+
+
+def check_busy_spans(
+    session: TraceSession, trials: list, first_trial: int = 0
+) -> None:
+    """The trace invariant: per-drive service spans == ``busy_ms``.
+
+    ``trials`` are the :class:`~repro.core.metrics.MergeMetrics` of
+    consecutive traced trials, the first of them recorded as
+    ``session.trials[first_trial]``.  Raises :class:`BusySpanDrift`
+    naming the worst drift when it exceeds
+    :data:`BUSY_SPAN_TOLERANCE_MS`.
+    """
+    worst, worst_disk = 0.0, 0
+    for index, metrics in enumerate(trials):
+        trace = session.trials[first_trial + index]
+        for disk, stats in enumerate(metrics.drive_stats):
+            drift = abs(trace.service_busy_ms(disk) - stats.busy_ms)
+            if drift > worst:
+                worst, worst_disk = drift, disk
+    if worst > BUSY_SPAN_TOLERANCE_MS:
+        raise BusySpanDrift(
+            f"trace busy spans drift from DriveStats.busy_ms by "
+            f"{worst:.3e} ms on disk {worst_disk}"
+        )

@@ -38,6 +38,7 @@ from repro.core.parameters import (
     VictimSelector,
 )
 from repro.core.simulator import MergeSimulation
+from repro.obs.collector import check_busy_spans
 from repro.realio.backend import RealIOConfig, run_real_merge
 from repro.realio.calibrate import CalibrationReport, calibrate
 from repro.realio.clock import (
@@ -266,6 +267,10 @@ def run_validation(
     3. Re-run the simulator under the fitted constants at the matching
        configuration (same k, D, N, run length, cache sizing rule,
        seeds) and compare orderings.
+
+    With a ``session``, every measured trial's trace is checked
+    against its drive accounting
+    (:class:`~repro.obs.collector.BusySpanDrift` on drift).
     """
     if len(strategies) < 2:
         raise ValueError("validation needs at least two strategies to rank")
@@ -294,7 +299,7 @@ def run_validation(
                 f"real merge under {strategy.value} produced unsorted output"
             )
         if session is not None:
-            _check_busy_accounting(session, outcome.trials, first_trial)
+            check_busy_spans(session, outcome.trials, first_trial)
         measured[strategy] = outcome
         samples.extend(outcome.samples)
 
@@ -356,17 +361,3 @@ def run_validation(
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
-
-
-def _check_busy_accounting(session, trials, first_trial: int) -> None:
-    """Real traces obey the simulator's invariant: per-drive service
-    spans sum to ``DriveStats.busy_ms`` (within 1e-6 ms)."""
-    for index, metrics in enumerate(trials):
-        trace = session.trials[first_trial + index]
-        for disk, stats in enumerate(metrics.drive_stats):
-            drift = abs(trace.service_busy_ms(disk) - stats.busy_ms)
-            if drift > 1e-6:
-                raise RuntimeError(
-                    f"trace busy spans drift from DriveStats.busy_ms by "
-                    f"{drift:.3e} ms on disk {disk}"
-                )

@@ -27,35 +27,28 @@ Every simulate request flows through the same pipeline:
    ``Retry-After``; per-request deadlines answer 504; ``SIGTERM``
    triggers a graceful drain that finishes in-flight work first.
 
-The HTTP layer is a deliberately minimal HTTP/1.1 server over
-``asyncio.start_server`` (request line, headers, ``Content-Length``
-body, ``Connection: close`` responses) — enough for JSON APIs, zero
-dependencies, and trivially fuzzable.
+The HTTP layer — listener, drain, routing, request isolation and the
+threaded harness — is the :class:`~repro.netutil.JsonService` shared
+with the dist coordinator (DESIGN.md, "One JSON service lifecycle").
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import contextlib
 import dataclasses
 import json
 import math
-import signal
-import threading
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.metrics import AggregateMetrics, MergeMetrics
 from repro.core.parameters import SimulationConfig
-from repro.netutil import (
-    READ_TIMEOUT_S,
-    REQUEST_READ_ERRORS,
-    method_not_allowed,
-    read_http_request,
-    write_json_response,
+from repro.netutil import JsonService
+from repro.netutil import (  # noqa: F401  (the threaded harness, re-exported)
+    ServiceHandle as ServerHandle,
+    start_in_thread,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.serve.cache import CacheFront
 from repro.serve.clock import Clock, monotonic_clock
 from repro.serve.limiter import RateLimiter
@@ -75,13 +68,6 @@ from repro.sweep.keys import config_to_dict
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.sweep.worker import execute_job
-
-#: Latency histogram buckets (ms): sub-millisecond cache hits through
-#: multi-second simulations.
-_LATENCY_BUCKETS_MS = (
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-    500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,13 +100,23 @@ class ServeConfig:
             raise ValueError("drain_grace_s must be >= 0")
 
 
-class SimulationServer:
+class SimulationServer(JsonService):
     """One service instance bound to one event loop.
 
     Construct, then either ``asyncio.run(server.run())`` (the CLI
     path: installs SIGTERM/SIGINT drain handlers when possible) or
-    :func:`start_in_thread` (tests, benchmarks, smoke scripts).
+    :func:`start_in_thread` (tests, benchmarks, smoke scripts).  The
+    listener, drain and request path are
+    :class:`~repro.netutil.JsonService`'s.
     """
+
+    prefix = "serve"
+    routes = JsonService.routes + (
+        ("POST", "/v1/simulate", "simulate"),
+        ("POST", "/v1/sweep", "sweep"),
+        ("GET", "/v1/jobs/", "jobs"),
+    )
+    max_body_bytes = MAX_BODY_BYTES
 
     def __init__(
         self,
@@ -129,177 +125,30 @@ class SimulationServer:
         store: Optional[ResultStore] = None,
         clock: Clock = monotonic_clock,
     ) -> None:
-        self.config = config
-        self.clock = clock
+        super().__init__(config, clock)
         self.cache = CacheFront(store or ResultStore(config.cache_dir))
         self.limiter = RateLimiter(config.rate, config.burst, clock=clock)
         self.admission = AdmissionQueue(config.queue_limit)
         self.flights = SingleFlight()
-        self.metrics = MetricsRegistry()
-        self.port: Optional[int] = None  # bound port, set by start()
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._jobs: dict[str, dict] = {}
         self._job_seq = 0
-        self._draining = False
-        self._started_at: Optional[float] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._active: set[asyncio.Task] = set()
-        self._background: set[asyncio.Task] = set()
-        self._drain_task: Optional[asyncio.Task] = None
 
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        """Bind and start accepting; sets :attr:`port`."""
-        self._loop = asyncio.get_running_loop()
-        self._stopped = asyncio.Event()
-        self._started_at = self.clock()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def run(
-        self,
-        *,
-        install_signal_handlers: bool = True,
-        on_ready: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Start, serve until drained, then clean up."""
-        await self.start()
-        if install_signal_handlers:
-            self._install_signal_handlers()
-        if on_ready is not None:
-            on_ready()
-        try:
-            await self._stopped.wait()
-        finally:
-            await self._shutdown()
-
-    def _install_signal_handlers(self) -> None:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._loop.add_signal_handler(signum, self.request_drain)
-            except (NotImplementedError, RuntimeError, ValueError):
-                # Non-main thread or platform without loop signal
-                # support: drain stays available via request_drain().
-                break
-
-    def request_drain(self) -> None:
-        """Begin a graceful shutdown (idempotent; SIGTERM handler).
-
-        Stops accepting connections, lets in-flight requests and
-        background sweep jobs finish (bounded by ``drain_grace_s``),
-        then releases :meth:`run`.
-        """
-        if self._draining:
-            return
-        self._draining = True
-        self._drain_task = self._loop.create_task(self._drain())
-
-    async def _drain(self) -> None:
-        self._server.close()
-        await self._server.wait_closed()
-        grace = self.config.drain_grace_s
-        pending = self._active | self._background
-        if pending:
-            done, straggling = await asyncio.wait(pending, timeout=grace)
-            for task in straggling:
-                task.cancel()
-            if straggling:
-                await asyncio.wait(straggling, timeout=1.0)
-        self._stopped.set()
+    # -- service hooks -------------------------------------------------------
 
     async def _shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    # -- HTTP plumbing -------------------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._active.add(task)
-        try:
-            await self._serve_one(reader, writer)
-        finally:
-            self._active.discard(task)
-            writer.close()
-            with contextlib.suppress(OSError):
-                await writer.wait_closed()
-
-    async def _serve_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            parsed = await asyncio.wait_for(
-                read_http_request(reader, max_body_bytes=MAX_BODY_BYTES),
-                READ_TIMEOUT_S,
-            )
-        except REQUEST_READ_ERRORS:
-            return  # unparseable or abandoned connection: nothing to answer
-        if parsed is None:
-            return
-        method, path, headers, body = parsed
-        start = self.clock()
-        try:
-            status, payload, extra = await self._dispatch(
-                method, path, headers, body
-            )
-        except Exception as exc:
-            # Request isolation boundary: one failing handler must
-            # answer 500 and leave the server (and its event loop)
-            # serving every other connection.
-            status, extra = 500, {}
-            payload = {"error": "internal", "detail": f"{type(exc).__name__}"}
-        self.metrics.counter("serve_responses", code=status).inc()
-        endpoint = _endpoint_label(path)
-        self.metrics.histogram(
-            "serve_latency_ms", bounds=_LATENCY_BUCKETS_MS, endpoint=endpoint
-        ).observe((self.clock() - start) * 1000.0)
-        await write_json_response(writer, status, payload, extra)
-
-    # -- routing -------------------------------------------------------------
-
-    async def _dispatch(
-        self, method: str, path: str, headers: dict, body: Optional[bytes]
+    async def _handle(
+        self, endpoint: str, path: str, headers: dict, body: bytes
     ) -> tuple[int, dict, dict]:
-        self.metrics.counter(
-            "serve_requests", endpoint=_endpoint_label(path)
-        ).inc()
-        if body is None:
-            return 413, {"error": "payload-too-large",
-                         "detail": f"body exceeds {MAX_BODY_BYTES} bytes"}, {}
-        if path == "/v1/healthz":
-            if method != "GET":
-                return method_not_allowed("GET")
-            return 200, self._health_body(), {}
-        if path == "/v1/metricz":
-            if method != "GET":
-                return method_not_allowed("GET")
-            self._refresh_gauges()
-            return 200, self.metrics.to_dict(), {}
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                return method_not_allowed("GET")
-            return self._job_status(path.removeprefix("/v1/jobs/"))
-        if path == "/v1/simulate":
-            if method != "POST":
-                return method_not_allowed("POST")
+        if endpoint == "simulate":
             return await self._handle_simulate(headers, body)
-        if path == "/v1/sweep":
-            if method != "POST":
-                return method_not_allowed("POST")
+        if endpoint == "sweep":
             return self._handle_sweep(headers, body)
-        return 404, {"error": "not-found", "detail": f"no route for {path}"}, {}
+        return self._job_status(path.removeprefix("/v1/jobs/"))
 
     def _health_body(self) -> dict:
         return {
@@ -563,68 +412,3 @@ class SimulationServer:
                          "detail": f"unknown job {job_id!r}"}, {}
         return 200, dict(record), {}
 
-
-def _endpoint_label(path: str) -> str:
-    """Bounded-cardinality endpoint label for metrics."""
-    if path.startswith("/v1/jobs/"):
-        return "jobs"
-    known = {"/v1/simulate": "simulate", "/v1/sweep": "sweep",
-             "/v1/healthz": "healthz", "/v1/metricz": "metricz"}
-    return known.get(path, "other")
-
-
-# -- threaded harness (tests, benchmarks, smoke scripts) ---------------------
-
-
-class ServerHandle:
-    """A running server on a daemon thread, stoppable from outside."""
-
-    def __init__(self, server: SimulationServer, thread: threading.Thread):
-        self.server = server
-        self.thread = thread
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server.config.host, self.server.port
-
-    def stop(self, timeout_s: float = 15.0) -> None:
-        """Trigger a graceful drain and join the server thread."""
-        loop = self.server._loop
-        if loop is not None and not loop.is_closed():
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(self.server.request_drain)
-        self.thread.join(timeout_s)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def start_in_thread(
-    server: SimulationServer, *, ready_timeout_s: float = 15.0
-) -> ServerHandle:
-    """Run ``server`` on a daemon thread; returns once it is accepting."""
-    ready = threading.Event()
-    failures: list[BaseException] = []
-
-    def runner() -> None:
-        try:
-            asyncio.run(
-                server.run(install_signal_handlers=False, on_ready=ready.set)
-            )
-        except BaseException as exc:
-            failures.append(exc)
-            ready.set()
-            raise
-
-    thread = threading.Thread(
-        target=runner, name="repro-serve", daemon=True
-    )
-    thread.start()
-    if not ready.wait(ready_timeout_s):
-        raise RuntimeError("server did not start within the ready timeout")
-    if failures:
-        raise RuntimeError("server failed to start") from failures[0]
-    return ServerHandle(server, thread)

@@ -79,8 +79,8 @@ def test_connection_loss_after_contact_is_not_retried():
 
 
 def test_built_client_backs_off_through_the_injected_sleep(monkeypatch):
-    """The worker's own CoordinatorClient retries a refused lease after
-    first contact; every backoff must go through the worker's seam."""
+    """A lease refused after first contact ends the run without a
+    backoff; every sleep that remains goes through the worker's seam."""
 
     def forbidden_sleep(_seconds):
         raise AssertionError("the real sleep was called")
@@ -99,8 +99,8 @@ def test_built_client_backs_off_through_the_injected_sleep(monkeypatch):
     worker.client._once = once
     stats = worker.run()
     assert stats.coordinator_gone
-    # The wait answer's retry_after_s, then the client's three backoffs.
-    assert sleeps == [0.0, 0.25, 0.5, 1.0]
+    # Only the wait answer's retry_after_s: the built client never retries.
+    assert sleeps == [0.0]
 
 
 def test_connect_retries_round_trip_through_stats():

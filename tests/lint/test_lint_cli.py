@@ -79,6 +79,29 @@ def test_no_baseline_exposes_exactly_the_grandfathered_findings(capsys):
     assert code == (1 if grandfathered else 0)
 
 
+def test_coordinator_blocking_chains_stay_visible(capsys):
+    # The coordinator's listener lives in repro.netutil's JsonService;
+    # its journal and store writes must still be reached from an async
+    # def in coordinator.py, or RPR011 would go blind to them.
+    _lint(["src", "--root", str(REPO_ROOT), "--format", "json",
+           "--no-baseline"])
+    findings = json.loads(capsys.readouterr().out)["new_findings"]
+    chains = [
+        f["message"] for f in findings
+        if f["rule"] == "RPR011" and f["path"] == "src/repro/dist/coordinator.py"
+    ]
+    assert len(chains) == 7
+    # Besides the five startup chains under Coordinator.start, the
+    # request path reaches the journal append and the store write.
+    served = [
+        m for m in chains
+        if m.startswith("async def Coordinator.")
+        and not m.startswith("async def Coordinator.start ")
+    ]
+    assert any("-> CampaignManifest._append " in m for m in served)
+    assert any("-> atomic_write_json " in m for m in served)
+
+
 def test_stats_flag_appends_the_summary(capsys):
     _lint(["src", "--root", str(REPO_ROOT), "--stats"])
     out = capsys.readouterr().out

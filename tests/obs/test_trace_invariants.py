@@ -16,6 +16,7 @@ from repro.api import configure
 from repro.core.parameters import PrefetchStrategy, SimulationConfig
 from repro.core.simulator import MergeSimulation
 from repro.faults.plan import fail_slow_plan, transient_plan
+from repro.obs import BusySpanDrift, TrialTrace, check_busy_spans
 
 MATRIX = [
     SimulationConfig(num_runs=6, num_disks=1, blocks_per_run=30),
@@ -139,3 +140,42 @@ def test_registry_snapshot_matches_metrics_after_finalize():
         registry.counter("blocks_depleted").value == metrics.blocks_depleted
     )
     assert registry.gauge("total_time_ms").value == metrics.total_time_ms
+
+
+def test_check_busy_spans_names_the_worst_drift(monkeypatch):
+    config = MATRIX[1]
+    with configure(trace=True) as context:
+        metrics = MergeSimulation(config).run_trial(trial=0)
+    check_busy_spans(context.trace, [metrics])  # the real trace closes
+    honest = TrialTrace.service_busy_ms
+
+    def drifting(self, disk):
+        return honest(self, disk) + (0.5 if disk == 1 else 1e-7)
+
+    monkeypatch.setattr(TrialTrace, "service_busy_ms", drifting)
+    with pytest.raises(BusySpanDrift, match=r"by 5\.000e-01 ms on disk 1"):
+        check_busy_spans(context.trace, [metrics])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "smoke-d2", "--trials", "1", "--blocks", "20"],
+    ["realio", "run", "-k", "4", "--blocks", "8"],
+    ["realio", "validate", "-k", "4", "--blocks", "8", "--trials", "1"],
+], ids=["run-scenario", "realio-run", "realio-validate"])
+def test_cli_reports_trace_drift_and_exits_nonzero(
+    argv, tmp_path, monkeypatch, capsys
+):
+    from repro.cli import main
+
+    honest = TrialTrace.service_busy_ms
+    monkeypatch.setattr(
+        TrialTrace, "service_busy_ms",
+        lambda self, disk: honest(self, disk) + 1.0,
+    )
+    if argv[0] == "realio":
+        argv = argv + ["--dir", str(tmp_path / "dataset")]
+    code = main(argv + ["--trace-out", str(tmp_path / "trace.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: trace busy spans drift from DriveStats.busy_ms" in captured.err
+    assert "trace check" not in captured.out

@@ -34,7 +34,7 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.dist import CoordinatorClient  # noqa: E402
-from repro.serve.client import ServeError  # noqa: E402
+from repro.serve.client import NO_RETRY, ServeError  # noqa: E402
 from repro.sweep.spec import SweepSpec  # noqa: E402
 from repro.sweep.store import CampaignManifest, ResultStore  # noqa: E402
 
@@ -86,7 +86,10 @@ def main() -> int:
     worker_a = spawn("dist", "work", "--port", str(port), "--id", "doomed",
                      "--poll", "0.05")
     worker_b = None
-    client = CoordinatorClient("127.0.0.1", port, timeout_s=5.0)
+    # Fail fast: the poll loop below retries every 50 ms itself, where
+    # the default backoff could sleep through a sub-second campaign.
+    client = CoordinatorClient("127.0.0.1", port, timeout_s=5.0,
+                               retry=NO_RETRY)
     print(f"[dist-smoke] coordinator on :{port}, campaign of "
           f"{total_jobs} jobs, cache {cache_dir}")
 
@@ -152,6 +155,7 @@ def main() -> int:
         print("[dist-smoke] OK")
         return 0
     finally:
+        client.close()
         for process in (worker_a, worker_b, coordinator):
             if process is not None and process.poll() is None:
                 process.kill()

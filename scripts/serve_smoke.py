@@ -76,11 +76,9 @@ def main() -> int:
 
         def request():
             try:
-                answers.append(
-                    ServeClient(host, port, client_id="smoke",
-                                retry=NO_RETRY).simulate(
-                        fresh, trials=1, seed=7)
-                )
+                with ServeClient(host, port, client_id="smoke",
+                                 retry=NO_RETRY) as own:
+                    answers.append(own.simulate(fresh, trials=1, seed=7))
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -110,16 +108,17 @@ def main() -> int:
               "answers identical")
 
         # -- rate limiting: 429 + Retry-After ---------------------------
-        greedy = ServeClient(host, port, client_id="greedy", retry=NO_RETRY)
         saw_429 = None
-        for _ in range(25):  # burst is 20: the loop must hit the limiter
-            try:
-                greedy.simulate(CONFIG, trials=1, seed=7)
-            except ServeHTTPError as exc:
-                if exc.status != 429:
-                    return fail(f"expected 429, got {exc.status}")
-                saw_429 = exc
-                break
+        with ServeClient(host, port, client_id="greedy",
+                         retry=NO_RETRY) as greedy:
+            for _ in range(25):  # burst is 20: the loop must hit the limiter
+                try:
+                    greedy.simulate(CONFIG, trials=1, seed=7)
+                except ServeHTTPError as exc:
+                    if exc.status != 429:
+                        return fail(f"expected 429, got {exc.status}")
+                    saw_429 = exc
+                    break
         if saw_429 is None:
             return fail("rate limiter never engaged")
         if not saw_429.payload.get("retry_after_s", 0) > 0:
@@ -173,6 +172,7 @@ def main() -> int:
               f"{hits / (hits + misses):.0%} ({hits:.0f} hits, "
               f"{misses:.0f} misses)")
     finally:
+        client.close()
         handle.stop()
     if handle.thread.is_alive():
         return fail("server thread did not drain")

@@ -1529,9 +1529,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         from repro.dist import CoordinatorClient
         from repro.serve import ServeError
 
-        client = CoordinatorClient(args.host, args.port)
         try:
-            snapshot = client.campaign(args.campaign)
+            with CoordinatorClient(args.host, args.port) as client:
+                snapshot = client.campaign(args.campaign)
         except ServeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -1,7 +1,8 @@
 """A blocking client for the coordinator protocol.
 
 :class:`CoordinatorClient` reuses the :class:`~repro.serve.client.ServeClient`
-transport wholesale — one fresh ``http.client`` connection per request,
+transport wholesale — one kept-alive ``http.client`` connection, resent
+once on a fresh one when the server closed it while idle,
 capped-exponential retry of ``429``/``503``/``504`` and transport
 errors, injected sleep.  Lease conflicts (``409``) are deliberately
 *not* retryable: they surface as
@@ -10,6 +11,8 @@ which the worker loop treats as "drop this shard and lease another".
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.serve.client import ServeClient, ServeHTTPError
 
@@ -30,11 +33,19 @@ class CoordinatorClient(ServeClient):
         """``POST /v1/heartbeat``; raises 409 ServeHTTPError when lost."""
         return self._request("POST", "/v1/heartbeat", {"token": token})
 
-    def complete(self, token: str, results: list[dict]) -> dict:
-        """``POST /v1/complete``; streams one shard's results back."""
-        return self._request(
-            "POST", "/v1/complete", {"token": token, "results": results}
-        )
+    def complete(
+        self, token: str, results: list[dict], worker: Optional[str] = None
+    ) -> dict:
+        """``POST /v1/complete``; streams one shard's results back.
+
+        Naming the ``worker`` asks for its next lease in the same round
+        trip: an accepted, non-duplicate answer then carries ``"next"``,
+        the body ``POST /v1/lease`` would have returned.
+        """
+        body = {"token": token, "results": results}
+        if worker is not None:
+            body["worker"] = worker
+        return self._request("POST", "/v1/complete", body)
 
     def campaign(self, name: str) -> dict:
         """``GET /v1/campaigns/<name>``; partial aggregates any time."""

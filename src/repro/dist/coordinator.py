@@ -12,7 +12,8 @@ One :class:`Coordinator` owns one campaign.  On startup it
 
        POST /v1/lease              check out the next pending shard
        POST /v1/heartbeat          keep a lease alive
-       POST /v1/complete           stream a shard's results back
+       POST /v1/complete           stream a shard's results back (and,
+                                   naming the worker, lease its next)
        GET  /v1/campaigns/<name>   partial aggregates, any time
        GET  /v1/healthz            liveness + campaign state
        GET  /v1/metricz            obs MetricsRegistry snapshot
@@ -217,11 +218,20 @@ class Coordinator(JsonService):
         except DistProtocolError as exc:
             return exc.status, exc.body(), {}
         self._note_expiries()
+        return 200, self._next_lease(worker), {}
+
+    def _next_lease(self, worker: str) -> dict:
+        """The lease answer for ``worker``: granted, wait or done.
+
+        The one place a lease is granted, for ``lease`` and for the
+        ``next`` of a ``complete`` alike: journal line, event and
+        counter included.
+        """
         if self._campaign_done():
-            return 200, done_body(), {}
+            return done_body()
         lease = self.leases.acquire(worker)
         if lease is None:
-            return 200, wait_body(_WAIT_RETRY_S), {}
+            return wait_body(_WAIT_RETRY_S)
         self.metrics.counter("dist_leases", event="granted").inc()
         self.manifest.record_shard(
             lease.shard.shard_id, "leased",
@@ -234,13 +244,13 @@ class Coordinator(JsonService):
              "worker": worker},
         )
         self._refresh_gauges()
-        return 200, granted_body(
+        return granted_body(
             lease.token,
             lease.shard.shard_id,
             [job_wire(job) for job in lease.shard.jobs],
             ttl_s=self.config.lease_ttl_s,
             retries=self.config.retries,
-        ), {}
+        )
 
     def _handle_heartbeat(self, body: bytes) -> tuple[int, dict, dict]:
         try:
@@ -267,7 +277,9 @@ class Coordinator(JsonService):
 
     def _handle_complete(self, body: bytes) -> tuple[int, dict, dict]:
         try:
-            token, results = parse_complete_request(json.loads(body or b"null"))
+            token, results, worker = parse_complete_request(
+                json.loads(body or b"null")
+            )
         except json.JSONDecodeError as exc:
             return 400, {"error": "bad-json", "detail": str(exc)}, {}
         except DistProtocolError as exc:
@@ -296,12 +308,15 @@ class Coordinator(JsonService):
              "jobs": len(shard.jobs)},
         )
         self._refresh_gauges()
-        return 200, {
+        answer = {
             "protocol": DIST_PROTOCOL_VERSION,
             "status": "accepted",
             "duplicate": False,
             "campaign_complete": self._campaign_done(),
-        }, {}
+        }
+        if worker is not None:
+            answer["next"] = self._next_lease(worker)
+        return 200, answer, {}
 
     def _merge_results(self, shard, results: list[dict]) -> None:
         """Atomic-merge one shard's streamed results into the store."""

@@ -7,7 +7,8 @@ shaping for the four coordinator endpoints so :mod:`.coordinator` and
 
 * ``POST /v1/lease``      — ``{"worker": id}`` → granted / wait / done
 * ``POST /v1/heartbeat``  — ``{"token": t}`` → renewed, or 409
-* ``POST /v1/complete``   — ``{"token": t, "results": [...]}``
+* ``POST /v1/complete``   — ``{"token": t, "results": [...]}``, plus an
+  optional ``"worker"`` whose next lease rides back in the answer
 * ``GET  /v1/campaigns/<name>`` — streaming-aggregation snapshot
 
 A lease error is a **409 Conflict** — deliberately outside the
@@ -17,10 +18,11 @@ help; the worker must drop the shard and ask for a fresh lease.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
-#: Version stamp carried in every coordinator answer.
-DIST_PROTOCOL_VERSION = 1
+#: Version stamp carried in every coordinator answer.  Version 2 added
+#: the ``complete`` request's ``worker`` and the answer's ``next``.
+DIST_PROTOCOL_VERSION = 2
 
 
 class DistProtocolError(Exception):
@@ -44,15 +46,17 @@ def _require_dict(payload: Any) -> dict:
     return payload
 
 
-def parse_lease_request(payload: Any) -> str:
-    """``{"worker": <id>}`` → the worker id."""
-    data = _require_dict(payload)
-    worker = data.get("worker")
+def _worker_id(worker: Any) -> str:
     if not isinstance(worker, str) or not worker:
         raise DistProtocolError(
             400, "bad-request", "'worker' must be a non-empty string"
         )
     return worker
+
+
+def parse_lease_request(payload: Any) -> str:
+    """``{"worker": <id>}`` → the worker id."""
+    return _worker_id(_require_dict(payload).get("worker"))
 
 
 def parse_heartbeat_request(payload: Any) -> str:
@@ -66,11 +70,15 @@ def parse_heartbeat_request(payload: Any) -> str:
     return token
 
 
-def parse_complete_request(payload: Any) -> tuple[str, list[dict]]:
-    """``{"token": t, "results": [...]}`` → ``(token, results)``.
+def parse_complete_request(
+    payload: Any,
+) -> tuple[str, list[dict], Optional[str]]:
+    """``{"token": t, "results": [...]}`` → ``(token, results, worker)``.
 
     Each result is ``{"index": int, "ok": bool}`` plus, when ok,
-    ``"metrics"``/``"elapsed_s"``, or ``"error"`` when not.
+    ``"metrics"``/``"elapsed_s"``, or ``"error"`` when not.  ``worker``
+    is ``None`` unless the request names the worker that wants its
+    next lease in the answer.
     """
     data = _require_dict(payload)
     token = data.get("token")
@@ -96,7 +104,8 @@ def parse_complete_request(payload: Any) -> tuple[str, list[dict]]:
                 400, "bad-request",
                 "an ok result needs a 'metrics' dict",
             )
-    return token, results
+    worker = data.get("worker")
+    return token, results, None if worker is None else _worker_id(worker)
 
 
 # -- response shaping --------------------------------------------------------

@@ -4,13 +4,15 @@ A :class:`DistWorker` is deliberately dumb — all campaign state lives
 at the coordinator.  The loop:
 
 1. ``POST /v1/lease``.  ``done`` → exit; ``wait`` → sleep and retry.
-2. Execute each leased job through the exact sweep
-   :func:`~repro.sweep.worker.execute_job` path (kernel selection,
-   fault plans, and the per-trial event budget all inherited), with the
-   coordinator-relayed retry budget.  Between jobs, heartbeat whenever
-   the lease TTL has less than half its budget left.
+2. Execute the leased jobs through the sweep engine's inline path
+   (:func:`~repro.sweep.worker.execute_cell`: each grid cell's trials
+   as one batch, trial by trial with the coordinator-relayed retry
+   budget when the batch fails; kernel selection, fault plans, and the
+   per-trial event budget all inherited).  Between cells, heartbeat
+   whenever the lease TTL has less than half its budget left.
 3. ``POST /v1/complete`` with every result (successes carry metrics,
-   failures carry the error string).
+   failures carry the error string) and the worker's id, so the answer
+   carries the next lease answer (step 1) in the same round trip.
 
 A ``409`` from heartbeat or complete means the lease expired (this
 worker stalled, or the campaign was re-coordinated): the shard is
@@ -22,7 +24,8 @@ failed job.
 
 All timing goes through the injected clock/sleep seam
 (:mod:`repro.serve.clock`); the module stays in the lint determinism
-scope.
+scope.  A worker that built its own client closes its connection when
+:meth:`DistWorker.run` returns.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.serve.client import (
     ServeHTTPError,
 )
 from repro.serve.clock import Clock, Sleep, blocking_sleep, monotonic_clock
-from repro.sweep.worker import execute_job
+from repro.sweep.worker import cell_groups, execute_cell
 
 #: Default first-contact retry: workers are routinely launched before
 #: the coordinator's socket listens (e.g. `repro dist work` in one
@@ -95,6 +98,8 @@ class DistWorker:
         poll_s: float = 0.25,
         connect_retry: RetryPolicy = CONNECT_RETRY,
     ) -> None:
+        #: A client the caller passed in is the caller's to close.
+        self._owns_client = client is None
         self.client = client if client is not None else CoordinatorClient(
             host, port, client_id=worker_id, sleep=sleep, retry=NO_RETRY
         )
@@ -106,73 +111,94 @@ class DistWorker:
         self.stats = WorkerStats()
         self._contacted = False
 
-    def run(self, *, max_leases: Optional[int] = None) -> WorkerStats:
+    def run(self) -> WorkerStats:
         """Pull and execute shards until the campaign reports done.
 
-        ``max_leases`` bounds how many granted leases to process
-        (tests); ``None`` runs to campaign completion.  A coordinator
-        that disappears *after* first contact is treated as a finished
-        ``exit_when_done`` campaign, not an error — by then every shard
-        this worker could have helped with is settled or re-issuable.
+        A coordinator that disappears *after* first contact is treated
+        as a finished ``exit_when_done`` campaign, not an error — by then
+        every shard this worker could have helped with is settled or
+        re-issuable.
         Before first contact, connection failures are retried with
         capped backoff (``connect_retry``): workers started ahead of
         the coordinator's socket wait for it instead of dying.
         """
+        try:
+            self._run()
+        finally:
+            if self._owns_client:
+                self.client.close()
+        return self.stats
+
+    def _run(self) -> None:
         connect_attempts = 0
-        while max_leases is None or self.stats.leases < max_leases:
-            try:
-                response = self.client.lease(self.worker_id)
-            except ServeHTTPError:
-                raise
-            except ServeError:
-                if self._contacted:
-                    self.stats.coordinator_gone = True
-                    break
-                connect_attempts += 1
-                if connect_attempts >= self.connect_retry.max_attempts:
+        response: Optional[dict] = None  # a lease answer not yet acted on
+        while True:
+            if response is None:
+                try:
+                    response = self.client.lease(self.worker_id)
+                except ServeHTTPError:
                     raise
-                self.stats.connect_retries += 1
-                self.sleep(self.connect_retry.backoff_for(connect_attempts))
-                continue
-            self._contacted = True
+                except ServeError:
+                    if self._contacted:
+                        self.stats.coordinator_gone = True
+                        return
+                    connect_attempts += 1
+                    if connect_attempts >= self.connect_retry.max_attempts:
+                        raise
+                    self.stats.connect_retries += 1
+                    self.sleep(
+                        self.connect_retry.backoff_for(connect_attempts)
+                    )
+                    continue
+                self._contacted = True
             status = response.get("status")
             if status == "done":
-                break
+                return
             if status == "wait":
                 self.sleep(float(response.get("retry_after_s", self.poll_s)))
+                response = None
                 continue
             if status != "granted":
                 raise ServeError(f"unexpected lease answer: {response!r}")
             self.stats.leases += 1
-            if self._process_lease(response["lease"]):
-                break  # that complete finished the campaign
-        return self.stats
+            response = self._process_lease(response["lease"])
 
     # -- one shard -----------------------------------------------------------
 
-    def _process_lease(self, lease: dict) -> bool:
-        """Execute one leased shard; True when the campaign completed."""
+    def _process_lease(self, lease: dict) -> Optional[dict]:
+        """Execute one leased shard and stream its results back.
+
+        Returns the next lease answer the ``complete`` carried, or
+        ``None`` when there is none (the shard was lost, or the answer
+        was a duplicate) and the loop must lease afresh.
+        """
         token = lease["token"]
         ttl_s = float(lease["ttl_s"])
-        retries = int(lease.get("retries", 1))
+        attempts = max(1, int(lease.get("retries", 1)))
         renewed_at = self.clock()
         results: list[dict] = []
-        for job in lease["jobs"]:
+        for group in cell_groups(lease["jobs"], lambda job: job["cell"]):
             renewed = self._maybe_heartbeat(token, renewed_at, ttl_s)
             if renewed is None:
                 self.stats.shards_lost += 1
-                return False  # lease gone: the shard is someone else's now
+                return None  # lease gone: the shard is someone else's now
             renewed_at = renewed
-            results.append(self._run_job(job, retries))
+            outcomes, _retries = execute_cell(
+                group[0]["config"],
+                [job["trial"] for job in group],
+                attempts=attempts,
+            )
+            for job, outcome in zip(group, outcomes):
+                results.append(self._result(job["index"], outcome))
         try:
-            answer = self.client.complete(token, results)
+            answer = self.client.complete(token, results, self.worker_id)
         except ServeHTTPError as exc:
             if is_lease_lost(exc):
                 self.stats.shards_lost += 1
-                return False
+                return None
             raise
         self.stats.shards_completed += 1
-        return bool(answer.get("campaign_complete"))
+        return answer.get("next")
 
     def _maybe_heartbeat(
         self, token: str, renewed_at: float, ttl_s: float
@@ -194,24 +220,16 @@ class DistWorker:
         self.stats.heartbeats += 1
         return now
 
-    def _run_job(self, job: dict, retries: int) -> dict:
-        payload = {"config": job["config"], "trial": job["trial"]}
-        error: Optional[str] = None
-        for _attempt in range(max(1, retries)):
-            try:
-                outcome = execute_job(payload)
-            except Exception as exc:
-                # Job isolation boundary: one failing simulation must be
-                # reported to the coordinator, never kill the worker (the
-                # coordinator would wait out the lease TTL for nothing).
-                error = f"{type(exc).__name__}: {exc}"
-                continue
-            self.stats.jobs_ok += 1
-            return {
-                "index": job["index"],
-                "ok": True,
-                "metrics": outcome["metrics"],
-                "elapsed_s": outcome.get("elapsed_s"),
-            }
-        self.stats.jobs_failed += 1
-        return {"index": job["index"], "ok": False, "error": error}
+    def _result(self, index: int, outcome) -> dict:
+        """One job's entry in the ``complete`` request."""
+        if isinstance(outcome, Exception):
+            self.stats.jobs_failed += 1
+            error = f"{type(outcome).__name__}: {outcome}"
+            return {"index": index, "ok": False, "error": error}
+        self.stats.jobs_ok += 1
+        return {
+            "index": index,
+            "ok": True,
+            "metrics": outcome["metrics"],
+            "elapsed_s": outcome.get("elapsed_s"),
+        }

@@ -2,14 +2,20 @@
 
 :mod:`repro.serve` (the simulation front door) and the
 :mod:`repro.dist` coordinator are both a :class:`JsonService`, speaking
-one deliberately minimal HTTP/1.1 dialect: one request per connection
-(request line, headers, ``Content-Length`` body), JSON bodies both
-ways, ``Connection: close`` answers.  This module owns all they share:
+one deliberately minimal HTTP/1.1 dialect: request line, headers,
+``Content-Length`` body, JSON bodies both ways.  A connection serves
+one request and is closed (``Connection: close``) unless the request
+opts in with ``Connection: keep-alive``; then the answer says
+``Connection: keep-alive`` and the connection waits, idle, for the next
+request, at most :data:`READ_TIMEOUT_S`.  This module owns all they
+share:
 
 * the wire format (:func:`read_http_request`, :func:`write_json_response`);
 * the lifecycle: bind, SIGTERM/SIGINT drain handlers, the
-  per-connection task set, and a drain that closes the listener, waits
-  ``drain_grace_s`` for in-flight work and cancels the stragglers;
+  per-connection task sets, and a drain that closes the listener,
+  closes idle kept-alive connections at once, waits ``drain_grace_s``
+  for in-flight work (whose answers go out ``Connection: close``) and
+  cancels the stragglers;
 * the request path: the read under :data:`READ_TIMEOUT_S`, 413/404/405
   from the service's route table, ``healthz`` and ``metricz``, the 500
   request-isolation boundary, and the ``{prefix}_requests``,
@@ -41,7 +47,8 @@ REASONS = {
     504: "Gateway Timeout",
 }
 
-#: How long a header+body read may take before the connection is dropped.
+#: How long a request read may take before the connection is dropped;
+#: it also bounds how long a kept-alive connection may sit idle.
 READ_TIMEOUT_S = 30.0
 
 #: Exceptions that mean "the peer went away or sent garbage": there is
@@ -69,16 +76,21 @@ Answer = tuple[int, dict, dict]
 
 
 async def read_http_request(
-    reader: asyncio.StreamReader, *, max_body_bytes: int
+    reader: asyncio.StreamReader,
+    *,
+    max_body_bytes: int,
+    request_line: Optional[bytes] = None,
 ) -> Optional[ParsedRequest]:
     """Read one HTTP/1.1 request off ``reader``.
 
     Returns ``None`` on an empty request line (peer connected and went
     away), raises ``ValueError`` on a malformed request line, and
     signals an oversized body by returning ``body=None`` so the caller
-    can answer 413 instead of buffering the payload.
+    can answer 413 instead of buffering the payload.  A caller that has
+    already read the request line passes it as ``request_line``.
     """
-    request_line = await reader.readline()
+    if request_line is None:
+        request_line = await reader.readline()
     if not request_line.strip():
         return None
     parts = request_line.decode("ascii", "replace").split()
@@ -104,14 +116,19 @@ async def write_json_response(
     status: int,
     payload: dict,
     extra_headers: Optional[dict] = None,
+    *,
+    keep_alive: bool = False,
 ) -> None:
-    """Serialize ``payload`` as the whole JSON answer and close-drain."""
+    """Serialize ``payload`` as the whole JSON answer and drain it.
+
+    The answer says ``Connection: close`` unless ``keep_alive``.
+    """
     body = json.dumps(payload).encode("utf-8")
     lines = [
         f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
-        "Connection: close",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
     ]
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}")
@@ -166,7 +183,10 @@ class JsonService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
+        #: Connections with a request in flight (read or being answered).
         self._active: set[asyncio.Task] = set()
+        #: Kept-alive connections waiting for their next request.
+        self._idle: dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: Work besides connections that a drain waits on (serve's
         #: sweep jobs); the owning service adds and discards tasks.
         self._background: set[asyncio.Task] = set()
@@ -210,9 +230,9 @@ class JsonService:
     def request_drain(self) -> None:
         """Begin a graceful shutdown (idempotent; SIGTERM handler).
 
-        Stops accepting connections, lets in-flight requests and
-        background work finish (bounded by ``drain_grace_s``), cancels
-        the rest, then releases :meth:`run`.
+        Stops accepting connections, closes idle kept-alive ones, lets
+        in-flight requests and background work finish (bounded by
+        ``drain_grace_s``), cancels the rest, then releases :meth:`run`.
         """
         if self._draining:
             return
@@ -221,8 +241,11 @@ class JsonService:
 
     async def _drain(self) -> None:
         self._server.close()
-        await self._server.wait_closed()
-        pending = self._active | self._background
+        # An idle connection has nothing in flight: closing it ends its
+        # read at once, where waiting would sit out drain_grace_s.
+        for writer in self._idle.values():
+            writer.close()
+        pending = self._active | set(self._idle) | self._background
         if pending:
             _done, straggling = await asyncio.wait(
                 pending, timeout=self.config.drain_grace_s
@@ -245,25 +268,35 @@ class JsonService:
         task = asyncio.current_task()
         self._active.add(task)
         try:
-            await self._serve_one(reader, writer)
+            while await self._serve_one(reader, writer):
+                # Kept alive: idle until the next request has been read.
+                self._active.discard(task)
+                self._idle[task] = writer
         finally:
             self._active.discard(task)
+            self._idle.pop(task, None)
             writer.close()
             with contextlib.suppress(OSError):
                 await writer.wait_closed()
 
     async def _serve_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> bool:
+        """Answer one request; True when the connection stays open."""
         try:
             parsed = await asyncio.wait_for(
-                read_http_request(reader, max_body_bytes=self.max_body_bytes),
-                READ_TIMEOUT_S,
+                self._read_request(reader), READ_TIMEOUT_S
             )
         except REQUEST_READ_ERRORS:
-            return  # unparseable or abandoned connection: nothing to answer
-        if parsed is None:
-            return
+            return False  # unparseable or abandoned: nothing to answer
+        if parsed is None or writer.is_closing():
+            # The peer went away, or a drain closed this idle connection
+            # under a request that had already arrived: no answer could
+            # reach the client, so the request is not handled.
+            return False
+        task = asyncio.current_task()
+        if self._idle.pop(task, None) is not None:
+            self._active.add(task)
         method, path, headers, body = parsed
         start = self.clock()
         endpoint, allowed = self._route(path)
@@ -285,8 +318,29 @@ class JsonService:
             f"{self.prefix}_latency_ms", bounds=LATENCY_BUCKETS_MS,
             endpoint=endpoint,
         ).observe((self.clock() - start) * 1000.0)
-        await write_json_response(writer, status, payload, extra)
         self._after_response()
+        # A 413's body was never read, so it cannot frame a next request;
+        # a drain (perhaps just requested by the hook) ends the connection.
+        keep_alive = (
+            headers.get("connection", "").lower() == "keep-alive"
+            and body is not None and not self._draining
+        )
+        await write_json_response(
+            writer, status, payload, extra, keep_alive=keep_alive
+        )
+        return keep_alive and not self._draining
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> Optional[ParsedRequest]:
+        # A kept-alive connection idles in this readline, outside
+        # read_http_request, so that call times only a request that
+        # has begun to arrive.
+        request_line = await reader.readline()
+        return await read_http_request(
+            reader, max_body_bytes=self.max_body_bytes,
+            request_line=request_line,
+        )
 
     def _route(self, path: str) -> tuple[str, Optional[str]]:
         """``(endpoint, allowed method)``; ``("other", None)`` unrouted."""
@@ -332,7 +386,10 @@ class JsonService:
         """Bring gauges up to date before ``GET /v1/metricz`` reads them."""
 
     def _after_response(self) -> None:
-        """Called once each answer is written."""
+        """Called once each answer is settled, before it is written.
+
+        A drain requested here sends that answer ``Connection: close``.
+        """
 
     async def _shutdown(self) -> None:
         """Release service resources once the drain has finished."""

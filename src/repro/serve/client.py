@@ -1,11 +1,20 @@
 """A blocking stdlib client for the simulation service.
 
-:class:`ServeClient` wraps ``http.client`` (one fresh connection per
-request — the server answers ``Connection: close``) and adds the retry
-discipline a well-behaved client of a load-shedding service needs:
-``429``/``503`` answers and transport errors are retried with
+:class:`ServeClient` keeps one ``http.client`` connection open across
+requests (each asks for ``Connection: keep-alive``;
+:meth:`~ServeClient.close` or a ``with`` block releases it) and adds
+the retry discipline a well-behaved client of a load-shedding service
+needs: ``429``/``503`` answers and transport errors are retried with
 capped exponential backoff, and when the server names a price via
 ``Retry-After`` the client honors it instead of guessing.
+
+A kept-alive connection the server has closed in the meantime (idle
+past its read timeout, or drained) fails before any answer arrives;
+that is not a transport error, so the request is resent once, at once,
+on a fresh connection, outside the retry policy.  Resending is safe:
+``simulate`` is content-addressed and a dist ``complete`` is
+token-idempotent; a resent dist ``lease`` can at worst strand one
+shard until its lease TTL runs out (docs/DIST.md).
 
 Sleeping is injected (:data:`~repro.serve.clock.Sleep`), so retry
 schedules are asserted exactly in tests without any real waiting.
@@ -16,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import http.client
 import json
+import threading
 from typing import Any, Optional
 
 from repro.serve.clock import Sleep, blocking_sleep
@@ -23,6 +33,13 @@ from repro.serve.clock import Sleep, blocking_sleep
 #: Statuses a client should retry: throttled, shedding, or timed out
 #: server-side with the computation still warming the cache.
 RETRYABLE_STATUSES = frozenset({429, 503, 504})
+
+#: How a reused connection fails when the server closed it while idle.
+STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
 
 
 class ServeError(RuntimeError):
@@ -77,7 +94,11 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 
 
 class ServeClient:
-    """Blocking JSON client with Retry-After-aware backoff."""
+    """Blocking JSON client with Retry-After-aware backoff.
+
+    One connection, used by one request at a time: threads sharing a
+    client take turns.
+    """
 
     def __init__(
         self,
@@ -95,6 +116,21 @@ class ServeClient:
         self.retry = retry
         self.timeout_s = timeout_s
         self._sleep = sleep
+        self._lock = threading.Lock()
+        self._connection: Optional[http.client.HTTPConnection] = None
+
+    def close(self) -> None:
+        """Close the kept-alive connection; a later request reopens one."""
+        with self._lock:
+            if self._connection is not None:
+                self._connection.close()
+                self._connection = None
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- endpoints -----------------------------------------------------------
 
@@ -180,29 +216,48 @@ class ServeClient:
     def _once(
         self, method: str, path: str, body: Optional[dict]
     ) -> tuple[int, dict, Any]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+        headers = {"Content-Type": "application/json",
+                   "Connection": "keep-alive"}
+        if self.client_id is not None:
+            headers["X-Client-Id"] = self.client_id
+        encoded = json.dumps(body).encode("utf-8") if body is not None else None
+        with self._lock:
+            if self._connection is None:
+                self._connection = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout_s
+                )
+            # http.client drops the socket after a Connection: close
+            # answer and opens a fresh one on the next request.
+            reused = self._connection.sock is not None
+            try:
+                return self._exchange(method, path, encoded, headers)
+            except STALE_CONNECTION_ERRORS:
+                if not reused:
+                    raise
+            return self._exchange(method, path, encoded, headers)
+
+    def _exchange(
+        self, method: str, path: str, encoded: Optional[bytes], headers: dict
+    ) -> tuple[int, dict, Any]:
+        """One request and its whole answer on the held connection."""
+        connection = self._connection
         try:
-            headers = {"Content-Type": "application/json"}
-            if self.client_id is not None:
-                headers["X-Client-Id"] = self.client_id
-            encoded = json.dumps(body).encode("utf-8") if body is not None else None
             connection.request(method, path, body=encoded, headers=headers)
             response = connection.getresponse()
             raw = response.read()
-            try:
-                payload = json.loads(raw) if raw else None
-            except json.JSONDecodeError:
-                payload = {"error": "bad-response",
-                           "detail": raw.decode("utf-8", "replace")}
-            return (
-                response.status,
-                {k.lower(): v for k, v in response.getheaders()},
-                payload,
-            )
-        finally:
-            connection.close()
+        except BaseException:
+            connection.close()  # its state is unknown: never reuse it
+            raise
+        try:
+            payload = json.loads(raw) if raw else None
+        except json.JSONDecodeError:
+            payload = {"error": "bad-response",
+                       "detail": raw.decode("utf-8", "replace")}
+        return (
+            response.status,
+            {k.lower(): v for k, v in response.getheaders()},
+            payload,
+        )
 
 
 def _retry_after_s(headers: dict, payload: Any) -> Optional[float]:

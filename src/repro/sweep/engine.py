@@ -45,7 +45,7 @@ from repro.sweep.spec import (
     jobs_for_config,
 )
 from repro.sweep.store import CampaignManifest, ResultStore
-from repro.sweep.worker import execute_batch, execute_job
+from repro.sweep.worker import cell_groups, execute_cell, execute_job
 
 
 @dataclass(frozen=True)
@@ -271,53 +271,19 @@ class SweepEngine:
         return {"config": config_to_dict(job.config), "trial": job.trial}
 
     def _run_inline(self, pending, complete, fail, stats: SweepStats) -> None:
-        for group in self._cell_groups(pending):
-            if len(group) > 1:
-                # One worker call per cell: run_trials decides how the
-                # cell's trials execute (batch kernel: one interpreter
-                # batch; reference: trial by trial).
-                try:
-                    payload = {
-                        "config": config_to_dict(group[0].config),
-                        "trials": [job.trial for job in group],
-                    }
-                    batch_results = execute_batch(payload)
-                except Exception:
-                    # Whatever failed (one runaway trial aborts the whole
-                    # batch call), the per-job path retries each trial
-                    # and attributes failures precisely.
-                    stats.retries += 1
+        attempts = self.retries + 1
+        for group in cell_groups(pending, lambda job: job.cell):
+            outcomes, retries = execute_cell(
+                config_to_dict(group[0].config),
+                [job.trial for job in group],
+                attempts=attempts,
+            )
+            stats.retries += retries
+            for job, outcome in zip(group, outcomes):
+                if isinstance(outcome, Exception):
+                    fail(job, attempts, outcome)
                 else:
-                    for job, result in zip(group, batch_results):
-                        complete(job, result)
-                    continue
-            for job in group:
-                attempts = 0
-                while True:
-                    attempts += 1
-                    try:
-                        complete(job, execute_job(self._payload(job)))
-                        break
-                    except Exception as exc:
-                        if attempts > self.retries:
-                            fail(job, attempts, exc)
-                            break
-                        stats.retries += 1
-
-    @staticmethod
-    def _cell_groups(pending: list[SweepJob]) -> list[list[SweepJob]]:
-        """Split ``pending`` into runs of jobs sharing a grid cell.
-
-        Pending jobs arrive in expansion order, so one cell's uncached
-        trials are always adjacent; cache hits merely shrink a group.
-        """
-        groups: list[list[SweepJob]] = []
-        for job in pending:
-            if groups and groups[-1][0].cell == job.cell:
-                groups[-1].append(job)
-            else:
-                groups.append([job])
-        return groups
+                    complete(job, outcome)
 
     def _run_pooled(self, pending, complete, fail, stats: SweepStats) -> None:
         attempts: dict[int, int] = {job.index: 0 for job in pending}

@@ -6,7 +6,10 @@ serialized form, runs exactly one seeded trial through
 :func:`repro.api.run_trials`, and hands the metrics back as a JSON-able
 dict.  ``execute_batch`` is its many-trials sibling: one config, many
 trial indices, one ``run_trials`` call — which runs a ``batch``-kernel
-group through the flattened interpreter in one go.
+group through the flattened interpreter in one go.  :func:`cell_groups`
+and :func:`execute_cell` are how the inline sweep engine and the dist
+worker use the pair: each grid cell's trials as one batch, trial by
+trial with retries only when the batch fails.
 
 Runaway protection is the trial's own event budget
 (:attr:`~repro.core.parameters.SimulationConfig.event_budget`), checked
@@ -18,9 +21,12 @@ job, identically in a pool process, an in-process thread, or inline.
 from __future__ import annotations
 
 import time
+from typing import Callable, Hashable, Sequence, TypeVar, Union
 
 from repro import api
 from repro.sweep.keys import config_from_dict
+
+J = TypeVar("J")
 
 
 def execute_job(payload: dict) -> dict:
@@ -57,3 +63,56 @@ def execute_batch(payload: dict) -> list[dict]:
     elapsed = time.perf_counter() - start
     share = elapsed / len(trials) if trials else 0.0
     return [{"metrics": m.to_dict(), "elapsed_s": share} for m in metrics]
+
+
+def cell_groups(
+    jobs: Sequence[J], cell: Callable[[J], Hashable]
+) -> list[list[J]]:
+    """Split ``jobs`` into runs of adjacent jobs of one grid cell.
+
+    Jobs arrive in spec expansion order, so one cell's uncached trials
+    are always adjacent; cache hits merely shrink a group.
+    """
+    groups: list[list[J]] = []
+    for job in jobs:
+        if groups and cell(groups[-1][0]) == cell(job):
+            groups[-1].append(job)
+        else:
+            groups.append([job])
+    return groups
+
+
+def execute_cell(
+    config: dict, trials: Sequence[int], *, attempts: int = 1
+) -> tuple[list[Union[dict, Exception]], int]:
+    """Run trials of one config: one batch, else trial by trial.
+
+    Several trials go to one :func:`execute_batch` call (``run_trials``
+    decides how they execute: the batch kernel as one interpreter
+    batch, the reference kernel trial by trial).  If that call fails,
+    each trial runs through :func:`execute_job`, up to ``attempts``
+    times.  Returns, in ``trials`` order, each trial's result dict or
+    the exception of its last attempt, and the number of retries made
+    (a failed batch counts as one).
+    """
+    retries = 0
+    if len(trials) > 1:
+        try:
+            return execute_batch({"config": config, "trials": list(trials)}), 0
+        except Exception:
+            # Whatever failed (one runaway trial aborts the whole batch
+            # call), the per-trial path retries each trial and
+            # attributes failures precisely.
+            retries = 1
+    outcomes: list[Union[dict, Exception]] = []
+    for trial in trials:
+        for attempt in range(1, attempts + 1):
+            try:
+                outcome = execute_job({"config": config, "trial": trial})
+                break
+            except Exception as exc:
+                outcome = exc
+                if attempt < attempts:
+                    retries += 1
+        outcomes.append(outcome)
+    return outcomes, retries

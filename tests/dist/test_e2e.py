@@ -290,6 +290,7 @@ def test_sigkilled_worker_loses_no_shards(coordinator_factory):
     finally:
         if victim.poll() is None:
             victim.kill()
+        victim.stdout.close()
 
     run_workers(handle, count=1)
     handle.join()
@@ -320,3 +321,87 @@ def test_campaign_status_endpoint_streams_progress(coordinator_factory):
     assert snapshot["shards"]["done"] == 1
     handle.stop()
     assert not handle.thread.is_alive()
+
+
+def test_complete_naming_the_worker_carries_its_next_lease(
+    coordinator_factory,
+):
+    """One round trip per shard: the answer to a complete that names
+    its worker is also that worker's next lease answer."""
+    coordinator, handle = coordinator_factory()
+    client = client_for(handle)
+    first = client.lease("w0")
+    answer = client.complete(
+        first["lease"]["token"], execute_shard(first), worker="w0"
+    )
+    granted = answer["next"]
+    assert granted["status"] == "granted"
+    assert granted["lease"]["shard"] != first["lease"]["shard"]
+    leased = [event for event in coordinator.manifest.journal()
+              if event.get("status") == "leased"]
+    assert [event["shard"] for event in leased] == [
+        first["lease"]["shard"], granted["lease"]["shard"]
+    ]
+
+    # Without a worker the answer is exactly protocol 1's.
+    last = client.complete(granted["lease"]["token"], execute_shard(granted))
+    assert set(last) == {"protocol", "status", "duplicate",
+                         "campaign_complete"}
+    assert last["campaign_complete"]
+    # A duplicate answers as before too, worker or not.
+    again = client.complete(
+        granted["lease"]["token"], execute_shard(granted), worker="w0"
+    )
+    assert again["duplicate"] and "next" not in again
+    counters = coordinator.metrics.to_dict()["counters"]
+    assert counters["dist_leases{event=granted}"] == 2
+    assert counters["dist_requests{endpoint=lease}"] == 1
+
+
+def test_a_worker_leases_once_per_campaign(coordinator_factory):
+    coordinator, handle = coordinator_factory(exit_when_done=True)
+    [worker] = run_workers(handle, count=1)
+    handle.join()
+    assert worker.stats.shards_completed == 2
+    counters = coordinator.metrics.to_dict()["counters"]
+    assert counters["dist_requests{endpoint=lease}"] == 1
+    assert counters["dist_requests{endpoint=complete}"] == 2
+
+
+def test_exit_when_done_campaign_ends_promptly_after_its_last_shard(
+    coordinator_factory,
+):
+    """The drain does not wait out drain_grace_s on kept-alive
+    connections that sit idle when the campaign ends."""
+    coordinator, handle = coordinator_factory(
+        exit_when_done=True, drain_grace_s=5.0
+    )
+    observer = client_for(handle)
+    assert observer.healthz()["status"] == "ok"  # now idle, kept alive
+    run_workers(handle, count=1)
+    finished = time.monotonic()
+    handle.join(10.0)
+    assert not handle.thread.is_alive()
+    assert time.monotonic() - finished < 1.0
+    assert coordinator.aggregator.is_complete()
+
+
+def test_worker_runs_each_cell_of_a_shard_as_one_batch(
+    coordinator_factory, monkeypatch
+):
+    from repro.sweep import worker as sweep_worker
+
+    batches = []
+    original = sweep_worker.execute_batch
+
+    def spy(payload):
+        batches.append(len(payload["trials"]))
+        return original(payload)
+
+    monkeypatch.setattr(sweep_worker, "execute_batch", spy)
+    coordinator, handle = coordinator_factory(exit_when_done=True)
+    run_workers(handle, count=1)
+    handle.join()
+    # SMALL_SPEC: two cells of two trials, one cell per shard.
+    assert batches == [2, 2]
+    assert coordinator.aggregator.is_complete()

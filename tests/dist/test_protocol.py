@@ -38,7 +38,7 @@ def test_parse_heartbeat_request():
 
 
 def test_parse_complete_request():
-    token, results = parse_complete_request({
+    token, results, worker = parse_complete_request({
         "token": "lease-000001",
         "results": [
             {"index": 0, "ok": True, "metrics": {}, "elapsed_s": 0.1},
@@ -47,6 +47,14 @@ def test_parse_complete_request():
     })
     assert token == "lease-000001"
     assert len(results) == 2
+    assert worker is None
+
+
+def test_parse_complete_request_names_the_next_lease_worker():
+    _token, _results, worker = parse_complete_request(
+        {"token": "t", "results": [], "worker": "w1"}
+    )
+    assert worker == "w1"
 
 
 @pytest.mark.parametrize("payload", [
@@ -54,6 +62,7 @@ def test_parse_complete_request():
     {"token": "t", "results": {}},  # not a list
     {"token": "t", "results": [{"ok": True}]},  # no index
     {"token": "t", "results": [{"index": 0, "ok": True}]},  # ok, no metrics
+    {"token": "t", "results": [], "worker": ""},  # empty worker id
 ])
 def test_parse_complete_request_rejects(payload):
     with pytest.raises(DistProtocolError):
@@ -84,7 +93,7 @@ class _RecordingClient:
     def heartbeat(self, token):
         return {}
 
-    def complete(self, token, results):
+    def complete(self, token, results, worker=None):
         self.completed.append((token, results))
         return {"campaign_complete": False}
 
@@ -99,7 +108,7 @@ def test_worker_accepts_a_lease_that_still_carries_timeout_s():
     lease["timeout_s"] = 0.001
     client = _RecordingClient()
     worker = DistWorker(client=client)
-    assert worker._process_lease(lease) is False
+    assert worker._process_lease(lease) is None  # no next lease carried
     [(token, results)] = client.completed
     assert token == "t"
     assert results[0]["ok"] is True

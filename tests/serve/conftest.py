@@ -33,12 +33,27 @@ def serve_factory(tmp_path):
         handle.stop()
 
 
+#: Clients made by :func:`client_for` in the running test.
+_CLIENTS = []
+
+
+@pytest.fixture(autouse=True)
+def close_clients():
+    """Close every kept-alive client connection a test opened."""
+    yield
+    while _CLIENTS:
+        _CLIENTS.pop().close()
+
+
 def client_for(handle, **kwargs):
-    """A fail-fast client (no retries unless a test opts in)."""
+    """A fail-fast client (no retries unless a test opts in), closed
+    when the test ends."""
     host, port = handle.address
     kwargs.setdefault("retry", NO_RETRY)
     kwargs.setdefault("timeout_s", 30.0)
-    return ServeClient(host, port, **kwargs)
+    client = ServeClient(host, port, **kwargs)
+    _CLIENTS.append(client)
+    return client
 
 
 class GatedExecute:

@@ -92,7 +92,7 @@ def test_inline_engine_batches_reference_cells(monkeypatch, tmp_path):
     def no_interpreter(config, seeds):
         raise AssertionError("reference trials reached run_trial_batch")
 
-    monkeypatch.setattr("repro.sweep.engine.execute_batch", spy)
+    monkeypatch.setattr("repro.sweep.worker.execute_batch", spy)
     monkeypatch.setattr("repro.sim.batch.run_trial_batch", no_interpreter)
     spec = SweepSpec(
         name="engine-reference",
@@ -149,7 +149,7 @@ def test_failures_are_retried_then_raised(monkeypatch):
         calls["n"] += 1
         raise RuntimeError("worker crashed")
 
-    monkeypatch.setattr("repro.sweep.engine.execute_job", flaky)
+    monkeypatch.setattr("repro.sweep.worker.execute_job", flaky)
     spec = SweepSpec(base={"num_runs": 2, "num_disks": 1,
                            "blocks_per_run": 20}, trials=1)
     engine = SweepEngine(store=None, workers=1, retries=2)
@@ -167,7 +167,7 @@ def test_transient_failure_recovers_on_retry(monkeypatch, tmp_path):
             raise RuntimeError("transient")
         return execute_job(payload)
 
-    monkeypatch.setattr("repro.sweep.engine.execute_job", flaky_once)
+    monkeypatch.setattr("repro.sweep.worker.execute_job", flaky_once)
     spec = SweepSpec(base={"num_runs": 2, "num_disks": 1,
                            "blocks_per_run": 20}, trials=1)
     engine = SweepEngine(store=ResultStore(tmp_path), workers=1, retries=1)
@@ -181,7 +181,7 @@ def test_allow_partial_keeps_surviving_cells(monkeypatch):
     def always_fail(payload):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("repro.sweep.engine.execute_job", always_fail)
+    monkeypatch.setattr("repro.sweep.worker.execute_job", always_fail)
     spec = SweepSpec(base={"num_runs": 2, "num_disks": 1,
                            "blocks_per_run": 20}, trials=1)
     engine = SweepEngine(store=None, workers=1, retries=0, allow_partial=True)

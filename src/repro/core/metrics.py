@@ -192,14 +192,6 @@ class MergeMetrics:
     def total_seek_ms(self) -> float:
         return sum(stats.seek_ms for stats in self.drive_stats)
 
-    @property
-    def total_rotation_ms(self) -> float:
-        return sum(stats.rotation_ms for stats in self.drive_stats)
-
-    @property
-    def total_transfer_ms(self) -> float:
-        return sum(stats.transfer_ms for stats in self.drive_stats)
-
 
 #: Field defaults :meth:`MergeMetrics.from_dict` falls back on, read once.
 _METRICS_DEFAULTS = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 from repro.core.cache import BlockCache
 from repro.core.parameters import CachePolicy, VictimSelector
@@ -58,10 +58,6 @@ class FetchPlan:
     groups: tuple[FetchGroup, ...]
     full_prefetch: bool = False
     counts_as_decision: bool = False
-
-    @property
-    def demand_group(self) -> FetchGroup:
-        return self.groups[0]
 
     @property
     def total_blocks(self) -> int:

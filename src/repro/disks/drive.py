@@ -134,10 +134,6 @@ class DriveStats:
             data = {k: v for k, v in data.items() if k in _DRIVE_STATS_FIELDS}
         return cls(**data)
 
-    @property
-    def mean_seek_cylinders(self) -> float:
-        return self.seek_cylinders / self.requests if self.requests else 0.0
-
 
 #: Every :class:`DriveStats` field name, read once for ``from_dict``.
 _DRIVE_STATS_FIELDS = frozenset(f.name for f in fields(DriveStats))

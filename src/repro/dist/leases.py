@@ -52,9 +52,6 @@ class Lease:
     expires_at: float
     renewals: int = 0
 
-    def remaining_s(self, now: float) -> float:
-        return self.expires_at - now
-
 
 @dataclass
 class ExpiryRecord:

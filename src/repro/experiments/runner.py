@@ -60,25 +60,22 @@ def run_experiments(
                 experiment = get_experiment(experiment_id)
                 result = experiment.run(scale)
             except Exception as exc:
-                elapsed = time.perf_counter() - start
                 result = ExperimentResult(
                     experiment_id=experiment_id,
                     title="(failed)",
                     error=f"{type(exc).__name__}: {exc}",
                 )
-                results.append(result)
-                print(
-                    f"[{experiment_id} FAILED after {elapsed:.1f}s: "
-                    f"{result.error}]\n",
-                    file=out,
-                )
-                out.flush()
-                continue
-            elapsed = time.perf_counter() - start
+                print(f"[{experiment_id} FAILED: {result.error}]\n", file=out)
+                verdict = "FAILED after"
+            else:
+                print(result.render() + "\n", file=out)
+                verdict = "finished in"
             results.append(result)
-            print(result.render(), file=out)
-            print(f"[{experiment_id} finished in {elapsed:.1f}s]\n", file=out)
             out.flush()
+            # Wall time goes to stderr, so two runs of the same code
+            # write identical report streams.
+            elapsed = time.perf_counter() - start
+            print(f"[{experiment_id} {verdict} {elapsed:.1f}s]", file=sys.stderr)
     return results
 
 

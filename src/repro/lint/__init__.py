@@ -1,20 +1,18 @@
 """repro.lint — static enforcement of the reproduction's invariants.
 
 A zero-dependency (stdlib :mod:`ast`) analysis suite that mechanically
-checks what PRs 1–3 enforced only by convention and tests-after-the-
-fact: simulation determinism (RPR001), hot-path slotting (RPR002),
-cache-key schema completeness (RPR003), serialization symmetry
-(RPR004), supporting hygiene rules (RPR005–RPR008), and the
-cross-file rules (RPR010–RPR013).  See ``docs/LINT.md`` for the full
-rule catalogue and workflow.
+checks what would otherwise rest on convention and after-the-fact
+tests: simulation determinism (RPR001), hot-path slotting (RPR002),
+serialization symmetry (RPR004), supporting hygiene rules
+(RPR005–RPR008), and the cross-file rules (RPR010–RPR013).  See
+``docs/LINT.md`` for the full rule catalogue and workflow.
 
 Programmatic use::
 
     from pathlib import Path
-    from repro.lint import LintEngine, load_config
+    from repro.lint import LintConfig, LintEngine
 
-    root = Path(".")
-    report = LintEngine(load_config(root), root).run(["src"])
+    report = LintEngine(LintConfig(), Path(".")).run(["src"])
     for finding in report.findings:
         print(finding.render())  # repro-lint: disable=RPR008
 
@@ -23,7 +21,7 @@ CLI: ``repro lint [paths] [--format json] [--baseline FILE]
 """
 
 from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.config import LintConfig, find_project_root, load_config
+from repro.lint.config import LintConfig, find_project_root
 from repro.lint.engine import LintEngine, LintReport
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, all_rules, get_rule
@@ -40,5 +38,4 @@ __all__ = [
     "all_rules",
     "find_project_root",
     "get_rule",
-    "load_config",
 ]

@@ -42,8 +42,6 @@ from repro.lint.project import dotted_name
 from repro.lint.registry import get_rule, make_finding, path_matches, register
 
 if TYPE_CHECKING:  # pragma: no cover
-    from pathlib import Path
-
     from repro.lint.config import LintConfig
     from repro.lint.project import (
         ClassInfo,
@@ -170,7 +168,7 @@ def _resolve_callable(
     scope="model",
 )
 def check_blocking_in_async(
-    model: "ProjectModel", config: "LintConfig", root: "Path"
+    model: "ProjectModel", config: "LintConfig"
 ) -> Iterator[Finding]:
     rule = get_rule(BLOCKING_RULE)
     for fn in sorted(
@@ -398,7 +396,7 @@ def _annotated(source_lines: list[str], line: int) -> bool:
     scope="model",
 )
 def check_lock_discipline(
-    model: "ProjectModel", config: "LintConfig", root: "Path"
+    model: "ProjectModel", config: "LintConfig"
 ) -> Iterator[Finding]:
     rule = get_rule(LOCK_RULE)
     entries = _thread_entries(model, config)
@@ -479,7 +477,7 @@ def check_lock_discipline(
     scope="model",
 )
 def check_unawaited(
-    model: "ProjectModel", config: "LintConfig", root: "Path"
+    model: "ProjectModel", config: "LintConfig"
 ) -> Iterator[Finding]:
     rule = get_rule(UNAWAITED_RULE)
     for fn in sorted(

@@ -9,9 +9,9 @@ they are served):
     services (serve/dist/realio/bench)           <- imported by
     cli
 
-``[tool.repro-lint.layers]`` in pyproject maps layer names to module
-prefixes and ``layer-order`` ranks them lowest-to-highest.  A module
-may import its own layer or any lower one.  Two things are findings:
+``LintConfig.layers`` maps layer names to module prefixes, lowest layer
+first: its insertion order is the layer order.  A module may import its
+own layer or any lower one.  Two things are findings:
 
 * an **upward import** — a lower-layer module importing a higher-layer
   one, reported at the import line with both endpoints and layers;
@@ -32,8 +32,6 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.registry import get_rule, make_finding, path_matches, register
 
 if TYPE_CHECKING:  # pragma: no cover
-    from pathlib import Path
-
     from repro.lint.config import LintConfig
     from repro.lint.project import ProjectModel
 
@@ -126,24 +124,13 @@ def _strongly_connected(graph: dict[str, set[str]]) -> list[set[str]]:
     scope="model",
 )
 def check_layering(
-    model: "ProjectModel", config: "LintConfig", root: "Path"
+    model: "ProjectModel", config: "LintConfig"
 ) -> Iterator[Finding]:
     rule = get_rule(RULE_ID)
-    if not config.layers or not config.layer_order:
+    if not config.layers:
         return
-
-    declared = set(config.layers)
-    ordered = set(config.layer_order)
-    if declared != ordered:
-        missing = sorted(declared ^ ordered)
-        yield make_finding(
-            rule, "pyproject.toml", 1,
-            "layer declaration mismatch: [tool.repro-lint.layers] and "
-            f"layer-order must name the same layers (differ on: "
-            f"{', '.join(missing)})",
-        )
-        return
-    rank = {layer: index for index, layer in enumerate(config.layer_order)}
+    rank = {layer: index for index, layer in enumerate(config.layers)}
+    order = " < ".join(config.layers)
 
     # -- upward imports --------------------------------------------------------
     for name in sorted(model.modules):
@@ -167,8 +154,7 @@ def check_layering(
                     f"{importer_layer!r}) imports {edge.imported} (layer "
                     f"{imported_layer!r}); chain: {module.name} "
                     f"[{importer_layer}] -> {edge.imported} "
-                    f"[{imported_layer}], against layer order "
-                    f"{' < '.join(config.layer_order)}",
+                    f"[{imported_layer}], against layer order {order}",
                 )
 
     # -- cycles ----------------------------------------------------------------

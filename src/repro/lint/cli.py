@@ -1,8 +1,9 @@
 """The ``repro lint`` subcommand implementation.
 
 Exit codes: ``0`` no new findings (grandfathered ones may remain),
-``1`` new findings, ``2`` configuration or usage errors.  The parent
-CLI (:mod:`repro.cli`) registers the arguments via
+``1`` new findings, ``2`` usage errors (a lint path that does not
+exist, an unreadable baseline file).  The parent CLI
+(:mod:`repro.cli`) registers the arguments via
 :func:`add_lint_arguments` and dispatches here.
 """
 
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from repro.lint.baseline import Baseline
-from repro.lint.config import find_project_root, load_config
+from repro.lint.config import LintConfig, find_project_root
 from repro.lint.engine import LintEngine
 from repro.lint.reporters import (
     RunOutcome,
@@ -28,8 +29,7 @@ def add_lint_arguments(parser) -> None:
     """Attach the ``repro lint`` arguments to an argparse subparser."""
     parser.add_argument(
         "paths", nargs="*",
-        help="files or directories to lint (default: [tool.repro-lint] "
-        "paths, i.e. src)",
+        help="files or directories to lint (default: src)",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -39,7 +39,7 @@ def add_lint_arguments(parser) -> None:
     parser.add_argument(
         "--baseline", metavar="FILE", default=None,
         help="baseline file of grandfathered findings (default: "
-        "[tool.repro-lint] baseline, i.e. lint-baseline.json)",
+        "lint-baseline.json)",
     )
     parser.add_argument(
         "--no-baseline", action="store_true",
@@ -81,12 +81,7 @@ def run_lint(args) -> int:
         if args.root is not None
         else find_project_root(Path.cwd())
     )
-    try:
-        config = load_config(root)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    config = LintConfig()
     engine = LintEngine(config, root)
     try:
         if args.graph:

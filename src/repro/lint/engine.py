@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.lint.config import LintConfig
@@ -148,11 +148,11 @@ class LintEngine:
             if not self.config.is_disabled(rule.rule_id)
         ]
         file_rules = [rule for rule in rules if rule.scope == "file"]
-        project_rules = [rule for rule in rules if rule.scope == "project"]
         model_rules = [rule for rule in rules if rule.scope == "model"]
 
+        # RPR000 parse errors: no rule ran, so nothing can suppress them.
         findings: list[Finding] = []
-        suppressed = 0
+        checked: list[Finding] = []
         modules: list[ModuleInfo] = []
         suppressions: dict[str, Suppressions] = {}
 
@@ -176,41 +176,24 @@ class LintEngine:
             modules.append(module)
             suppressions[relpath] = Suppressions.parse(source)
             for rule in file_rules:
-                for finding in rule.check(module, self.config):
-                    if suppressions[relpath].is_suppressed(
-                        finding.rule, finding.line
-                    ):
-                        suppressed += 1
-                    else:
-                        findings.append(finding)
-
-        def admit(finding: Finding) -> None:
-            nonlocal suppressed
-            module_suppressions = suppressions.get(finding.path)
-            if module_suppressions is None:
-                target = self.root / finding.path
-                if target.is_file():
-                    module_suppressions = Suppressions.parse(
-                        target.read_text(encoding="utf-8")
-                    )
-                    suppressions[finding.path] = module_suppressions
-            if module_suppressions is not None and (
-                module_suppressions.is_suppressed(finding.rule, finding.line)
-            ):
-                suppressed += 1
-            else:
-                findings.append(finding)
-
-        for rule in project_rules:
-            for finding in rule.check(modules, self.config, self.root):
-                admit(finding)
+                checked.extend(rule.check(module, self.config))
 
         if model_rules:
             # Pass 2: one whole-repo model, shared by every model rule.
             model = build_project_model(modules)
             for rule in model_rules:
-                for finding in rule.check(model, self.config, self.root):
-                    admit(finding)
+                checked.extend(rule.check(model, self.config))
+
+        # Every rule reports in a parsed module, whose inline
+        # suppressions were read above.
+        suppressed = 0
+        for finding in checked:
+            if suppressions[finding.path].is_suppressed(
+                finding.rule, finding.line
+            ):
+                suppressed += 1
+            else:
+                findings.append(finding)
 
         findings.sort()
         return LintReport(

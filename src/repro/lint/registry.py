@@ -1,13 +1,9 @@
 """The rule registry: stable ids, severities, and the rule protocol.
 
-Rules come in three scopes:
+Rules come in two scopes:
 
 * **file** rules get one parsed module at a time (:class:`ModuleInfo`)
   and yield findings for it — most rules work this way;
-* **project** rules run once per lint invocation with access to the
-  whole file set and the project root — used for cross-module checks
-  like the cache-key schema rule, which must compare
-  ``core/parameters.py`` against ``sweep/keys.py``;
 * **model** rules run once against the pass-1
   :class:`~repro.lint.project.ProjectModel` (import graph plus
   function/call index) — the layering, blocking-in-async,
@@ -23,12 +19,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.lint.findings import Finding, Severity
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.config import LintConfig
 
 
 @dataclass
@@ -72,10 +65,9 @@ class Rule:
     name: str
     severity: Severity
     rationale: str  #: which reproduction invariant the rule protects
-    scope: str  #: ``"file"``, ``"project"``, or ``"model"``
+    scope: str  #: ``"file"`` or ``"model"``
     #: file scope: ``check(module, config) -> Iterator[Finding]``
-    #: project scope: ``check(modules, config, root) -> Iterator[Finding]``
-    #: model scope: ``check(model, config, root) -> Iterator[Finding]``
+    #: model scope: ``check(model, config) -> Iterator[Finding]``
     check: Callable = field(compare=False)
 
 
@@ -90,7 +82,7 @@ def register(
     scope: str = "file",
 ) -> Callable:
     """Decorator registering a checking function under ``rule_id``."""
-    if scope not in ("file", "project", "model"):
+    if scope not in ("file", "model"):
         raise ValueError(f"unknown rule scope {scope!r}")
 
     def decorate(check: Callable) -> Callable:
@@ -144,11 +136,3 @@ def make_finding(
         severity=rule.severity,
     )
 
-
-def run_rule_on_module(
-    rule: Rule, module: ModuleInfo, config: "LintConfig"
-) -> Iterator[Finding]:
-    """Run one file-scope rule over one module."""
-    if rule.scope != "file":
-        raise ValueError(f"{rule.rule_id} is not a file-scope rule")
-    yield from rule.check(module, config)

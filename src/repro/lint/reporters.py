@@ -174,8 +174,8 @@ def render_sarif(outcome: RunOutcome) -> str:
 def render_dot(model, config) -> str:
     """The layer diagram: import graph collapsed to layer prefixes.
 
-    Each configured ``[tool.repro-lint.layers]`` prefix becomes one
-    node, clustered by layer in ``layer_order``; an edge means *some*
+    Each ``LintConfig.layers`` prefix becomes one node, clustered by
+    layer in declaration order (lowest first); an edge means *some*
     module under the source prefix imports *some* module under the
     target prefix at top level.  Output is deterministic, so the
     DESIGN.md embedding can be diffed against ``repro lint --graph
@@ -222,7 +222,7 @@ def render_dot(model, config) -> str:
         "  rankdir=BT;",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    for index, layer in enumerate(config.layer_order):
+    for index, layer in enumerate(config.layers):
         lines.append(f"  subgraph cluster_{index} {{")
         lines.append(f'    label="{layer}";')
         for node in sorted(members.get(layer, ())):

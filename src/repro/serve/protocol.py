@@ -21,7 +21,6 @@ from typing import Any, Optional
 
 from repro.core.metrics import AggregateMetrics, MergeMetrics
 from repro.core.parameters import SimulationConfig
-from repro.faults.plan import FaultPlan
 from repro.sweep.keys import CACHE_SCHEMA_VERSION, config_to_dict, coerce_params
 from repro.sweep.spec import SweepSpec
 
@@ -177,10 +176,3 @@ def simulate_response(
 def overload_body(code: str, detail: str, retry_after_s: float) -> dict:
     """A 429/503 body; ``retry_after_s`` mirrors the Retry-After header."""
     return {"error": code, "detail": detail, "retry_after_s": retry_after_s}
-
-
-def fault_plan_or_none(value: Any) -> Optional[FaultPlan]:
-    """Coerce an optional JSON fault plan (shared by server and client)."""
-    if value is None or isinstance(value, FaultPlan):
-        return value
-    return FaultPlan.from_dict(_require_object(value, "'fault_plan'"))

@@ -13,8 +13,6 @@ Public surface:
 * :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` --
   waitable primitives.
 * :class:`Process` -- a running generator; itself waitable.
-* :class:`Store` -- an unbounded/bounded FIFO channel between processes.
-* :class:`Resource` -- a counting semaphore with FIFO queueing.
 * :class:`RandomStreams` -- named, independently seeded RNG streams.
 * :data:`KERNELS` -- the kernel names a config may choose:
   ``reference`` (this event loop) and ``batch`` (the default, which
@@ -31,7 +29,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.process import Process, ProcessFailure
 from repro.sim.random_streams import RandomStreams
-from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
@@ -41,10 +38,8 @@ __all__ = [
     "Process",
     "ProcessFailure",
     "RandomStreams",
-    "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
     "TrialBudgetExceeded",
 ]

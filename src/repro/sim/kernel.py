@@ -2,8 +2,8 @@
 
 The kernel is deliberately small: a binary heap of ``(time, sequence,
 event)`` entries and a :meth:`Simulator.run` loop that pops entries in
-time order and *fires* each event.  Everything else (processes, stores,
-resources) is built on top of :class:`~repro.sim.events.Event`.
+time order and *fires* each event.  Everything else (processes,
+timeouts, conditions) is built on top of :class:`~repro.sim.events.Event`.
 
 Determinism: ties in time are broken by a monotonically increasing
 sequence number, so two simulations driven by identically seeded random

@@ -39,39 +39,13 @@ from repro.faults.plan import FaultPlan
 #:    left SimulationConfig, and with it the key payload.
 CACHE_SCHEMA_VERSION = 3
 
-#: The explicit cache-key inventory of every ``SimulationConfig`` field.
-#: Adding a field to the dataclass requires a decision here — is it
-#: behaviour-relevant (``KNOWN_CONFIG_FIELDS``, and bump
-#: ``CACHE_SCHEMA_VERSION``) or deliberately excluded from the key
-#: (``KEY_EXCLUDED_FIELDS``)?  Lint rule RPR003 parses both modules and
-#: fails when the inventory and the dataclass disagree;
-#: ``tests/sweep/test_keys.py`` enforces the same invariant at runtime.
-KNOWN_CONFIG_FIELDS = (
-    "num_runs",
-    "num_disks",
-    "strategy",
-    "prefetch_depth",
-    "blocks_per_run",
-    "cache_capacity",
-    "synchronized",
-    "cpu_ms_per_block",
-    "cache_policy",
-    "victim_selector",
-    "disk",
-    "geometry",
-    "stream_across_requests",
-    "queue_discipline",
-    "write_disks",
-    "write_buffer_blocks",
-    "adaptive_depth",
-    "fault_plan",
-)
-
 #: Fields deliberately absent from cache keys: ``trials``/``base_seed``
 #: because the cache works at per-trial granularity (the derived trial
 #: seed is hashed instead), ``kernel`` because both kernels produce
 #: bit-identical metrics (enforced by the bench equivalence suite) and
-#: must share cache entries.
+#: must share cache entries.  Every other ``SimulationConfig`` field is
+#: in the key, because :func:`config_to_dict` walks the dataclass's
+#: fields; ``tests/sweep/test_keys.py`` proves that per field.
 KEY_EXCLUDED_FIELDS = ("trials", "base_seed", "kernel")
 
 #: Enum-valued ``SimulationConfig`` fields and their types, used both to

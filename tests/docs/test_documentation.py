@@ -47,26 +47,26 @@ def test_tutorial_sweep_snippet_runs(tmp_path):
 
 def test_tutorial_kernel_snippet_runs():
     """The sim-kernel walkthrough from docs/TUTORIAL.md section 9."""
-    from repro.sim import Simulator, Store
+    from repro.sim import Simulator
 
     sim = Simulator()
-    queue = Store(sim)
+    ready = sim.event()
 
     def producer():
-        for i in range(3):
-            yield sim.timeout(1.0)
-            queue.put(i)
+        yield sim.timeout(1.5)
+        ready.succeed("block 0")
 
     def consumer(log):
-        while True:
-            item = yield queue.get()
-            log.append((sim.now, item))
+        item = yield ready
+        log.append((sim.now, item))
+        yield sim.timeout(2.0)
+        log.append((sim.now, "merged"))
 
     log = []
     sim.process(producer())
     sim.process(consumer(log))
     sim.run(until=10.0)
-    assert log == [(1.0, 0), (2.0, 1), (3.0, 2)]
+    assert log == [(1.5, "block 0"), (3.5, "merged")]
 
 
 def test_tutorial_analysis_imports_exist():

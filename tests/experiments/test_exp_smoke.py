@@ -97,11 +97,15 @@ def test_default_ids_can_exclude_ablations():
 
 
 def test_run_experiments_streams_reports():
-    buffer = io.StringIO()
-    results = run_experiments(["tab-seek"], TINY, stream=buffer)
-    assert len(results) == 1
-    assert "tab-seek" in buffer.getvalue()
-    assert "finished in" in buffer.getvalue()
+    # The report stream holds no wall-clock time, so reruns match.
+    streams = []
+    for _ in range(2):
+        buffer = io.StringIO()
+        results = run_experiments(["tab-seek"], TINY, stream=buffer)
+        assert len(results) == 1
+        streams.append(buffer.getvalue())
+    assert "tab-seek" in streams[0]
+    assert streams[0] == streams[1]
 
 
 def test_all_experiments_have_unique_runners_except_aliases():

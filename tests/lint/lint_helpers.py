@@ -67,4 +67,4 @@ def run_model_rule(
 
     rule = get_rule(rule_id)
     model = build_project_model(modules)
-    return sorted(rule.check(model, config or LintConfig(), REPO_ROOT))
+    return sorted(rule.check(model, config or LintConfig()))

@@ -1,114 +1,14 @@
-"""Configuration loading: pyproject overrides and the 3.10 TOML fallback."""
+"""Configuration: the shipped defaults and project-root discovery."""
 
-import pytest
-
-from repro.lint.config import (
-    LintConfig,
-    _fallback_load,
-    _fallback_parse_table,
-    find_project_root,
-    load_config,
-)
+from repro.lint.config import LintConfig, find_project_root
 
 
-def test_defaults_without_pyproject(tmp_path):
-    config = load_config(tmp_path)
+def test_defaults_without_pyproject():
+    config = LintConfig()
     assert config.paths == ["src"]
     assert config.baseline == "lint-baseline.json"
     assert "repro/sim" in config.determinism_modules
-    assert config.config_class == "SimulationConfig"
-
-
-def test_pyproject_overrides_apply(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        "[tool.repro-lint]\n"
-        'paths = ["lib"]\n'
-        'disable = ["RPR008"]\n'
-        'slots-modules = ["lib/hot.py"]\n',
-        encoding="utf-8",
-    )
-    config = load_config(tmp_path)
-    assert config.paths == ["lib"]
-    assert config.is_disabled("RPR008")
-    assert config.slots_modules == ["lib/hot.py"]
-    # untouched keys keep their defaults
-    assert config.baseline == "lint-baseline.json"
-
-
-def test_wrongly_typed_value_is_rejected(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\npaths = "src"\n', encoding="utf-8"
-    )
-    with pytest.raises(ValueError, match="must be a list"):
-        load_config(tmp_path)
-
-
-def test_real_pyproject_matches_the_shipped_defaults():
-    # The committed [tool.repro-lint] table spells out the defaults for
-    # self-documentation; if either side drifts this catches it.
-    from lint_helpers import REPO_ROOT
-
-    assert load_config(REPO_ROOT) == LintConfig()
-
-
-def test_fallback_parser_handles_the_shipped_table():
-    # What Python 3.10 (no tomllib) must be able to read: strings,
-    # flat string lists (including multi-line ones), comments.
-    text = (
-        "[project]\n"
-        'name = "repro"\n'
-        "[tool.repro-lint]\n"
-        'baseline = "lint-baseline.json"  # comment\n'
-        "disable = []\n"
-        "determinism-modules = [\n"
-        '    "repro/sim",\n'
-        '    "repro/core",\n'
-        "]\n"
-        "[tool.other]\n"
-        'baseline = "not-this-one.json"\n'
-    )
-    table = _fallback_parse_table(text, "tool.repro-lint")
-    assert table == {
-        "baseline": "lint-baseline.json",
-        "disable": [],
-        "determinism-modules": ["repro/sim", "repro/core"],
-    }
-
-
-def test_fallback_parser_agrees_with_tomllib_on_the_real_file():
-    # Covers the nested [tool.repro-lint.layers] sub-table too: the
-    # 3.10 fallback must see exactly what tomllib sees.
-    import tomllib
-
-    from lint_helpers import REPO_ROOT
-
-    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    expected = tomllib.loads(text).get("tool", {}).get("repro-lint", {})
-    assert _fallback_load(text) == expected
-
-
-def test_fallback_parser_reads_nested_layer_tables():
-    text = (
-        "[tool.repro-lint]\n"
-        'layer-order = ["low", "high"]\n'
-        "[tool.repro-lint.layers]\n"
-        'low = ["pkg/core"]\n'
-        "high = [\n"
-        '    "pkg/cli.py",\n'
-        "]\n"
-    )
-    assert _fallback_load(text) == {
-        "layer-order": ["low", "high"],
-        "layers": {"low": ["pkg/core"], "high": ["pkg/cli.py"]},
-    }
-
-
-def test_layers_must_be_a_table(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\nlayers = ["model"]\n', encoding="utf-8"
-    )
-    with pytest.raises(ValueError, match="must be a table"):
-        load_config(tmp_path)
+    assert list(config.layers) == ["model", "engine", "services", "cli"]
 
 
 def test_find_project_root_walks_up(tmp_path):

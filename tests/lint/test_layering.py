@@ -1,18 +1,22 @@
 """RPR010 against the miniature layered project in ``rpr010_layers/``.
 
-The fixture package declares ``core < svc < cli`` and ships clean; each
-test copies it into a tmp dir and injects one illegal import, asserting
-the finding names the full chain — both endpoints, both layers, and the
-declared order — so the report is actionable without opening the graph.
+The fixture package is linted under ``LAYERS`` (``core < svc < cli``)
+and ships clean; each test copies it into a tmp dir and injects one
+illegal import, asserting the finding names the full chain — both
+endpoints, both layers, and the declared order — so the report is
+actionable without opening the graph.
 """
 
 import shutil
 
 from lint_helpers import FIXTURES
-from repro.lint.config import load_config
+from repro.lint.config import LintConfig
 from repro.lint.engine import LintEngine
 
 ENGINE_PY = "src/pkg/core/engine.py"
+
+#: The fixture package's layers, lowest first.
+LAYERS = {"core": ["pkg/core"], "svc": ["pkg/svc"], "cli": ["pkg/cli.py"]}
 
 
 def _project(tmp_path):
@@ -22,7 +26,7 @@ def _project(tmp_path):
 
 
 def _run(root):
-    return LintEngine(load_config(root), root).run()
+    return LintEngine(LintConfig(layers=LAYERS), root).run()
 
 
 def _inject(root, relpath, line):
@@ -93,19 +97,3 @@ def test_inline_disable_suppresses_the_upward_import(tmp_path):
     assert report.findings == []
     assert report.suppressed == 1
 
-
-def test_layer_declaration_mismatch_is_one_clear_finding(tmp_path):
-    root = _project(tmp_path)
-    pyproject = root / "pyproject.toml"
-    pyproject.write_text(
-        pyproject.read_text(encoding="utf-8").replace(
-            'layer-order = ["core", "svc", "cli"]',
-            'layer-order = ["core", "svc"]',
-        ),
-        encoding="utf-8",
-    )
-    findings = _run(root).findings
-    assert [f.rule for f in findings] == ["RPR010"]
-    assert findings[0].path == "pyproject.toml"
-    assert "layer declaration mismatch" in findings[0].message
-    assert "differ on: cli" in findings[0].message

@@ -1,22 +1,16 @@
 """The engine over synthetic project trees: collection, suppression, RPR000."""
 
-from repro.lint.config import load_config
+from repro.lint.config import LintConfig
 from repro.lint.engine import PARSE_ERROR_RULE, LintEngine
 from repro.lint.findings import Severity
 
-#: RPR003 reads src/repro/core/parameters.py + src/repro/sweep/keys.py,
-#: which synthetic trees do not have; disable it so these tests see
-#: only the behaviour under test.
-_PYPROJECT = '[tool.repro-lint]\ndisable = ["RPR003"]\n'
-
 
 def _project(tmp_path, files):
-    (tmp_path / "pyproject.toml").write_text(_PYPROJECT, encoding="utf-8")
     for relpath, source in files.items():
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source, encoding="utf-8")
-    return LintEngine(load_config(tmp_path), tmp_path)
+    return LintEngine(LintConfig(), tmp_path)
 
 
 def test_inline_suppression_removes_and_counts_the_finding(tmp_path):
@@ -101,4 +95,4 @@ def test_findings_come_out_sorted_by_path_then_line(tmp_path):
         ("src/repro/sim/a.py", 3),
         ("src/repro/sim/b.py", 2),
     ]
-    assert report.rules_run == 11  # twelve registered minus disabled RPR003
+    assert report.rules_run == 11

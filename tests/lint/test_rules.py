@@ -17,7 +17,7 @@ from lint_helpers import (
     run_model_rule,
     run_rule,
 )
-from repro.lint.config import LintConfig, load_config
+from repro.lint.config import LintConfig
 from repro.lint.engine import LintEngine
 from repro.lint.findings import Severity
 from repro.lint.registry import all_rules, get_rule, path_matches
@@ -126,13 +126,10 @@ def test_inline_disable_suppresses_model_findings(
     assert marked
     for index in marked:
         lines[index] += f"  # repro-lint: disable={rule_id}"
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\ndisable = ["RPR003"]\n', encoding="utf-8"
-    )
     target = tmp_path / relpath
     target.parent.mkdir(parents=True)
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    report = LintEngine(load_config(tmp_path), tmp_path).run()
+    report = LintEngine(LintConfig(), tmp_path).run()
     assert [f for f in report.findings if f.rule == rule_id] == []
     assert report.suppressed == len(marked)
 
@@ -226,14 +223,14 @@ def test_broad_except_needs_retry_scope_but_bare_except_does_not():
 
 
 def test_registry_covers_all_thirteen_rules_with_stable_ids():
-    # RPR009 (deprecated-overrides) is retired; its id is not reused.
+    # RPR003 (cache-key-schema) and RPR009 (deprecated-overrides) are
+    # retired; their ids are not reused.
     rules = all_rules()
     assert [rule.rule_id for rule in rules] == [
-        f"RPR{index:03d}" for index in range(1, 14) if index != 9
+        f"RPR{index:03d}" for index in range(1, 14) if index not in (3, 9)
     ]
     assert all(rule.rationale for rule in rules)
-    assert {rule.scope for rule in rules} == {"file", "project", "model"}
-    assert get_rule("RPR003").scope == "project"
+    assert {rule.scope for rule in rules} == {"file", "model"}
     for rule_id in ("RPR010", "RPR011", "RPR012", "RPR013"):
         assert get_rule(rule_id).scope == "model"
 

@@ -1,5 +1,7 @@
 """Cache-key stability and config serialization round-trips."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.parameters import (
@@ -10,8 +12,10 @@ from repro.core.parameters import (
     VictimSelector,
 )
 from repro.disks.drive import QueueDiscipline
+from repro.disks.geometry import DiskGeometry
 from repro.faults.plan import transient_plan
 from repro.sweep.keys import (
+    KEY_EXCLUDED_FIELDS,
     cache_key,
     coerce_params,
     config_from_dict,
@@ -118,16 +122,45 @@ def test_coerce_params_passes_enums_through():
     assert params["strategy"] is PrefetchStrategy.NONE
 
 
+#: One alternative value for every SimulationConfig field, each
+#: different from its value in SimulationConfig(**BASE).  A field added
+#: to the dataclass needs a row here, and with it a decision: is it in
+#: the cache key, or in KEY_EXCLUDED_FIELDS?  The fault plan is
+#: non-empty because an empty one deliberately shares the plan-free key.
+ALTERNATIVES = {
+    "num_runs": 9,
+    "num_disks": 3,
+    "strategy": PrefetchStrategy.INTER_RUN,
+    "prefetch_depth": 4,
+    "blocks_per_run": 60,
+    "cache_capacity": 64,
+    "synchronized": True,
+    "cpu_ms_per_block": 0.5,
+    "cache_policy": CachePolicy.GREEDY,
+    "victim_selector": VictimSelector.NEAREST_HEAD,
+    "disk": DiskParameters(seek_ms_per_cylinder=0.05),
+    "geometry": DiskGeometry(cylinders=1000),
+    "trials": 7,
+    "base_seed": 7,
+    "stream_across_requests": True,
+    "queue_discipline": QueueDiscipline.SSTF,
+    "write_disks": 1,
+    "write_buffer_blocks": 3,
+    "adaptive_depth": True,
+    "fault_plan": transient_plan(0.1),
+    "kernel": "reference",
+}
+
+
 def test_field_inventory_covers_the_dataclass_exactly():
-    # The runtime half of lint rule RPR003: every SimulationConfig
-    # field is either folded into the cache key (KNOWN_CONFIG_FIELDS)
-    # or deliberately excluded (KEY_EXCLUDED_FIELDS) -- never both,
-    # never neither.  Adding a field without updating keys.py fails
-    # here *and* under `repro lint`.
-    import dataclasses
+    field_names = [f.name for f in dataclasses.fields(SimulationConfig)]
+    assert sorted(ALTERNATIVES) == sorted(field_names)
 
-    from repro.sweep.keys import KEY_EXCLUDED_FIELDS, KNOWN_CONFIG_FIELDS
 
-    field_names = {f.name for f in dataclasses.fields(SimulationConfig)}
-    assert set(KNOWN_CONFIG_FIELDS) | set(KEY_EXCLUDED_FIELDS) == field_names
-    assert not set(KNOWN_CONFIG_FIELDS) & set(KEY_EXCLUDED_FIELDS)
+@pytest.mark.parametrize("name", sorted(ALTERNATIVES))
+def test_a_field_changes_the_key_unless_excluded(name):
+    base = SimulationConfig(**BASE)
+    changed = dataclasses.replace(base, **{name: ALTERNATIVES[name]})
+    assert getattr(changed, name) != getattr(base, name)
+    keyed = cache_key(changed, 7) != cache_key(base, 7)
+    assert keyed is (name not in KEY_EXCLUDED_FIELDS)

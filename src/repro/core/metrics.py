@@ -43,16 +43,26 @@ class ConcurrencyTracker:
         self.trace = trace
 
     def on_busy_change(self, disk: int, busy: bool) -> None:
-        if self._busy[disk] == busy:
+        flags = self._busy
+        if flags[disk] == busy:
             return
-        self._advance()
-        self._busy[disk] = busy
-        self._busy_count += 1 if busy else -1
-        self.peak = max(self.peak, self._busy_count)
+        # _advance, inlined: one call per busy transition.
+        now = self.sim.now
+        count = self._busy_count
+        elapsed = now - self._last_time
+        if elapsed > 0:
+            self._weighted_busy_ms += count * elapsed
+            if count > 0:
+                self._active_ms += elapsed
+        self._last_time = now
+        flags[disk] = busy
+        count += 1 if busy else -1
+        self._busy_count = count
+        if count > self.peak:
+            self.peak = count
         if self.trace is not None:
             self.trace.instant(
-                EventKind.LEVEL, BUSY_DISKS_TRACK, self.sim.now,
-                {"value": self._busy_count},
+                EventKind.LEVEL, BUSY_DISKS_TRACK, now, {"value": count},
             )
 
     def _advance(self) -> None:

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from repro.core.cache import BlockCache
 from repro.core.parameters import CachePolicy, VictimSelector
 from repro.disks.layout import RunLayout
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FetchGroup:
     """One contiguous fetch: ``count`` blocks of ``run``."""
 
@@ -41,7 +41,7 @@ class FetchGroup:
             raise ValueError("fetch group must cover at least one block")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FetchPlan:
     """The planner's decision for one demand situation.
 
@@ -75,16 +75,10 @@ class SystemView(Protocol):
     def drive_degraded(self, disk: int) -> bool:
         """Degraded-mode signal (fault injection); optional on views.
 
-        Planners query it through :func:`_degradation_of`, which treats
-        views without the method as "every drive healthy" -- the
-        fault-free behaviour.
+        Planners treat views without the method as "every drive
+        healthy" -- the fault-free behaviour.
         """
         ...
-
-
-def _degradation_of(view: SystemView) -> Callable[[int], bool]:
-    """The view's degraded-drive predicate, or all-healthy without one."""
-    return getattr(view, "drive_degraded", lambda disk: False)
 
 
 class VictimChooser:
@@ -105,7 +99,9 @@ class VictimChooser:
         if not candidates:
             raise ValueError("no candidate runs to choose from")
         if self.selector is VictimSelector.RANDOM:
-            return candidates[self.rng.randrange(len(candidates))]
+            # randrange(n) is _randbelow(n) for n > 0: the same draw
+            # without randrange's argument handling.
+            return candidates[self.rng._randbelow(len(candidates))]
         if self.selector is VictimSelector.NEAREST_HEAD:
             head = view.head_cylinder(disk)
             return min(
@@ -291,12 +287,12 @@ class InterRunPlanner(FetchPlanner):
         other_disks = [d for d in range(self.num_disks) if d != demand_disk]
         if budget is not None:
             self.rng.shuffle(other_disks)
-        is_degraded = _degradation_of(view)
+        is_degraded = getattr(view, "drive_degraded", None)
         skipped = 0
         for disk in other_disks:
             if remaining < 1:
                 break
-            if is_degraded(disk):
+            if is_degraded is not None and is_degraded(disk):
                 skipped += 1
                 continue
             candidates = live[disk]

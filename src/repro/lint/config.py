@@ -23,8 +23,6 @@ class LintConfig:
     paths: list[str] = field(default_factory=lambda: ["src"])
     #: Baseline file (repo-relative) of grandfathered findings.
     baseline: str = "lint-baseline.json"
-    #: Rule ids disabled project-wide.
-    disable: list[str] = field(default_factory=list)
 
     # -- RPR001 determinism --------------------------------------------------
     #: Simulation modules: no wall clocks, OS entropy, or global RNG.
@@ -102,9 +100,6 @@ class LintConfig:
     lock_discipline_modules: list[str] = field(default_factory=lambda: [
         "repro/realio", "repro/dist", "repro/serve", "repro/netutil.py",
     ])
-
-    def is_disabled(self, rule_id: str) -> bool:
-        return rule_id in self.disable
 
 
 def find_project_root(start: Path) -> Path:

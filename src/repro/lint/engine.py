@@ -143,10 +143,7 @@ class LintEngine:
     def run(self, paths: list[str] | None = None) -> LintReport:
         start = time.perf_counter()
         files = self.collect_files(paths)
-        rules = [
-            rule for rule in all_rules()
-            if not self.config.is_disabled(rule.rule_id)
-        ]
+        rules = all_rules()
         file_rules = [rule for rule in rules if rule.scope == "file"]
         model_rules = [rule for rule in rules if rule.scope == "model"]
 

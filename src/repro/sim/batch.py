@@ -35,6 +35,17 @@ resume.  ``tests/bench/test_kernel_equivalence.py`` enforces the
 identity against the reference kernel across the full configuration
 matrix.
 
+Three seeded draws skip ``random.Random``'s Python-level wrappers, each
+the same draw as the call it replaces.  The depletion draw is
+``_randbelow_with_getrandbits`` inlined into the run loop (the method
+behind ``randrange(n)`` for ``n > 0``): a ``getrandbits(bits)``
+rejection loop, ``bits`` recomputed only when a run finishes.  The
+rotation draw is ``period * random()``, which is ``uniform(0.0,
+period)``'s ``0.0 + (period - 0.0) * random()`` exactly for a positive
+period.  The planner's RANDOM victim draw calls ``_randbelow(n)`` for
+``randrange(n)``.  ``tests/sim/test_batch_draws.py`` pins all three to
+the running interpreter's ``random``.
+
 **Faults.**  Fault plans run natively (:class:`_FaultyFlatTrial`): the
 flat drive chain mirrors ``DiskDrive._service`` attempt by attempt
 (outage waits, slowdown factors, transient failures, retry backoff)
@@ -46,17 +57,17 @@ own time.
 
 **Fallback.**  Configurations outside the flattened model's envelope
 (:func:`unsupported_reason`: demand timeouts, transients on several
-drives, write disks, degenerate disk timing) never enter the
-interpreter; their trials run on the reference kernel.  A trial
-that diverges at runtime (:class:`BatchDivergence` — an internal
-inconsistency the interpreter detects) is re-run on the reference
-kernel, and once the native success rate of a batch drops below
-:data:`EFFICIENCY_FLOOR` the remaining trials skip the interpreter
-entirely.  A trial that meets a terminal fault (an exhausted retry
-budget or a permanent outage) or exhausts its event budget (counted
-here as CPU-loop iterations plus drive services) is re-run on the
-reference kernel too, which raises the canonical error; neither counts
-against the floor.
+drives, write disks, degenerate disk timing, streamed sequential
+requests) never enter the interpreter; their trials run on the
+reference kernel.  A trial that diverges at runtime
+(:class:`BatchDivergence` — an internal inconsistency the interpreter
+detects) is re-run on the reference kernel, and once the native
+success rate of a batch drops below :data:`EFFICIENCY_FLOOR` the
+remaining trials skip the interpreter entirely.  A trial that meets a
+terminal fault (an exhausted retry budget or a permanent outage) or
+exhausts its event budget (counted here as CPU-loop iterations plus
+drive services) is re-run on the reference kernel too, which raises
+the canonical error; neither counts against the floor.
 :func:`fallback_counts` reports every fallback by reason.
 """
 
@@ -200,9 +211,8 @@ class _Drive:
     """
 
     __slots__ = (
-        "drive_id", "rng", "stats", "head_cylinder",
-        "next_sequential_address", "pending", "free_time", "current",
-        "times", "served", "cursor",
+        "drive_id", "rng", "stats", "head_cylinder", "pending",
+        "free_time", "current", "times", "served", "cursor",
     )
 
     def __init__(self, drive_id: int, rng) -> None:
@@ -210,7 +220,6 @@ class _Drive:
         self.rng = rng
         self.stats = DriveStats()
         self.head_cylinder = 0
-        self.next_sequential_address: Optional[int] = None
         self.pending: list[_Request] = []
         self.free_time: Optional[float] = None
         self.current: Optional[_Request] = None
@@ -244,7 +253,7 @@ class _Shared:
     __slots__ = (
         "config", "layout", "describe", "run_disk", "run_base",
         "blocks_per_cylinder", "seek_per_cylinder", "rotation_period",
-        "transfer_ms", "sstf", "stream_across", "initial_blocks",
+        "transfer_ms", "sstf", "initial_blocks",
         "total_blocks", "cpu_ms", "synchronized", "event_budget",
     )
 
@@ -269,7 +278,6 @@ class _Shared:
         self.rotation_period = config.disk.rotation_period_ms
         self.transfer_ms = config.disk.transfer_ms_per_block
         self.sstf = config.queue_discipline is QueueDiscipline.SSTF
-        self.stream_across = config.stream_across_requests
         self.initial_blocks = config.initial_blocks_per_run
         self.total_blocks = config.total_blocks
         self.cpu_ms = config.cpu_ms_per_block
@@ -292,11 +300,7 @@ class _FlatTrial:
     __slots__ = (
         "shared", "seed", "clock", "cache", "tracker", "planner",
         "drives", "layout", "_sick", "_depletion_rng",
-        "_blocks_depleted", "_blocks_fetched", "_fetch_requests",
-        "_demand_situations", "_demand_hits_in_flight",
-        "_fetch_decisions", "_full_prefetch_decisions",
-        "_cpu_stall_ms", "_cpu_busy_ms", "_healthy_stall_ms",
-        "_fault_stall_ms", "_degraded_skips",
+        "_blocks_fetched", "_fetch_requests", "_degraded_skips",
     )
 
     def __init__(self, shared: _Shared, seed: int) -> None:
@@ -328,17 +332,8 @@ class _FlatTrial:
             _Drive(disk, streams.stream(f"disk-{disk}"))
             for disk in range(config.num_disks)
         ]
-        self._blocks_depleted = 0
         self._blocks_fetched = 0
         self._fetch_requests = 0
-        self._demand_situations = 0
-        self._demand_hits_in_flight = 0
-        self._fetch_decisions = 0
-        self._full_prefetch_decisions = 0
-        self._cpu_stall_ms = 0.0
-        self._cpu_busy_ms = 0.0
-        self._healthy_stall_ms = 0.0
-        self._fault_stall_ms = 0.0
         self._degraded_skips = 0
 
     # -- planner view protocol -----------------------------------------
@@ -353,29 +348,20 @@ class _FlatTrial:
         stats = drive.stats
         stats.queue_wait_ms += start - request.issue_time
         first_address = shared.run_base[request.run] + request.first_block
-        last_address = first_address + request.count - 1
-        request.last_address = last_address
-        sequential = (
-            shared.stream_across
-            and drive.next_sequential_address is not None
-            and first_address == drive.next_sequential_address
+        request.last_address = first_address + request.count - 1
+        # Streamed sequential requests are outside the envelope, so
+        # every service pays seek and rotation.
+        distance = abs(
+            first_address // shared.blocks_per_cylinder - drive.head_cylinder
         )
-        if sequential:
-            positioning = 0.0
-            stats.sequential_requests += 1
-        else:
-            distance = abs(
-                first_address // shared.blocks_per_cylinder
-                - drive.head_cylinder
-            )
-            seek_ms = distance * shared.seek_per_cylinder
-            rotation_ms = drive.rng.uniform(0.0, shared.rotation_period)
-            stats.seek_cylinders += distance
-            # Reference order: seek_cost + rotation_cost (healthy
-            # slowdown factor 1.0 preserves each term bit-exactly).
-            positioning = seek_ms + rotation_ms
-            stats.seek_ms += seek_ms
-            stats.rotation_ms += rotation_ms
+        seek_ms = distance * shared.seek_per_cylinder
+        rotation_ms = shared.rotation_period * drive.rng.random()
+        stats.seek_cylinders += distance
+        # Reference order: seek_cost + rotation_cost (healthy slowdown
+        # factor 1.0 preserves each term bit-exactly).
+        positioning = seek_ms + rotation_ms
+        stats.seek_ms += seek_ms
+        stats.rotation_ms += rotation_ms
         when = start + positioning if positioning > 0 else start
         transfer = shared.transfer_ms
         when = _schedule(drive, request, when, transfer)
@@ -429,7 +415,6 @@ class _FlatTrial:
         drive.head_cylinder = (
             request.last_address // self.shared.blocks_per_cylinder
         )
-        drive.next_sequential_address = request.last_address + 1
         if drive.pending:
             self._start_service(
                 drive, self._pick_next(drive), drive.free_time
@@ -542,49 +527,56 @@ class _FlatTrial:
 
     # -- CPU-side actions ----------------------------------------------
     def _issue(self, plan, now: float) -> list[_Request]:
+        """Reserve and queue ``plan``'s groups at ``now``, the clock's
+        time (the run loop sets it before planning).  Nothing else
+        touches the cache here, so its occupancy integral, free count
+        and extremes are updated once per plan."""
         cache = self.cache
         runs = cache.runs
         capacity = cache.capacity
+        free = cache._free
+        last = cache._last_change_ms
+        if now != last:
+            cache._occupancy_weighted_ms += (capacity - free) * (now - last)
+            cache._last_change_ms = now
         drives = self.drives
         run_disk = self.shared.run_disk
         requests: list[_Request] = []
+        fetched = 0
         for group in plan.groups:
             run = group.run
             state = runs[run]
             count = group.count
-            free = cache._free
-            if count > free or state.next_fetch + count > state.total_blocks:
-                # Genuine over-subscription: raise the reference error.
-                cache.reserve(run, count)
             first_block = state.next_fetch
-            last = cache._last_change_ms
-            if now != last:
-                cache._occupancy_weighted_ms += (capacity - free) * (
-                    now - last
-                )
-                cache._last_change_ms = now
+            if count > free or first_block + count > state.total_blocks:
+                # Genuine over-subscription: raise the reference error.
+                cache._free = free
+                cache.reserve(run, count)
             free -= count
-            cache._free = free
             state.in_flight += count
-            state.next_fetch += count
-            if free < cache.min_free:
-                cache.min_free = free
-            occupied = capacity - free
-            if occupied > cache.peak_occupancy:
-                cache.peak_occupancy = occupied
+            state.next_fetch = first_block + count
+            fetched += count
             request = _Request(run, first_block, count, group.demand, now)
+            requests.append(request)
             drive = drives[run_disk[run]]
             pending = drive.pending
             pending.append(request)
             if len(pending) > drive.stats.max_queue_length:
                 drive.stats.max_queue_length = len(pending)
             if drive.free_time is None:
-                self.clock.now = now
+                # An idle drive's queue held nothing else: the request
+                # goes straight into service.
+                pending.pop()
                 self.tracker.on_busy_change(drive.drive_id, True)
-                self._start_service(drive, self._pick_next(drive), now)
-            requests.append(request)
-            self._fetch_requests += 1
-            self._blocks_fetched += count
+                self._start_service(drive, request, now)
+        cache._free = free
+        if free < cache.min_free:
+            cache.min_free = free
+        occupied = capacity - free
+        if occupied > cache.peak_occupancy:
+            cache.peak_occupancy = occupied
+        self._fetch_requests += len(requests)
+        self._blocks_fetched += fetched
         return requests
 
     def _serve(self, request: _Request) -> _Drive:
@@ -638,18 +630,31 @@ class _FlatTrial:
             cache.preload(run, shared.initial_blocks)
 
         unfinished = list(range(config.num_runs))
-        depletion_rng = self._depletion_rng
-        # randrange(n) is _randbelow(n) for n > 0; the direct call
-        # skips its argument handling, draw for draw.
-        randbelow = depletion_rng._randbelow
+        # The depletion draw: randrange(left) inlined (see "Bit-identity").
+        getrandbits = self._depletion_rng.getrandbits
+        left = len(unfinished)
+        bits = left.bit_length()
         planner = self.planner
         capacity = cache.capacity
         sick = self._sick
         run_disk = shared.run_disk
+        synchronized = shared.synchronized
         budget = shared.event_budget
+        depleted = 0
+        demand_situations = 0
+        demand_hits_in_flight = 0
+        fetch_decisions = 0
+        full_prefetch_decisions = 0
+        cpu_stall_ms = 0.0
+        cpu_busy_ms = 0.0
+        healthy_stall_ms = 0.0
+        fault_stall_ms = 0.0
         now = 0.0
-        while unfinished:
-            run = unfinished[randbelow(len(unfinished))]
+        while left:
+            pick = getrandbits(bits)
+            while pick >= left:
+                pick = getrandbits(bits)
+            run = unfinished[pick]
             state = states[run]
             if state.cached < 1:
                 raise BatchDivergence(f"run {run}: flat deplete underflow")
@@ -663,21 +668,23 @@ class _FlatTrial:
             state.cached -= 1
             state.next_deplete += 1
             cache._free += 1
-            self._blocks_depleted += 1
-            if self._blocks_depleted + self._fetch_requests > budget:
+            depleted += 1
+            if depleted + self._fetch_requests > budget:
                 raise _BudgetExhausted
             if cpu_ms > 0:
-                self._cpu_busy_ms += cpu_ms
+                cpu_busy_ms += cpu_ms
                 wake = now + cpu_ms
                 self._advance(wake, arrivals_at_limit=False)
                 now = wake
             if state.next_deplete == state.total_blocks:
                 unfinished.remove(run)
+                left -= 1
+                bits = left.bit_length()
                 continue
             if state.cached > 0:
                 continue
 
-            self._demand_situations += 1
+            demand_situations += 1
             stall_start = now
             # MergeTrial._attribute_stall: a stall is fault-induced when
             # the demand drive is degraded at either boundary.
@@ -685,31 +692,31 @@ class _FlatTrial:
             faulty = sick is not None and sick[disk]
             degraded_at_start = faulty and self._degraded(disk, now)
             if state.in_flight > 0:
-                self._demand_hits_in_flight += 1
+                demand_hits_in_flight += 1
                 now = self._wait_in_flight(run, state.next_deplete)
             else:
                 clock.now = now
                 plan = planner.plan(self, run)
                 if plan.counts_as_decision:
-                    self._fetch_decisions += 1
+                    fetch_decisions += 1
                     if plan.full_prefetch:
-                        self._full_prefetch_decisions += 1
+                        full_prefetch_decisions += 1
                 requests = self._issue(plan, now)
-                if shared.synchronized:
+                if synchronized:
                     now = self._wait_all(requests)
                 else:
                     now = self._wait_demand(requests[0])
             stalled = now - stall_start
-            self._cpu_stall_ms += stalled
+            cpu_stall_ms += stalled
             if stalled > 0:
                 if faulty and (degraded_at_start or self._degraded(disk, now)):
-                    self._fault_stall_ms += stalled
+                    fault_stall_ms += stalled
                 else:
-                    self._healthy_stall_ms += stalled
+                    healthy_stall_ms += stalled
 
-        if self._blocks_depleted != shared.total_blocks:
+        if depleted != shared.total_blocks:
             raise BatchDivergence(
-                f"flat merge ended early: {self._blocks_depleted} of "
+                f"flat merge ended early: {depleted} of "
                 f"{shared.total_blocks} blocks"
             )
         clock.now = now
@@ -718,15 +725,15 @@ class _FlatTrial:
             config_description=shared.describe,
             seed=self.seed,
             total_time_ms=now,
-            blocks_depleted=self._blocks_depleted,
+            blocks_depleted=depleted,
             blocks_fetched=self._blocks_fetched,
             fetch_requests=self._fetch_requests,
-            demand_situations=self._demand_situations,
-            demand_hits_in_flight=self._demand_hits_in_flight,
-            fetch_decisions=self._fetch_decisions,
-            full_prefetch_decisions=self._full_prefetch_decisions,
-            cpu_stall_ms=self._cpu_stall_ms,
-            cpu_busy_ms=self._cpu_busy_ms,
+            demand_situations=demand_situations,
+            demand_hits_in_flight=demand_hits_in_flight,
+            fetch_decisions=fetch_decisions,
+            full_prefetch_decisions=full_prefetch_decisions,
+            cpu_stall_ms=cpu_stall_ms,
+            cpu_busy_ms=cpu_busy_ms,
             drive_stats=[drive.stats for drive in self.drives],
             average_concurrency=self.tracker.average_concurrency(),
             peak_concurrency=self.tracker.peak,
@@ -737,8 +744,8 @@ class _FlatTrial:
             blocks_written=0,
             write_stall_ms=0.0,
             write_stalls=0,
-            fault_stall_ms=self._fault_stall_ms,
-            healthy_stall_ms=self._healthy_stall_ms,
+            fault_stall_ms=fault_stall_ms,
+            healthy_stall_ms=healthy_stall_ms,
             demand_timeouts=0,
             degraded_skips=self._degraded_skips,
         )
@@ -854,7 +861,7 @@ class _FaultyFlatTrial(_FlatTrial):
 
             distance = abs(target_cylinder - head)
             seek_ms = distance * shared.seek_per_cylinder
-            rotation_ms = drive.rng.uniform(0.0, shared.rotation_period)
+            rotation_ms = shared.rotation_period * drive.rng.random()
             stats.seek_cylinders += distance
             factor = injector.slowdown_factor(disk, now)
             seek_cost = seek_ms * factor

@@ -255,9 +255,3 @@ def test_unseeded_random_outside_simulation_modules_is_allowed():
     assert run_rule("RPR001", module) == []
     in_scope = module_from_source(source, "src/repro/disks/drive.py")
     assert [f.line for f in run_rule("RPR001", in_scope)] == [2]
-
-
-def test_disabled_rule_is_skipped_by_config():
-    config = LintConfig(disable=["RPR008"])
-    assert config.is_disabled("RPR008")
-    assert not config.is_disabled("RPR001")

@@ -85,6 +85,9 @@ realio-smoke:
 		--trace-out results/realio/realio-trace.json
 	$(PYTHON) -m repro trace validate results/realio/realio-trace.json
 
+# Lint, then the analytic tier (closed forms within 1% of the printed
+# values) and the reduced-scale tier (short simulations within 3-8% of
+# the closed forms) of repro.experiments.validation.
 check:
 	$(PYTHON) -m repro lint src --stats
 	$(PYTHON) -m repro paper-check

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro.analysis.paper import printed
+
 #: Run length in cylinders for 1000-block runs (1000 / 64).
 M = 15.625
 
@@ -47,17 +49,21 @@ class Anchor:
         )
 
 
-#: The anchors recoverable from the paper's prose (values printed by
-#: the paper; see DESIGN.md section 2 for the digit reconstruction).
-PAPER_ANCHORS: tuple[Anchor, ...] = (
-    Anchor(25, 1, 1, 357.2, "no prefetch, k=25, 1 disk"),
-    Anchor(50, 1, 1, 909.7, "no prefetch, k=50, 1 disk"),
-    Anchor(25, 5, 1, 279.0, "no prefetch, k=25, 5 disks"),
-    Anchor(50, 10, 1, 558.1, "no prefetch, k=50, 10 disks"),
-    Anchor(25, 1, 10, 81.8, "intra-run N=10, k=25, 1 disk"),
-    Anchor(50, 1, 10, 183.2, "intra-run N=10, k=50, 1 disk"),
-    Anchor(25, 1, 30, 61.5, "intra-run N=30, k=25, 1 disk"),
-    Anchor(50, 1, 30, 129.4, "intra-run N=30, k=50, 1 disk"),
+#: The anchors recoverable from the paper's prose: (k, D, N) and the
+#: key of the printed total in :data:`repro.analysis.paper.PRINTED`
+#: (see DESIGN.md section 2 for the digit reconstruction).
+PAPER_ANCHORS: tuple[Anchor, ...] = tuple(
+    Anchor(k, d, n, printed(key), key)
+    for k, d, n, key in (
+        (25, 1, 1, "no prefetch k=25 D=1"),
+        (50, 1, 1, "no prefetch k=50 D=1"),
+        (25, 5, 1, "no prefetch k=25 D=5"),
+        (50, 10, 1, "no prefetch k=50 D=10"),
+        (25, 1, 10, "intra k=25 N=10 D=1"),
+        (50, 1, 10, "intra k=50 N=10 D=1"),
+        (25, 1, 30, "intra k=25 N=30 D=1"),
+        (50, 1, 30, "intra k=50 N=30 D=1"),
+    )
 )
 
 
@@ -77,18 +83,9 @@ def solve_constants(anchors: Sequence[Anchor] = PAPER_ANCHORS) -> Calibration:
     if len(anchors) < 3:
         raise ValueError("need at least three anchors for three unknowns")
     rows = [anchor.coefficients() for anchor in anchors]
-    rhs = [anchor.total_s for anchor in anchors]
-
-    # Normal equations: (A^T A) x = A^T b.
-    normal = [[0.0] * 3 for _ in range(3)]
-    vector = [0.0] * 3
-    for row, b in zip(rows, rhs):
-        for i in range(3):
-            vector[i] += row[i] * b
-            for j in range(3):
-                normal[i][j] += row[i] * row[j]
-
-    solution = _solve_3x3(normal, vector)
+    solution = _least_squares(rows, [anchor.total_s for anchor in anchors])
+    if solution is None:
+        raise ValueError("singular system: anchors are degenerate")
     residuals = []
     for anchor, row in zip(anchors, rows):
         predicted = sum(c * x for c, x in zip(row, solution))
@@ -100,11 +97,6 @@ def solve_constants(anchors: Sequence[Anchor] = PAPER_ANCHORS) -> Calibration:
         max_relative_residual=max(abs(r) for r in residuals),
         residuals=tuple(residuals),
     )
-
-
-def _solve_3x3(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting for a 3x3 system."""
-    return _solve_linear(matrix, rhs)
 
 
 def _solve_linear(matrix: Sequence[Sequence[float]],

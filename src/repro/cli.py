@@ -112,14 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "paper-check",
-        help="print the paper's analytical numbers from the closed forms",
+        help="analytic validation tier: closed forms vs printed values (1%%)",
     )
 
     validate = sub.add_parser(
         "validate",
-        help="audit the reproduction: simulate every paper-printed value, "
-        "then check every figure and ablation claim, at full scale and "
-        "report verdicts (~6 min)",
+        help="full-scale audit: simulate every paper-printed value, then "
+        "check every figure and ablation claim (~6 min)",
     )
     validate.add_argument(
         "--blocks", type=int, default=None,
@@ -130,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "selfcheck",
-        help="quick end-to-end verification: analytics + reduced-scale "
-        "simulations against the closed forms (~0.5 s)",
+        help="reduced-scale validation tier: short simulations against "
+        "the closed forms, 3-8%% tolerance (~0.5 s)",
     )
 
     predict = sub.add_parser(
@@ -724,120 +723,37 @@ def _busy_span_check(session, trials, first_trial: int) -> bool:
     return True
 
 
-def _cmd_paper_check() -> int:
-    from repro.analysis import (
-        expected_concurrency,
-        inter_run_sync_total_s,
-        lower_bound_total_s,
-        total_time_s,
-    )
-    from repro.analysis.iotime import (
-        intra_run_single_disk_block_ms,
-        no_prefetch_multi_disk_block_ms,
-        no_prefetch_single_disk_block_ms,
-    )
-    from repro.core.parameters import PAPER_DISK
+def _cmd_validation(args: argparse.Namespace) -> int:
+    """``paper-check``, ``selfcheck`` and ``validate``: the tiers of
+    :mod:`repro.experiments.validation`; exit 1 on any FAIL."""
+    import dataclasses
 
-    m = 15.625
-    print("Reconstructed paper constants: S=0.03 ms/cyl, R=8.33 ms, T=2.05 ms,")
-    print("m=15.625 cylinders/run, 1000 blocks/run, 64 blocks/cylinder\n")
-    checks = [
-        ("no prefetch k=25 D=1", total_time_s(
-            no_prefetch_single_disk_block_ms(25, m, PAPER_DISK), 25), 357.2),
-        ("no prefetch k=50 D=1", total_time_s(
-            no_prefetch_single_disk_block_ms(50, m, PAPER_DISK), 50), 909.7),
-        ("no prefetch k=25 D=5", total_time_s(
-            no_prefetch_multi_disk_block_ms(25, m, 5, PAPER_DISK), 25), 279.0),
-        ("no prefetch k=50 D=10", total_time_s(
-            no_prefetch_multi_disk_block_ms(50, m, 10, PAPER_DISK), 50), 558.1),
-        ("intra k=25 N=10 D=1", total_time_s(
-            intra_run_single_disk_block_ms(25, m, 10, PAPER_DISK), 25), 81.8),
-        ("intra k=50 N=10 D=1", total_time_s(
-            intra_run_single_disk_block_ms(50, m, 10, PAPER_DISK), 50), 183.2),
-        ("inter sync k=25 D=5 N=10", inter_run_sync_total_s(
-            25, m, 10, 5, PAPER_DISK), 17.6),
-        ("bound k=25 D=1", lower_bound_total_s(25, 1, PAPER_DISK), 51.2),
-        ("bound k=50 D=1", lower_bound_total_s(50, 1, PAPER_DISK), 102.4),
-        ("bound k=25 D=5", lower_bound_total_s(25, 5, PAPER_DISK), 10.25),
-        ("urn E(L) D=5", expected_concurrency(5), 2.51),
-        ("urn E(L) D=10", expected_concurrency(10), 3.66),
-        ("urn E(L) D=25", expected_concurrency(25), 5.92),
-    ]
-    failures = 0
-    for label, computed, paper in checks:
-        ok = abs(computed - paper) / paper < 0.01
-        failures += 0 if ok else 1
-        status = "ok " if ok else "FAIL"
-        print(f"[{status}] {label:28s} computed {computed:8.2f}  paper {paper:8.2f}")
-    print(f"\n{len(checks) - failures}/{len(checks)} analytical checks match")
-    return 1 if failures else 0
+    from repro.analysis.calibration import M
+    from repro.core.parameters import PAPER_DISK as disk
+    from repro.experiments import Scale, validation
 
-
-def _cmd_selfcheck() -> int:
-    """Reduced-scale simulations against the analytical models."""
-    from repro.analysis.predictions import predict
-
-    checks = [
-        ("no prefetch, 1 disk", dict(num_runs=10, num_disks=1), 0.03),
-        ("no prefetch, 5 disks", dict(num_runs=10, num_disks=5), 0.03),
-        (
-            "intra-run N=5, 1 disk",
-            dict(
-                num_runs=10,
-                num_disks=1,
-                strategy=PrefetchStrategy.INTRA_RUN,
-                prefetch_depth=5,
-            ),
-            0.05,
-        ),
-        (
-            "intra-run N=5, sync, 5 disks",
-            dict(
-                num_runs=10,
-                num_disks=5,
-                strategy=PrefetchStrategy.INTRA_RUN,
-                prefetch_depth=5,
-                synchronized=True,
-            ),
-            0.05,
-        ),
-        (
-            "inter-run N=5, sync, 5 disks",
-            dict(
-                num_runs=10,
-                num_disks=5,
-                strategy=PrefetchStrategy.INTER_RUN,
-                prefetch_depth=5,
-                cache_capacity=400,
-                synchronized=True,
-            ),
-            0.08,
-        ),
-    ]
-    failures = 0
-    print("simulating each configuration at 300 blocks/run, 2 trials:\n")
-    for label, kwargs, tolerance in checks:
-        config = SimulationConfig(blocks_per_run=300, trials=2, **kwargs)
-        estimate = predict(config)
-        simulated = MergeSimulation(config).run().total_time_s.mean
-        # Correct for the zero-cost initial load at reduced run length.
-        preload = config.num_runs * config.initial_blocks_per_run
-        adjusted = estimate.total_s * (config.total_blocks - preload) / (
-            config.total_blocks
-        )
-        relative = abs(simulated - adjusted) / adjusted
-        ok = relative <= tolerance
-        failures += 0 if ok else 1
-        status = "ok " if ok else "FAIL"
-        print(
-            f"[{status}] {label:32s} sim {simulated:7.2f}s  "
-            f"model {adjusted:7.2f}s  ({relative:+.1%})"
-        )
-    print(
-        f"\n{len(checks) - failures}/{len(checks)} simulation checks within "
-        "tolerance"
-    )
-    return 1 if failures else 0
+    if args.command == "validate":
+        verdicts = validation.validate(blocks_per_run=args.blocks)
+        print(validation.render_verdicts(verdicts))
+        scale = Scale.full()
+        if args.blocks is not None:
+            scale = dataclasses.replace(scale, blocks_per_run=args.blocks)
+        claims = validation.judge_claims(validation.FIGURE_CLAIMS, scale)
+        print("\n" + validation.render_claim_verdicts(claims))
+        return 0 if all(v.ok for v in [*verdicts, *claims]) else 1
+    if args.command == "paper-check":
+        print(f"Reconstructed paper constants: S={disk.seek_ms_per_cylinder} "
+              f"ms/cyl, R={disk.avg_rotational_latency_ms} ms, "
+              f"T={disk.transfer_ms_per_block} ms, m={M} cylinders/run\n")
+        verdicts = validation.check_closed_forms()
+        summary = "analytical checks match"
+    else:
+        print(f"simulating each configuration at {validation.REDUCED_BLOCKS} "
+              f"blocks/run, {validation.REDUCED_TRIALS} trials:\n")
+        verdicts = validation.check_reduced_scale()
+        summary = "simulation checks within tolerance"
+    print(validation.render_verdicts(verdicts, summary=summary))
+    return 0 if all(v.ok for v in verdicts) else 1
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -1571,24 +1487,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list()
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "paper-check":
-        return _cmd_paper_check()
-    if args.command == "selfcheck":
-        return _cmd_selfcheck()
-    if args.command == "validate":
-        import dataclasses
-
-        from repro.experiments import Scale, validation
-
-        verdicts = validation.validate(blocks_per_run=args.blocks)
-        print(validation.render_verdicts(verdicts))
-        scale = Scale.full()
-        if args.blocks is not None:
-            scale = dataclasses.replace(scale, blocks_per_run=args.blocks)
-        claims = validation.judge_claims(validation.FIGURE_CLAIMS, scale)
-        print()
-        print(validation.render_claim_verdicts(claims))
-        return 0 if all(v.ok for v in [*verdicts, *claims]) else 1
+    if args.command in ("paper-check", "selfcheck", "validate"):
+        return _cmd_validation(args)
     if args.command == "predict":
         return _cmd_predict(args)
     if args.command == "plan":

@@ -2,13 +2,15 @@
 
 The ICDE paper reports its analytical validation inline rather than in
 numbered tables; each experiment here regenerates one such cluster of
-numbers.  The ``paper`` column is the value printed in the paper (valid
-at full scale only: 1000-block runs, 5 trials).
+numbers.  The ``paper`` column is the value printed in the paper, read
+from :data:`repro.analysis.paper.PRINTED` (valid at full scale only:
+1000-block runs, 5 trials).
 """
 
 from __future__ import annotations
 
 from repro.analysis import interrun, urn_game
+from repro.analysis.paper import printed
 from repro.analysis.predictions import predict
 from repro.analysis.seek_model import SeekDistanceModel
 from repro.core.parameters import PrefetchStrategy, SimulationConfig
@@ -89,15 +91,11 @@ def tab_seek(scale: Scale) -> ExperimentResult:
 def tab_single(scale: Scale) -> ExperimentResult:
     rows = [
         _est_vs_sim_row(
-            "k=25 D=1",
-            _config(scale, num_runs=25, num_disks=1, strategy=PrefetchStrategy.NONE),
-            357.2,
-        ),
-        _est_vs_sim_row(
-            "k=50 D=1",
-            _config(scale, num_runs=50, num_disks=1, strategy=PrefetchStrategy.NONE),
-            909.7,
-        ),
+            f"k={k} D=1",
+            _config(scale, num_runs=k, num_disks=1, strategy=PrefetchStrategy.NONE),
+            printed(f"no prefetch k={k} D=1"),
+        )
+        for k in (25, 50)
     ]
     return ExperimentResult(
         experiment_id="tab-single",
@@ -114,7 +112,6 @@ def tab_single(scale: Scale) -> ExperimentResult:
 )
 def tab_intra_1d(scale: Scale) -> ExperimentResult:
     rows = []
-    paper = {(25, 10): 81.8, (25, 30): 61.5, (50, 10): 183.2, (50, 30): 129.4}
     for k in (25, 50):
         for n in (10, 30):
             rows.append(
@@ -127,7 +124,7 @@ def tab_intra_1d(scale: Scale) -> ExperimentResult:
                         strategy=PrefetchStrategy.INTRA_RUN,
                         prefetch_depth=n,
                     ),
-                    paper[(k, n)],
+                    printed(f"intra k={k} N={n} D=1"),
                 )
             )
     bounds = Table(
@@ -153,15 +150,11 @@ def tab_intra_1d(scale: Scale) -> ExperimentResult:
 def tab_multi_nopf(scale: Scale) -> ExperimentResult:
     rows = [
         _est_vs_sim_row(
-            "k=25 D=5",
-            _config(scale, num_runs=25, num_disks=5, strategy=PrefetchStrategy.NONE),
-            279.0,
-        ),
-        _est_vs_sim_row(
-            "k=50 D=10",
-            _config(scale, num_runs=50, num_disks=10, strategy=PrefetchStrategy.NONE),
-            558.1,
-        ),
+            f"k={k} D={d}",
+            _config(scale, num_runs=k, num_disks=d, strategy=PrefetchStrategy.NONE),
+            printed(f"no prefetch k={k} D={d}"),
+        )
+        for k, d in ((25, 5), (50, 10))
     ]
     return ExperimentResult(
         experiment_id="tab-multi-nopf",
@@ -197,7 +190,7 @@ def tab_urn(scale: Scale) -> ExperimentResult:
     )
 
     measured_rows = []
-    for k, d, paper_time in ((25, 5, 23.4), (50, 10, 32.2)):
+    for k, d in ((25, 5), (50, 10)):
         config = _config(
             scale,
             num_runs=k,
@@ -224,7 +217,7 @@ def tab_urn(scale: Scale) -> ExperimentResult:
                 result.total_time_s.mean,
                 result.average_concurrency.mean,
                 urn_game.expected_concurrency(d),
-                paper_time,
+                printed(f"urn asymptote k={k} D={d} N=30"),
             ]
         )
     measured = Table(
@@ -268,7 +261,8 @@ def tab_inter_sync(scale: Scale) -> ExperimentResult:
         cache_capacity=1200,
         synchronized=True,
     )
-    rows = [_est_vs_sim_row("k=25 D=5 N=10 C=1200", config, 17.6)]
+    rows = [_est_vs_sim_row("k=25 D=5 N=10 C=1200", config,
+                            printed("inter sync k=25 D=5 N=10"))]
     estimate = predict(config)
     return ExperimentResult(
         experiment_id="tab-inter-sync",
@@ -289,11 +283,9 @@ def tab_inter_sync(scale: Scale) -> ExperimentResult:
 def tab_bounds(scale: Scale) -> ExperimentResult:
     disk = _config(scale, num_runs=25, num_disks=5).disk
     bound_rows = [
-        ["k=25 D=1", interrun.lower_bound_total_s(25, 1, disk), 51.2],
-        ["k=50 D=1", interrun.lower_bound_total_s(50, 1, disk), 102.4],
-        ["k=25 D=5", interrun.lower_bound_total_s(25, 5, disk), 10.25],
-        ["k=50 D=5", interrun.lower_bound_total_s(50, 5, disk), 20.5],
-        ["k=50 D=10", interrun.lower_bound_total_s(50, 10, disk), 10.25],
+        [f"k={k} D={d}", interrun.lower_bound_total_s(k, d, disk),
+         printed(f"bound k={k} D={d}")]
+        for k, d in ((25, 1), (50, 1), (25, 5), (50, 5), (50, 10))
     ]
     bounds = Table(
         title="Transfer-time lower bounds (full scale)",
@@ -302,7 +294,7 @@ def tab_bounds(scale: Scale) -> ExperimentResult:
     )
 
     sim_rows = []
-    for k, paper in ((25, 12.2), (50, 20.8)):
+    for k in (25, 50):
         config = _config(
             scale,
             num_runs=k,
@@ -317,7 +309,7 @@ def tab_bounds(scale: Scale) -> ExperimentResult:
                 f"k={k} D=5 N=50",
                 result.total_time_s.mean,
                 result.success_ratio.mean,
-                paper,
+                printed(f"inter unsync sim k={k} D=5 N=50"),
             ]
         )
     sims = Table(

@@ -1,24 +1,31 @@
-"""Automated reproduction verdicts.
+"""Automated reproduction verdicts, in tiers from cheapest to fullest.
 
-EXPERIMENTS.md narrates paper-vs-measured; this module *checks* it.
-:data:`PAPER_EXPECTATIONS` is the machine-readable list of every value
-the paper prints, each tied to a simulation configuration and a
-tolerance.  :data:`FIGURE_CLAIMS` is the list of the paper's figure
-and ablation findings -- orderings, monotone curves, ratio bands, the
-urn and transfer bounds -- each a check over one experiment's tables.
-:func:`validate` measures the values and :func:`judge_claims` checks
-the claims; both return verdicts.  The CLI exposes them as
-``python -m repro validate`` (full scale, ~6 min) so the headline
-claims of this repository are one command to audit.
+EXPERIMENTS.md narrates paper-vs-measured; this module *checks* it
+against the values of :data:`repro.analysis.paper.PRINTED`.
+:func:`check_closed_forms` (``repro paper-check``) evaluates the closed
+forms; :func:`check_reduced_scale` (``repro selfcheck``) simulates short
+merges against their estimates; :func:`validate` simulates every
+printed value at paper scale.  All three return :class:`Verdict` lists
+for :func:`render_verdicts`.  ``repro validate`` adds
+:func:`judge_claims` over :data:`FIGURE_CLAIMS`, the paper's figure and
+ablation findings -- orderings, monotone curves, ratio bands, the urn
+and transfer bounds -- each a check over one experiment's tables.  At
+full scale (~6 min) it makes the headline claims of this repository
+one command to audit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
+from repro.analysis import interrun, iotime, urn_game
+from repro.analysis.calibration import M
+from repro.analysis.paper import PRINTED, printed
+from repro.analysis.predictions import predict
 from repro.core.metrics import AggregateMetrics
-from repro.core.parameters import PrefetchStrategy, SimulationConfig
+from repro.core.parameters import PAPER_DISK, PrefetchStrategy, SimulationConfig
 from repro.core.simulator import MergeSimulation
 from repro.experiments.config import ExperimentResult, Scale, get_experiment
 
@@ -37,84 +44,149 @@ class Expectation:
 
 @dataclass(frozen=True)
 class Verdict:
+    """One value of a tier against the value it should have."""
+
     label: str
-    paper_value: float
+    expected: float
     measured: float
     relative_error: float
     ok: bool
     source: str
 
 
+def _verdict(label: str, expected: float, measured: float, tolerance: float,
+             source: str) -> Verdict:
+    relative = abs(measured - expected) / expected
+    return Verdict(label, expected, measured, relative, relative <= tolerance,
+                   source)
+
+
+#: ``repro paper-check``: each closed form against the printed value
+#: under the same key of :data:`~repro.analysis.paper.PRINTED`.
+CLOSED_FORMS: tuple[tuple[str, Callable[[], float]], ...] = (
+    ("no prefetch k=25 D=1", lambda: iotime.total_time_s(
+        iotime.no_prefetch_single_disk_block_ms(25, M, PAPER_DISK), 25)),
+    ("no prefetch k=50 D=1", lambda: iotime.total_time_s(
+        iotime.no_prefetch_single_disk_block_ms(50, M, PAPER_DISK), 50)),
+    ("no prefetch k=25 D=5", lambda: iotime.total_time_s(
+        iotime.no_prefetch_multi_disk_block_ms(25, M, 5, PAPER_DISK), 25)),
+    ("no prefetch k=50 D=10", lambda: iotime.total_time_s(
+        iotime.no_prefetch_multi_disk_block_ms(50, M, 10, PAPER_DISK), 50)),
+    ("intra k=25 N=10 D=1", lambda: iotime.total_time_s(
+        iotime.intra_run_single_disk_block_ms(25, M, 10, PAPER_DISK), 25)),
+    ("intra k=50 N=10 D=1", lambda: iotime.total_time_s(
+        iotime.intra_run_single_disk_block_ms(50, M, 10, PAPER_DISK), 50)),
+    ("inter sync k=25 D=5 N=10",
+     lambda: interrun.inter_run_sync_total_s(25, M, 10, 5, PAPER_DISK)),
+    ("bound k=25 D=1", lambda: interrun.lower_bound_total_s(25, 1, PAPER_DISK)),
+    ("bound k=50 D=1", lambda: interrun.lower_bound_total_s(50, 1, PAPER_DISK)),
+    ("bound k=25 D=5", lambda: interrun.lower_bound_total_s(25, 5, PAPER_DISK)),
+    ("urn E(L) D=5", lambda: urn_game.expected_concurrency(5)),
+    ("urn E(L) D=10", lambda: urn_game.expected_concurrency(10)),
+    ("urn E(L) D=25", lambda: urn_game.expected_concurrency(25)),
+)
+
+
+def check_closed_forms() -> list[Verdict]:
+    """The analytic tier: every :data:`CLOSED_FORMS` entry within 1%."""
+    verdicts = []
+    for key, closed_form in CLOSED_FORMS:
+        value, section = PRINTED[key]
+        verdicts.append(_verdict(key, value, closed_form(), 0.01, section))
+    return verdicts
+
+
+def _preload_adjusted(estimate: float, config: SimulationConfig) -> float:
+    """Scale an estimate to the blocks ``config`` actually fetches.
+
+    The initial load of each run costs no I/O; at reduced run length
+    that is a sizable fraction (at full scale the factor is within 3%
+    of 1).
+    """
+    total = config.total_blocks
+    preload = config.num_runs * config.initial_blocks_per_run
+    return estimate * (total - preload) / total
+
+
+#: Run length and trial count of the reduced-scale tier.
+REDUCED_BLOCKS, REDUCED_TRIALS = 300, 2
+_reduced = partial(SimulationConfig, blocks_per_run=REDUCED_BLOCKS,
+                   trials=REDUCED_TRIALS)
+
+
+#: ``repro selfcheck``: (label, configuration, relative tolerance) of
+#: short simulations checked against the closed-form estimate.
+REDUCED_SCALE_CHECKS: tuple[tuple[str, SimulationConfig, float], ...] = (
+    ("no prefetch, 1 disk", _reduced(num_runs=10, num_disks=1), 0.03),
+    ("no prefetch, 5 disks", _reduced(num_runs=10, num_disks=5), 0.03),
+    ("intra-run N=5, 1 disk",
+     _reduced(num_runs=10, num_disks=1, strategy=PrefetchStrategy.INTRA_RUN,
+              prefetch_depth=5), 0.05),
+    ("intra-run N=5, sync, 5 disks",
+     _reduced(num_runs=10, num_disks=5, strategy=PrefetchStrategy.INTRA_RUN,
+              prefetch_depth=5, synchronized=True), 0.05),
+    ("inter-run N=5, sync, 5 disks",
+     _reduced(num_runs=10, num_disks=5, strategy=PrefetchStrategy.INTER_RUN,
+              prefetch_depth=5, cache_capacity=400, synchronized=True), 0.08),
+)
+
+
+def check_reduced_scale() -> list[Verdict]:
+    """The reduced-scale tier: :data:`REDUCED_SCALE_CHECKS`, simulated."""
+    return [
+        _verdict(label, _preload_adjusted(predict(config).total_s, config),
+                 MergeSimulation(config).run().total_time_s.mean, tolerance,
+                 "closed-form estimate")
+        for label, config, tolerance in REDUCED_SCALE_CHECKS
+    ]
+
+
 def _time(result: AggregateMetrics) -> float:
     return result.total_time_s.mean
 
 
-def _concurrency(result: AggregateMetrics) -> float:
-    return result.average_concurrency.mean
-
-
-def _config(**kwargs) -> SimulationConfig:
-    defaults = dict(trials=3, base_seed=1992)
-    defaults.update(kwargs)
-    return SimulationConfig(**defaults)
+def _expect(label: str, key: str, tolerance: float, metric=_time, note: str = "",
+            **config) -> Expectation:
+    """The expectation that ``config`` measures printed value ``key``."""
+    value, section = PRINTED[key]
+    return Expectation(label, value, tolerance,
+                       SimulationConfig(trials=3, base_seed=1992, **config),
+                       metric, section + note)
 
 
 #: Every simulation-checkable number printed in the paper's prose.
 PAPER_EXPECTATIONS: tuple[Expectation, ...] = (
-    Expectation(
-        "no prefetch, k=25, 1 disk", 357.2, 0.02,
-        _config(num_runs=25, num_disks=1), _time, "section 3.1",
-    ),
-    Expectation(
-        "no prefetch, k=50, 1 disk", 909.7, 0.02,
-        _config(num_runs=50, num_disks=1), _time, "section 3.1",
-    ),
-    Expectation(
-        "intra-run N=10, k=25, 1 disk", 81.8, 0.02,
-        _config(num_runs=25, num_disks=1,
-                strategy=PrefetchStrategy.INTRA_RUN, prefetch_depth=10),
-        _time, "section 3.1",
-    ),
-    Expectation(
-        "intra-run N=10, k=50, 1 disk", 183.2, 0.02,
-        _config(num_runs=50, num_disks=1,
-                strategy=PrefetchStrategy.INTRA_RUN, prefetch_depth=10),
-        _time, "section 3.1",
-    ),
-    Expectation(
-        "no prefetch, k=25, 5 disks", 279.0, 0.02,
-        _config(num_runs=25, num_disks=5), _time, "section 3.2",
-    ),
-    Expectation(
-        "no prefetch, k=50, 10 disks", 558.1, 0.02,
-        _config(num_runs=50, num_disks=10), _time, "section 3.2",
-    ),
-    Expectation(
-        "unsync intra-run N=30, k=25, 5 disks (paper sim 24.8s)", 24.8, 0.05,
-        _config(num_runs=25, num_disks=5,
-                strategy=PrefetchStrategy.INTRA_RUN, prefetch_depth=30),
-        _time, "section 3.2",
-    ),
-    Expectation(
-        "sync inter-run N=10, k=25, 5 disks", 17.6, 0.03,
-        _config(num_runs=25, num_disks=5,
-                strategy=PrefetchStrategy.INTER_RUN, prefetch_depth=10,
-                cache_capacity=1200, synchronized=True),
-        _time, "section 3.2",
-    ),
-    Expectation(
-        "unsync inter-run N=50, k=25, 5 disks (paper sim 12.2s)", 12.2, 0.15,
-        _config(num_runs=25, num_disks=5,
-                strategy=PrefetchStrategy.INTER_RUN, prefetch_depth=50,
-                cache_capacity=5000),
-        _time, "section 3.2 (large-N tail; paper's cache unstated)",
-    ),
-    Expectation(
-        "urn-game concurrency, D=5 (intra-run N=30)", 2.51, 0.12,
-        _config(num_runs=25, num_disks=5,
-                strategy=PrefetchStrategy.INTRA_RUN, prefetch_depth=30),
-        _concurrency, "section 3.2 (asymptotic; N=30 is pre-asymptotic)",
-    ),
+    _expect("no prefetch, k=25, 1 disk", "no prefetch k=25 D=1", 0.02,
+            num_runs=25, num_disks=1),
+    _expect("no prefetch, k=50, 1 disk", "no prefetch k=50 D=1", 0.02,
+            num_runs=50, num_disks=1),
+    _expect("intra-run N=10, k=25, 1 disk", "intra k=25 N=10 D=1", 0.02,
+            num_runs=25, num_disks=1, strategy=PrefetchStrategy.INTRA_RUN,
+            prefetch_depth=10),
+    _expect("intra-run N=10, k=50, 1 disk", "intra k=50 N=10 D=1", 0.02,
+            num_runs=50, num_disks=1, strategy=PrefetchStrategy.INTRA_RUN,
+            prefetch_depth=10),
+    _expect("no prefetch, k=25, 5 disks", "no prefetch k=25 D=5", 0.02,
+            num_runs=25, num_disks=5),
+    _expect("no prefetch, k=50, 10 disks", "no prefetch k=50 D=10", 0.02,
+            num_runs=50, num_disks=10),
+    _expect("unsync intra-run N=30, k=25, 5 disks (paper sim 24.8s)",
+            "intra unsync sim k=25 D=5 N=30", 0.05,
+            num_runs=25, num_disks=5, strategy=PrefetchStrategy.INTRA_RUN,
+            prefetch_depth=30),
+    _expect("sync inter-run N=10, k=25, 5 disks", "inter sync k=25 D=5 N=10",
+            0.03, num_runs=25, num_disks=5, strategy=PrefetchStrategy.INTER_RUN,
+            prefetch_depth=10, cache_capacity=1200, synchronized=True),
+    _expect("unsync inter-run N=50, k=25, 5 disks (paper sim 12.2s)",
+            "inter unsync sim k=25 D=5 N=50", 0.15,
+            note=" (large-N tail; paper's cache unstated)",
+            num_runs=25, num_disks=5, strategy=PrefetchStrategy.INTER_RUN,
+            prefetch_depth=50, cache_capacity=5000),
+    _expect("urn-game concurrency, D=5 (intra-run N=30)", "urn E(L) D=5", 0.12,
+            metric=lambda result: result.average_concurrency.mean,
+            note=" (asymptotic; N=30 is pre-asymptotic)",
+            num_runs=25, num_disks=5, strategy=PrefetchStrategy.INTRA_RUN,
+            prefetch_depth=30),
 )
 
 
@@ -222,17 +294,6 @@ def _cache_sweep_claims(experiment_id: str, source: str) -> tuple[Claim, ...]:
     )
 
 
-def _preload_adjusted(estimate: float, k: int, n: int, scale: Scale) -> float:
-    """Scale an estimate to the blocks actually fetched.
-
-    The initial load of ``n`` blocks per run costs no I/O; at reduced
-    run length that is a sizable fraction (at full scale the factor is
-    within 3% of 1).
-    """
-    total = k * scale.blocks_per_run
-    return estimate * (total - k * n) / total
-
-
 def _label_value(label: str, position: int) -> int:
     """The integer of the ``name=value`` word at ``position`` of a label."""
     return int(label.split()[position].split("=")[1])
@@ -240,16 +301,24 @@ def _label_value(label: str, position: int) -> int:
 
 def _intra_1d_adjusted(result: ExperimentResult, scale: Scale) -> bool:
     return all(
-        _close(simulated, _preload_adjusted(
-            estimate, _label_value(label, 0), _label_value(label, 1), scale,
-        ), rel=0.05)
+        _close(simulated, _preload_adjusted(estimate, SimulationConfig(
+            num_runs=_label_value(label, 0), num_disks=1,
+            strategy=PrefetchStrategy.INTRA_RUN,
+            prefetch_depth=_label_value(label, 1),
+            blocks_per_run=scale.blocks_per_run,
+        )), rel=0.05)
         for label, estimate, simulated, _std, _paper in _rows(result)
     )
 
 
 def _inter_sync_adjusted(result: ExperimentResult, scale: Scale) -> bool:
     _label, estimate, simulated, _std, _paper = _rows(result)[0]
-    return _close(simulated, _preload_adjusted(estimate, 25, 10, scale), rel=0.05)
+    config = SimulationConfig(
+        num_runs=25, num_disks=5, strategy=PrefetchStrategy.INTER_RUN,
+        prefetch_depth=10, cache_capacity=1200, synchronized=True,
+        blocks_per_run=scale.blocks_per_run,
+    )
+    return _close(simulated, _preload_adjusted(estimate, config), rel=0.05)
 
 
 def _near_transfer_bound(result: ExperimentResult, scale: Scale) -> bool:
@@ -289,7 +358,11 @@ def _interior_optimum(result: ExperimentResult, _scale: Scale) -> bool:
     return times[0] > min(times) and times[-1] > min(times)
 
 
-_URN_CONCURRENCY = {5: 2.51, 10: 3.66, 25: 5.95}
+_URN_CONCURRENCY = {
+    5: printed("urn E(L) D=5"),
+    10: printed("urn E(L) D=10"),
+    25: printed("urn E(L) D=25 exact"),
+}
 
 
 #: The paper's figure and ablation findings.  Every claim holds at
@@ -499,34 +572,26 @@ def validate(
     for expectation in expectations:
         config = expectation.config
         if blocks_per_run is not None:
-            config = SimulationConfig(
-                **{**config.__dict__, "blocks_per_run": blocks_per_run}
-            )
+            config = replace(config, blocks_per_run=blocks_per_run)
         measured = expectation.metric(MergeSimulation(config).run())
-        relative = abs(measured - expectation.paper_value) / expectation.paper_value
-        verdicts.append(
-            Verdict(
-                label=expectation.label,
-                paper_value=expectation.paper_value,
-                measured=measured,
-                relative_error=relative,
-                ok=relative <= expectation.tolerance,
-                source=expectation.source,
-            )
-        )
+        verdicts.append(_verdict(expectation.label, expectation.paper_value,
+                                 measured, expectation.tolerance,
+                                 expectation.source))
     return verdicts
 
 
-def render_verdicts(verdicts: Sequence[Verdict]) -> str:
-    lines = []
-    for verdict in verdicts:
-        status = "ok " if verdict.ok else "FAIL"
-        lines.append(
-            f"[{status}] {verdict.label:55s} paper {verdict.paper_value:7.2f}"
-            f"  measured {verdict.measured:7.2f}  ({verdict.relative_error:+.1%})"
-        )
+def render_verdicts(verdicts: Sequence[Verdict],
+                    summary: str = "paper values reproduced") -> str:
+    """One line per verdict, then ``passed/total <summary>``."""
+    width = max((len(verdict.label) for verdict in verdicts), default=0)
+    lines = [
+        f"[{'ok ' if verdict.ok else 'FAIL'}] {verdict.label:{width}s}"
+        f"  expected {verdict.expected:8.2f}  measured {verdict.measured:8.2f}"
+        f"  ({verdict.relative_error:+.1%})"
+        for verdict in verdicts
+    ]
     passed = sum(1 for verdict in verdicts if verdict.ok)
-    lines.append(f"\n{passed}/{len(verdicts)} paper values reproduced")
+    lines.append(f"\n{passed}/{len(verdicts)} {summary}")
     return "\n".join(lines)
 
 

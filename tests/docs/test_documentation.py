@@ -151,3 +151,19 @@ def test_design_inventory_modules_exist():
             module_name, _, attribute = name.rpartition(".")
         module = importlib.import_module(module_name)
         assert hasattr(module, attribute), f"DESIGN.md names missing {name}"
+
+
+def test_design_layer_diagram_is_the_generated_graph():
+    """DESIGN.md's ``dot`` block is `repro lint src --graph dot`."""
+    from repro.lint.config import LintConfig
+    from repro.lint.engine import LintEngine
+    from repro.lint.reporters import render_dot
+
+    config = LintConfig()
+    generated = render_dot(LintEngine(config, REPO).build_model(["src"]), config)
+    text = (REPO / "DESIGN.md").read_text()
+    embedded = re.search(r"```dot\n(.*?)```", text, re.DOTALL).group(1)
+    assert embedded.strip() == generated.strip(), (
+        "DESIGN.md's layer diagram is stale: re-embed the output of "
+        "`python -m repro lint src --graph dot`"
+    )

@@ -144,6 +144,29 @@ def test_cli_validate_prints_claim_verdicts_and_exits_1_on_a_fail(
     assert "1/2 figure claims hold" in out
 
 
+def test_cli_paper_check_exits_1_when_a_closed_form_misses(monkeypatch, capsys):
+    holds = validation.CLOSED_FORMS[0]
+    misses = ("urn E(L) D=5", lambda: 5.0)  # the paper prints 2.51
+    monkeypatch.setattr(validation, "CLOSED_FORMS", (holds, misses))
+    assert main(["paper-check"]) == 1
+    out = capsys.readouterr().out
+    assert "[ok ] no prefetch k=25 D=1" in out
+    assert "[FAIL] urn E(L) D=5" in out
+    assert "1/2 analytical checks match" in out
+
+
+def test_cli_selfcheck_exits_1_when_a_simulation_misses(monkeypatch, capsys):
+    tiny = SimulationConfig(num_runs=4, num_disks=2, blocks_per_run=30, trials=1)
+    monkeypatch.setattr(validation, "REDUCED_SCALE_CHECKS", (
+        ("loose", tiny, 10.0),
+        ("impossible", tiny, -1.0),  # no relative error is below zero
+    ))
+    assert main(["selfcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "[ok ] loose" in out and "[FAIL] impossible" in out
+    assert "1/2 simulation checks within tolerance" in out
+
+
 @pytest.mark.slow
 def test_two_headline_values_reproduce_at_full_scale():
     """A fast subset of `repro validate`: the two cheapest paper values."""

@@ -83,8 +83,7 @@ def main() -> int:
         "--lease-ttl", "2.0", "--cache-dir", str(cache_dir),
         "--exit-when-done",
     )
-    worker_a = spawn("dist", "work", "--port", str(port), "--id", "doomed",
-                     "--poll", "0.05")
+    worker_a = spawn("dist", "work", "--port", str(port), "--id", "doomed")
     worker_b = None
     # Fail fast: the poll loop below retries every 50 ms itself, where
     # the default backoff could sleep through a sub-second campaign.
@@ -120,7 +119,7 @@ def main() -> int:
 
         # -- a fresh worker must finish what the corpse left behind -----
         worker_b = spawn("dist", "work", "--port", str(port), "--id",
-                         "rescue", "--poll", "0.05")
+                         "rescue")
         try:
             coordinator.wait(timeout=120.0)
         except subprocess.TimeoutExpired:

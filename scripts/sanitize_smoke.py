@@ -131,8 +131,7 @@ def phase_dist(tmp: Path) -> int:
         "--cache-dir", str(tmp / "cache"), "--exit-when-done",
     )
     workers = [
-        spawn("dist", "work", "--port", str(port), "--id", f"w{index}",
-              "--poll", "0.05")
+        spawn("dist", "work", "--port", str(port), "--id", f"w{index}")
         for index in (1, 2)
     ]
     try:

@@ -3,8 +3,11 @@
 
 Runs a tiny 8-job campaign on a 2-worker pool into a throwaway cache
 directory, then re-runs it and verifies the second pass is served
-entirely from the cache with results identical to the first.  Exits
-non-zero on any violation.  Finishes in a couple of seconds.
+entirely from the cache with results identical to the first, and that
+neither pass ran a trial off the batch interpreter.  A pooled pass of a
+write-disk campaign, which the interpreter hands to the reference
+kernel, must report every job as such a fallback.  Exits non-zero on
+any violation.  Finishes in a couple of seconds.
 """
 
 import json
@@ -22,6 +25,15 @@ SPEC = SweepSpec(
     grid={"num_disks": [1, 2], "prefetch_depth": [2, 3]},
     trials=2,
 )
+
+#: Write disks are outside the batch interpreter's envelope.
+WRITE_SPEC = SweepSpec(
+    name="smoke-write",
+    base={"num_runs": 4, "blocks_per_run": 40, "write_disks": 1},
+    grid={"num_disks": [1, 2]},
+    trials=2,
+)
+WRITE_REASON = "the write subsystem requires the event kernel"
 
 
 def main() -> int:
@@ -45,8 +57,21 @@ def main() -> int:
         if dump(cold.cells) != dump(warm.cells):
             print("[sweep-smoke] FAIL: cached results differ from computed")
             return 1
+        if cold.stats.fallbacks or warm.stats.fallbacks:
+            print("[sweep-smoke] FAIL: interpreter fallbacks "
+                  f"{cold.stats.fallbacks} / {warm.stats.fallbacks}")
+            return 1
 
-    print(f"[sweep-smoke] ok: {jobs} jobs, second pass 100% cached")
+        write_jobs = len(WRITE_SPEC.jobs())
+        write = SweepEngine(store=store, workers=2).run_spec(WRITE_SPEC)
+        print(f"[sweep-smoke] write: {write.stats.summary()}")
+        if write.stats.fallbacks != {WRITE_REASON: write_jobs}:
+            print("[sweep-smoke] FAIL: pooled fallbacks "
+                  f"{write.stats.fallbacks}, expected {write_jobs}")
+            return 1
+
+    print(f"[sweep-smoke] ok: {jobs} jobs, second pass 100% cached; "
+          f"{write_jobs} write-disk fallbacks counted from the pool")
     return 0
 
 

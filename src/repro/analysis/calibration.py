@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.analysis.paper import printed
+from repro.core.parameters import PAPER_BLOCKS_PER_RUN, PAPER_GEOMETRY
 
 #: Run length in cylinders for 1000-block runs (1000 / 64).
-M = 15.625
+M = PAPER_BLOCKS_PER_RUN / PAPER_GEOMETRY.blocks_per_cylinder
 
 #: Blocks per run in the paper's evaluation.
-BLOCKS = 1000
+BLOCKS = PAPER_BLOCKS_PER_RUN
 
 
 @dataclass(frozen=True)

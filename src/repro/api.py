@@ -134,17 +134,11 @@ class RunContext:
     :attr:`trace` during and after the scope); an existing session can
     be passed to accumulate several runs into one trace.
 
-    ``sanitize=True`` additionally switches on the runtime concurrency
-    sanitizer (:mod:`repro.lint.sanitizer`) for the duration of the
-    scope.  Unlike the other options it is not ambient state to read
-    back — it instruments shared-state classes process-wide while at
-    least one sanitizing scope is open.
-
     Reusable and reentrant: each ``with`` entry snapshots exactly the
     fields this context sets and restores them on exit.
     """
 
-    __slots__ = ("_options", "_saved", "_sanitize")
+    __slots__ = ("_options", "_saved")
 
     def __init__(
         self,
@@ -153,7 +147,6 @@ class RunContext:
         fault_plan: Union["FaultPlan", None, _Unset] = UNSET,
         kernel: Union[str, None, _Unset] = UNSET,
         trace: Union[TraceSession, bool, None, _Unset] = UNSET,
-        sanitize: bool = False,
     ) -> None:
         if trace is True:
             trace = TraceSession()
@@ -169,7 +162,6 @@ class RunContext:
             if not isinstance(value, _Unset):
                 self._options[name] = value
         self._saved: list[dict[str, Any]] = []
-        self._sanitize = bool(sanitize)
 
     @property
     def trace(self) -> Optional[TraceSession]:
@@ -185,21 +177,11 @@ class RunContext:
         self._saved.append(
             {name: _set(name, value) for name, value in self._options.items()}
         )
-        if self._sanitize:
-            # Function-scoped import: repro.lint sits above this module
-            # in the layer DAG, and the sanitizer is opt-in anyway.
-            from repro.lint import sanitizer
-
-            sanitizer.enable()
         return self
 
     def __exit__(self, *exc_info) -> None:
         for name, value in self._saved.pop().items():
             _set(name, value)
-        if self._sanitize:
-            from repro.lint import sanitizer
-
-            sanitizer.disable()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         rendered = ", ".join(
@@ -214,7 +196,6 @@ def configure(
     fault_plan: Union["FaultPlan", None, _Unset] = UNSET,
     kernel: Union[str, None, _Unset] = UNSET,
     trace: Union[TraceSession, bool, None, _Unset] = UNSET,
-    sanitize: bool = False,
 ) -> RunContext:
     """Build a :class:`RunContext` — the idiomatic spelling.
 
@@ -222,8 +203,7 @@ def configure(
     than naming the class; the two are interchangeable.
     """
     return RunContext(
-        backend=backend, fault_plan=fault_plan, kernel=kernel, trace=trace,
-        sanitize=sanitize,
+        backend=backend, fault_plan=fault_plan, kernel=kernel, trace=trace
     )
 
 
@@ -258,8 +238,9 @@ def run_trials(
       :func:`repro.sim.batch.run_trial_batch`, which falls back to the
       reference kernel for the trials it cannot execute natively.
       Traced and depletion-source trials run on the reference kernel,
-      tallied in :func:`repro.sim.batch.fallback_counts`;
-      ``kernel="reference"`` trials run one by one.
+      their metrics' ``fallback`` set to ``"traced"`` or
+      ``"depletion-source"``; ``kernel="reference"`` trials run one by
+      one.
 
     Keyword-only by design: new execution capabilities land here, not
     on the thin ``simulate_merge``/``run_trial`` wrappers.
@@ -290,15 +271,14 @@ def run_trials(
     # Group batch-kernel trials by (identical) config; everything else
     # runs per-trial on the event kernel.
     serial: list[int] = []
+    fallbacks: dict[int, str] = {}
     groups: list[tuple["SimulationConfig", list[int]]] = []
     for i, config in enumerate(effective):
         if config.kernel != "batch":
             serial.append(i)
             continue
         if tracing or depletion_sources[i] is not None:
-            from repro.sim.batch import count_fallback
-
-            count_fallback("traced" if tracing else "depletion-source")
+            fallbacks[i] = "traced" if tracing else "depletion-source"
             serial.append(i)
             continue
         for other, members in groups:
@@ -321,10 +301,12 @@ def run_trials(
 
     for i in serial:
         config = effective[i]
-        results[i] = MergeTrial(
+        metrics = MergeTrial(
             config,
             seed=config.base_seed + trials[i],
             depletion_source=depletion_sources[i],
         ).run()
+        metrics.fallback = fallbacks.get(i)
+        results[i] = metrics
 
     return results  # type: ignore[return-value]

@@ -436,11 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="coordinator port (default 8178)")
     work.add_argument("--id", default="worker",
                       help="worker id (shows up in leases and metrics)")
-    work.add_argument(
-        "--poll", type=float, default=0.25,
-        help="seconds between lease attempts while all shards are "
-        "leased elsewhere (default 0.25)",
-    )
     dist_status = dist_sub.add_parser(
         "status",
         help="print a running campaign's streaming-aggregation snapshot",
@@ -1423,9 +1418,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         from repro.dist import DistWorker
         from repro.serve import ServeError
 
-        worker = DistWorker(
-            args.host, args.port, worker_id=args.id, poll_s=args.poll
-        )
+        worker = DistWorker(args.host, args.port, worker_id=args.id)
         try:
             stats = worker.run()
         except ServeError as exc:

@@ -127,6 +127,10 @@ class MergeMetrics:
     healthy_stall_ms: float = 0.0
     demand_timeouts: int = 0
     degraded_skips: int = 0
+    # Why a batch-kernel trial ran on the reference kernel instead of
+    # the interpreter (None: it did not).  Not a measurement: left out
+    # of to_dict() and of equality, so results match across kernels.
+    fallback: Optional[str] = field(default=None, compare=False)
 
     #: Scalar fields serialized verbatim by :meth:`to_dict`.
     _SCALAR_FIELDS = (

@@ -14,7 +14,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.metrics import AggregateMetrics
-from repro.core.parameters import PrefetchStrategy, SimulationConfig
+from repro.core.parameters import (
+    PAPER_DISK,
+    PrefetchStrategy,
+    SimulationConfig,
+)
 from repro.core.simulator import MergeSimulation
 from repro.experiments.config import (
     ExperimentResult,
@@ -310,7 +314,7 @@ def _make_cache_experiment(k: int, d: int, fig_id: str, letter: str):
     )
     def runner(scale: Scale) -> ExperimentResult:
         table = _cache_sweep(scale, k, d)
-        lower_bound = 1000 * k * 2.05 / d / 1000.0
+        lower_bound = 1000 * k * PAPER_DISK.transfer_ms_per_block / d / 1000.0
         time_headers = [f"time N={n}" for n in _CACHE_N_VALUES]
         ratio_headers = [f"sr N={n}" for n in _CACHE_N_VALUES]
         charts = [

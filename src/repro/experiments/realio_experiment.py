@@ -18,6 +18,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+from repro.core.parameters import PAPER_DISK
 from repro.experiments.config import ExperimentResult, Scale, Table, register
 from repro.realio import generate_dataset, run_validation
 
@@ -87,9 +88,12 @@ def ext_realio(scale: Scale) -> ExperimentResult:
         title="Calibrated effective disk constants (fit to measured reads)",
         headers=["constant", "fitted", "paper"],
         rows=[
-            ["S (ms/cylinder)", fit.seek_ms_per_cylinder, 0.03],
-            ["R (ms)", fit.avg_rotational_latency_ms, 8.33],
-            ["T (ms/block)", fit.transfer_ms_per_block, 2.05],
+            ["S (ms/cylinder)", fit.seek_ms_per_cylinder,
+             PAPER_DISK.seek_ms_per_cylinder],
+            ["R (ms)", fit.avg_rotational_latency_ms,
+             PAPER_DISK.avg_rotational_latency_ms],
+            ["T (ms/block)", fit.transfer_ms_per_block,
+             PAPER_DISK.transfer_ms_per_block],
         ],
     )
     notes = [

@@ -31,7 +31,6 @@ def run_experiments(
     scale: Optional[Scale] = None,
     stream: Optional[TextIO] = None,
     engine: Optional["SweepEngine"] = None,
-    kernel: Optional[str] = None,
 ) -> list[ExperimentResult]:
     """Run experiments in order, streaming each report as it finishes.
 
@@ -39,21 +38,13 @@ def run_experiments(
     list.  An experiment that raises produces a result with ``error``
     set (check :attr:`ExperimentResult.ok`) instead of aborting the
     remaining ones.  With ``engine``, all simulations fan out through
-    the sweep engine's cache and worker pool.  With ``kernel``, every
-    simulation runs on the named kernel (see
-    :class:`repro.api.RunContext`) — results are
-    identical either way; only wall-clock time changes.
+    the sweep engine's cache and worker pool.
     """
-    from repro.api import configure
-
     out = stream or sys.stdout
     scale = scale or Scale.full()
     results = []
     backend = engine.backend() if engine is not None else contextlib.nullcontext()
-    override = (
-        configure(kernel=kernel) if kernel is not None else contextlib.nullcontext()
-    )
-    with backend, override:
+    with backend:
         for experiment_id in experiment_ids:
             start = time.perf_counter()
             try:

@@ -327,8 +327,9 @@ def _near_transfer_bound(result: ExperimentResult, scale: Scale) -> bool:
     for label, simulated, _ratio, _paper in _rows(result, 1):
         k = _label_value(label, 0)
         total_blocks = k * scale.blocks_per_run
-        effective_bound = (total_blocks - k * 50) * 2.05 / 5 / 1000
-        full_bound = total_blocks * 2.05 / 5 / 1000
+        transfer = PAPER_DISK.transfer_ms_per_block
+        effective_bound = (total_blocks - k * 50) * transfer / 5 / 1000
+        full_bound = total_blocks * transfer / 5 / 1000
         if not effective_bound < simulated < full_bound * 1.5:
             return False
     return True
@@ -336,7 +337,7 @@ def _near_transfer_bound(result: ExperimentResult, scale: Scale) -> bool:
 
 def _write_bound(result: ExperimentResult, scale: Scale) -> bool:
     """One write disk makes the merge write-bound: roughly k*b*T/1."""
-    bound = 25 * scale.blocks_per_run * 2.05 / 1000
+    bound = 25 * scale.blocks_per_run * PAPER_DISK.transfer_ms_per_block / 1000
     return _close(_named(result)["W=1"], bound, rel=0.25)
 
 

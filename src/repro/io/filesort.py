@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.io.blockio import BLOCK_BYTES, BlockReader, BlockWriter
 from repro.io.codec import RecordCodec
@@ -115,12 +115,7 @@ class FileSorter:
             directory = self.temp_dirs[len(merged) % len(self.temp_dirs)]
             directory.mkdir(parents=True, exist_ok=True)
             target = directory / f"pass{pass_index:02d}-run{len(merged):05d}.blk"
-            readers = [
-                BlockReader(path, self.codec, self.block_bytes) for path in group
-            ]
-            with BlockWriter(target, self.codec, self.block_bytes) as writer:
-                for record in LoserTree(readers):
-                    writer.write(record)
+            merge_files(group, target, self.codec, self.block_bytes)
             for path in group:
                 path.unlink(missing_ok=True)
             merged.append(target)
@@ -160,20 +155,9 @@ class FileSorter:
     # Phase 2: merge
     # ------------------------------------------------------------------
     def _merge_runs(
-        self, run_paths: Iterable[Path], output_path: Path
+        self, run_paths: Sequence[Path], output_path: Path
     ) -> FileSortStats:
-        trace: list[int] = []
-        readers: list[BlockReader] = []
-        for index, path in enumerate(run_paths):
-            readers.append(
-                BlockReader(
-                    path,
-                    self.codec,
-                    self.block_bytes,
-                    on_block_exhausted=lambda i=index: trace.append(i),
-                )
-            )
-        if not readers:
+        if not run_paths:
             # No runs (empty input): still emit a valid, loadable output
             # file whose header records zero records.
             with BlockWriter(output_path, self.codec, self.block_bytes):
@@ -183,27 +167,11 @@ class FileSorter:
                 runs=0,
                 run_blocks=[],
                 output_blocks=0,
-                depletion_trace=trace,
+                depletion_trace=[],
                 bytes_read=0,
                 bytes_written=self.block_bytes,
             )
-        tree = LoserTree(readers)
-        records = 0
-        with BlockWriter(output_path, self.codec, self.block_bytes) as writer:
-            for record in tree:
-                writer.write(record)
-                records += 1
-            output_blocks = writer.blocks_written
-        run_blocks = [reader.num_blocks for reader in readers]
-        return FileSortStats(
-            records=records,
-            runs=len(readers),
-            run_blocks=run_blocks,
-            output_blocks=output_blocks,
-            depletion_trace=trace,
-            bytes_read=sum((b + 1) * self.block_bytes for b in run_blocks),
-            bytes_written=(output_blocks + 1) * self.block_bytes,
-        )
+        return merge_files(run_paths, output_path, self.codec, self.block_bytes)
 
 
 def merge_files(

@@ -27,7 +27,7 @@ well-defined point instead of corrupting an arbitrary stack.
 
 Activation is opt-in and nestable::
 
-    with configure(sanitize=True):        # repro.api scope
+    with sanitized() as report:           # one scope
         RealMerge(...).run()
 
     REPRO_SANITIZE=1 python -m repro ...  # whole-process, atexit report
@@ -113,7 +113,7 @@ class SanitizerReport:
 #: The process-wide report every instrumented call records into.
 _report = SanitizerReport()
 
-#: Enable/disable refcount (nested ``configure(sanitize=True)`` scopes).
+#: Enable/disable refcount (nested :func:`sanitized` scopes).
 _enabled = 0
 _state_lock = threading.Lock()
 

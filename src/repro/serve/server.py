@@ -161,21 +161,11 @@ class SimulationServer(JsonService):
         }
 
     def _refresh_gauges(self) -> None:
-        # Imported on first read, so importing the server stays light.
-        from repro.sim.batch import fallback_counts
-
         self.metrics.gauge("serve_queue_depth").set(
             float(self.admission.depth)
         )
         self.metrics.gauge("serve_inflight").set(float(len(self._active)))
         self.metrics.gauge("serve_flights").set(float(len(self.flights)))
-        # Trials the batch kernel ran off its interpreter, by reason.
-        # The tally is per process: it covers trials run in-process
-        # (workers=0), not those run in pool worker processes.
-        for reason, trials in fallback_counts().items():
-            self.metrics.gauge("batch_fallback_trials", reason=reason).set(
-                float(trials)
-            )
 
     # -- admission helpers ---------------------------------------------------
 
@@ -287,6 +277,12 @@ class SimulationServer(JsonService):
             async with self.admission.slot(wait=wait):
                 payload = await self._execute(config, trial)
             self.metrics.counter("serve_computed").inc()
+            reason = payload.get("fallback")
+            if reason:
+                # The batch kernel ran this trial off its interpreter.
+                self.metrics.counter(
+                    "batch_fallback_trials", reason=reason
+                ).inc()
             # store_trial writes through atomic_write_json (mkstemp +
             # rename): blocking file I/O belongs on the executor.
             return await self._loop.run_in_executor(

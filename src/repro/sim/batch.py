@@ -61,22 +61,19 @@ drives, write disks, degenerate disk timing, streamed sequential
 requests) never enter the interpreter; their trials run on the
 reference kernel.  A trial that diverges at runtime
 (:class:`BatchDivergence` — an internal inconsistency the interpreter
-detects) is re-run on the reference kernel, and once the native
-success rate of a batch drops below :data:`EFFICIENCY_FLOOR` the
-remaining trials skip the interpreter entirely.  A trial that meets a
+detects) is re-run on the reference kernel.  A trial that meets a
 terminal fault (an exhausted retry budget or a permanent outage) or
 exhausts its event budget (counted here as CPU-loop iterations plus
 drive services) is re-run on the reference kernel too, which raises
-the canonical error; neither counts against the floor.
-:func:`fallback_counts` reports every fallback by reason.
+the canonical error.  Every re-run trial's metrics name the reason in
+:attr:`~repro.core.metrics.MergeMetrics.fallback`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import deque
 from typing import Optional, Sequence
 
 from repro.core.cache import BlockCache, CacheAccountingError
@@ -88,19 +85,7 @@ from repro.disks.layout import RunLayout
 from repro.faults.injector import FaultInjector
 from repro.sim.random_streams import RandomStreams
 
-__all__ = [
-    "BatchDivergence", "fallback_counts", "run_trial_batch",
-    "unsupported_reason",
-]
-
-#: Process-wide tally of batch-kernel trials not run natively, keyed
-#: by reason (see :func:`fallback_counts`).
-_fallbacks: Counter = Counter()
-_fallbacks_lock = threading.Lock()
-
-#: Minimum fraction of a batch's attempted trials the interpreter must
-#: run natively; below it the rest of the batch skips the interpreter.
-EFFICIENCY_FLOOR = 0.5
+__all__ = ["BatchDivergence", "run_trial_batch", "unsupported_reason"]
 
 
 class BatchDivergence(RuntimeError):
@@ -913,39 +898,17 @@ class _FaultyFlatTrial(_FlatTrial):
             stats.prefetch_requests += 1
 
 
-def _fallback_trial(config: SimulationConfig, seed: int) -> MergeMetrics:
+def _fallback_trial(
+    config: SimulationConfig, seed: int, reason: str
+) -> MergeMetrics:
     """Run one seed on the reference kernel (the always-correct path)."""
     from repro.core.merge_sim import MergeTrial
 
     # MergeTrial always runs on the reference Simulator, whatever
     # config.kernel names.
-    return MergeTrial(config, seed=seed).run()
-
-
-def fallback_counts() -> dict[str, int]:
-    """Batch-kernel trials run off the flattened path, by reason.
-
-    A process-wide running tally since import.  The reasons are an
-    :func:`unsupported_reason` text (the whole batch), ``"divergence"``
-    (a :class:`BatchDivergence` re-run), ``"efficiency-floor"`` (trials
-    after the batch's native rate fell below :data:`EFFICIENCY_FLOOR`),
-    ``"terminal-fault"`` (a seed re-run to raise its fault error) and
-    ``"event-budget"`` (a seed re-run to raise its
-    :class:`~repro.sim.kernel.TrialBudgetExceeded`).  ``"traced"`` (an
-    ambient trace session) and ``"depletion-source"`` (a caller's
-    depletion order) count trials :func:`repro.api.run_trials` keeps
-    off the interpreter, since both need the event kernel.  ``repro
-    serve`` publishes the tally as ``batch_fallback_trials{reason=...}``
-    gauges on ``/v1/metricz``.
-    """
-    with _fallbacks_lock:
-        return dict(_fallbacks)
-
-
-def count_fallback(reason: str, trials: int = 1) -> None:
-    """Tally ``trials`` batch-kernel trials run off the flattened path."""
-    with _fallbacks_lock:
-        _fallbacks[reason] += trials
+    metrics = MergeTrial(config, seed=seed).run()
+    metrics.fallback = reason
+    return metrics
 
 
 def run_trial_batch(
@@ -959,42 +922,30 @@ def run_trial_batch(
     never here directly.  Trials the flattened interpreter cannot
     execute natively — an unsupported config, a runtime
     :class:`BatchDivergence`, a terminal fault, or an exhausted event
-    budget — fall back to the reference kernel; once the batch's native
-    success rate drops below :data:`EFFICIENCY_FLOOR` the remaining
-    trials skip the interpreter.  Every fallback is tallied in
-    :func:`fallback_counts`.
+    budget — fall back to the reference kernel seed by seed.  A
+    fallback's metrics carry the reason in ``fallback``: the
+    :func:`unsupported_reason` text or ``"divergence"``.  Terminal
+    faults and exhausted budgets re-run only to raise their canonical
+    error, which is their report.
     """
     reason = unsupported_reason(config)
     if reason is not None:
-        count_fallback(reason, len(seeds))
-        return [_fallback_trial(config, seed) for seed in seeds]
+        return [_fallback_trial(config, seed, reason) for seed in seeds]
 
     shared = _Shared(config)
     trial_class = _FlatTrial if config.fault_plan is None else _FaultyFlatTrial
     results: list[MergeMetrics] = []
-    attempted = 0
-    diverged = 0
-    flat_enabled = True
     for seed in seeds:
-        if not flat_enabled:
-            reason = "efficiency-floor"
+        try:
+            metrics = trial_class(shared, seed).run()
+        except _TerminalFault:
+            reason = "terminal-fault"
+        except _BudgetExhausted:
+            reason = "event-budget"
+        except (BatchDivergence, CacheAccountingError):
+            reason = "divergence"
         else:
-            try:
-                metrics = trial_class(shared, seed).run()
-            except _TerminalFault:
-                reason = "terminal-fault"
-            except _BudgetExhausted:
-                reason = "event-budget"
-            except (BatchDivergence, CacheAccountingError):
-                reason = "divergence"
-                attempted += 1
-                diverged += 1
-                if (attempted - diverged) / attempted < EFFICIENCY_FLOOR:
-                    flat_enabled = False
-            else:
-                attempted += 1
-                results.append(metrics)
-                continue
-        count_fallback(reason)
-        results.append(_fallback_trial(config, seed))
+            results.append(metrics)
+            continue
+        results.append(_fallback_trial(config, seed, reason))
     return results

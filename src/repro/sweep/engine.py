@@ -230,6 +230,9 @@ class SweepEngine:
             metrics = MergeMetrics.from_dict(payload["metrics"])
             results[job.index] = metrics
             stats.sim_s += payload.get("elapsed_s") or 0.0
+            reason = payload.get("fallback")
+            if reason:
+                stats.fallbacks[reason] = stats.fallbacks.get(reason, 0) + 1
             if self.store is not None:
                 self.store.put(
                     job.key,

@@ -3,7 +3,7 @@
 The engine calls a :class:`ProgressListener` at campaign start, after
 every job settles (cached / computed / failed), and at the end.  The
 bundled listeners are :class:`ConsoleProgress` (one status line per
-interval plus a final summary) and :class:`NullProgress`; anything that
+settled job plus a final summary) and :class:`NullProgress`; anything that
 implements the same three methods — a TUI, a metrics pusher — plugs in
 the same way.
 """
@@ -39,6 +39,9 @@ class SweepStats:
     wall_s: float = 0.0
     sim_s: float = 0.0  #: summed in-worker simulation time
     started_at: float = field(default_factory=time.time)
+    #: Computed batch-kernel trials run on the reference kernel, by
+    #: reason (see :attr:`repro.core.metrics.MergeMetrics.fallback`).
+    fallbacks: dict[str, int] = field(default_factory=dict)
 
     @property
     def done(self) -> int:
@@ -75,6 +78,7 @@ class SweepStats:
             "throughput_jobs_per_s": self.throughput,
             "cache_hit_ratio": self.cache_hit_ratio,
             "started_at": self.started_at,
+            "fallbacks": dict(self.fallbacks),
         }
 
     @classmethod
@@ -100,12 +104,19 @@ class SweepStats:
         return path
 
     def summary(self) -> str:
-        return (
+        text = (
             f"jobs: {self.total} total = {self.computed} computed + "
             f"{self.cached} cached + {self.failed} failed; "
             f"wall {self.wall_s:.1f}s; {self.throughput:.1f} jobs/s; "
             f"cache hit {self.cache_hit_ratio:.0%}"
         )
+        if self.fallbacks:
+            reasons = ", ".join(
+                f"{trials} ({reason})"
+                for reason, trials in sorted(self.fallbacks.items())
+            )
+            text += f"; fallbacks to the reference kernel: {reasons}"
+        return text
 
 
 class ProgressListener:
@@ -128,21 +139,14 @@ class NullProgress(ProgressListener):
 class ConsoleProgress(ProgressListener):
     """Streams ``[sweep] 12/40 ...`` lines to a text stream."""
 
-    def __init__(
-        self,
-        stream: Optional[TextIO] = None,
-        every: int = 1,
-    ) -> None:
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = stream or sys.stderr
-        self.every = max(1, every)
 
     def on_begin(self, stats: SweepStats) -> None:
         print(f"[sweep] {stats.total} jobs queued", file=self.stream)
         self.stream.flush()
 
     def on_job(self, job: "SweepJob", outcome: str, stats: SweepStats) -> None:
-        if stats.done % self.every and stats.done != stats.total:
-            return
         print(
             f"[sweep] {stats.done}/{stats.total} "
             f"({stats.computed} computed, {stats.cached} cached, "

@@ -34,7 +34,9 @@ def execute_job(payload: dict) -> dict:
 
     Payload keys: ``config`` (dict from
     :func:`repro.sweep.keys.config_to_dict`) and ``trial`` (int).
-    Returns ``{"metrics": ..., "elapsed_s": ...}``.
+    Returns ``{"metrics": ..., "elapsed_s": ..., "fallback": ...}``,
+    ``fallback`` being why a batch-kernel trial ran on the reference
+    kernel (``None`` if it did not).
     """
     config = config_from_dict(payload["config"])
     start = time.perf_counter()
@@ -42,6 +44,7 @@ def execute_job(payload: dict) -> dict:
     return {
         "metrics": metrics.to_dict(),
         "elapsed_s": time.perf_counter() - start,
+        "fallback": metrics.fallback,
     }
 
 
@@ -62,7 +65,10 @@ def execute_batch(payload: dict) -> list[dict]:
     metrics = api.run_trials([config] * len(trials), trials=trials)
     elapsed = time.perf_counter() - start
     share = elapsed / len(trials) if trials else 0.0
-    return [{"metrics": m.to_dict(), "elapsed_s": share} for m in metrics]
+    return [
+        {"metrics": m.to_dict(), "elapsed_s": share, "fallback": m.fallback}
+        for m in metrics
+    ]
 
 
 def cell_groups(

@@ -1,4 +1,5 @@
-"""The paper's printed numbers are written once, in repro.analysis.paper."""
+"""The paper's printed numbers are written once, in repro.analysis.paper,
+and its disk constants once, in repro.core.parameters."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,22 @@ def test_printed_values_appear_as_literals_only_in_the_table():
     assert strays == [], (
         "paper values written outside repro.analysis.paper; look them up "
         "with printed(key) instead:\n" + "\n".join(strays)
+    )
+
+
+def test_disk_constants_appear_as_literals_only_in_parameters():
+    # T, R and the 1000-block run length in cylinders.  S (0.03) is left
+    # out: the same literal is also a tolerance.
+    constants = {2.05, 8.33, 15.625}
+    home = SRC / "core" / "parameters.py"
+    strays = [
+        f"{path.relative_to(SRC)}:{lineno}: {value}"
+        for path in sorted(SRC.rglob("*.py")) if path != home
+        for value, lineno in _float_literals(path) if value in constants
+    ]
+    assert strays == [], (
+        "disk constants written outside repro.core.parameters; read them "
+        "from PAPER_DISK instead:\n" + "\n".join(strays)
     )
 
 

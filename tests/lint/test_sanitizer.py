@@ -159,12 +159,11 @@ def test_disable_restores_the_patched_classes_exactly():
     assert LeaseManager.acquire is before_acquire
 
 
-def test_configure_sanitize_scopes_the_instrumentation():
-    from repro.api import configure
-
+def test_sanitized_scopes_the_instrumentation():
     assert not sanitizer.is_enabled()
-    with configure(sanitize=True):
+    with sanitizer.sanitized() as report:
         assert sanitizer.is_enabled()
+        assert report is sanitizer.report()
     assert not sanitizer.is_enabled()
 
 

@@ -273,16 +273,21 @@ class TestLifecycle:
         latency = metrics["histograms"]["serve_latency_ms{endpoint=simulate}"]
         assert latency["count"] == 1
 
-    def test_metricz_publishes_batch_fallbacks(self, serve_factory):
+    def test_metricz_publishes_batch_fallbacks(self, serve_factory, tmp_path):
         # Served requests run on the default batch kernel; a config
-        # outside its envelope falls back per trial, by reason.
-        server, handle = serve_factory()
-        client = client_for(handle)
-        gauge = ("batch_fallback_trials"
-                 "{reason=the write subsystem requires the event kernel}")
-        before = client.metricz()["gauges"].get(gauge, 0.0)
-        client.simulate({**SMALL_CONFIG, "write_disks": 1}, trials=3, seed=7)
-        assert client.metricz()["gauges"][gauge] == before + 3
+        # outside its envelope falls back per trial, by reason, in a
+        # pool process as in the server's own.  Each server counts its
+        # own trials only; private caches make both compute them.
+        counter = ("batch_fallback_trials"
+                   "{reason=the write subsystem requires the event kernel}")
+        for workers in (2, 0):
+            server, handle = serve_factory(
+                workers=workers, cache_dir=tmp_path / f"cache-{workers}"
+            )
+            client = client_for(handle)
+            client.simulate({**SMALL_CONFIG, "write_disks": 1}, trials=3,
+                            seed=7)
+            assert client.metricz()["counters"][counter] == 3, workers
 
     def test_graceful_drain_finishes_inflight_work(self, serve_factory,
                                                    gated_execute):

@@ -1,11 +1,10 @@
-"""Every batch-tier fallback is counted, by reason.
+"""Every batch-tier fallback names its reason on the trial's result.
 
-:func:`repro.sim.batch.fallback_counts` is a process-wide tally, so
-each test reads the change it causes rather than absolute values.
+A batch-kernel trial that runs on the reference kernel instead of the
+interpreter carries why in :attr:`MergeMetrics.fallback`; a native
+trial carries ``None``.
 """
 
-import sys
-import threading
 from collections import Counter
 
 import pytest
@@ -35,16 +34,21 @@ def _config(**overrides) -> SimulationConfig:
     return SimulationConfig(**fields)
 
 
-def _counted(run) -> Counter:
-    """The fallbacks ``run()`` adds to the process-wide tally."""
-    before = Counter(batch.fallback_counts())
-    run()
-    return Counter(batch.fallback_counts()) - before
+def _fallbacks(results) -> list:
+    return [metrics.fallback for metrics in results]
 
 
 def test_native_batch_counts_nothing():
     config = _config(fault_plan=transient_plan(0.1))
-    assert _counted(lambda: api.run_trials([config] * 3, trials=[0, 1, 2])) == {}
+    results = api.run_trials([config] * 3, trials=[0, 1, 2])
+    assert _fallbacks(results) == [None, None, None]
+
+
+def test_reference_kernel_trials_are_not_fallbacks():
+    config = _config(kernel="reference", write_disks=1)
+    assert _fallbacks(api.run_trials([config] * 2, trials=[0, 1])) == [
+        None, None,
+    ]
 
 
 @pytest.mark.parametrize(
@@ -63,33 +67,44 @@ def test_native_batch_counts_nothing():
 def test_unsupported_config_counts_its_reason_per_trial(plan, reason):
     config = _config(fault_plan=plan)
     assert batch.unsupported_reason(config) == reason
-    counted = _counted(lambda: api.run_trials([config] * 2, trials=[0, 1]))
-    assert counted == {reason: 2}
+    results = api.run_trials([config] * 2, trials=[0, 1])
+    assert _fallbacks(results) == [reason, reason]
 
 
-def test_divergence_then_efficiency_floor(monkeypatch):
-    """A divergence re-runs its seed; below the floor the rest skip."""
+def test_each_diverging_seed_reruns_on_the_reference_kernel(monkeypatch):
+    """Every seed that diverges re-runs on the reference kernel."""
 
     def diverge(self):
         raise batch.BatchDivergence("planted")
 
     monkeypatch.setattr(batch._FlatTrial, "run", diverge)
     config = _config()
-    counted = _counted(lambda: api.run_trials([config] * 3, trials=[0, 1, 2]))
-    assert counted == {"divergence": 1, "efficiency-floor": 2}
+    results = api.run_trials([config] * 3, trials=[0, 1, 2])
+    assert _fallbacks(results) == ["divergence"] * 3
 
 
-def test_terminal_fault_reruns_on_the_event_kernel():
+def _record_reruns(monkeypatch) -> list:
+    """The reasons the batch tier hands seeds to the reference kernel."""
+    reruns = []
+    rerun = batch._fallback_trial
+
+    def record(config, seed, reason):
+        reruns.append(reason)
+        return rerun(config, seed, reason)
+
+    monkeypatch.setattr(batch, "_fallback_trial", record)
+    return reruns
+
+
+def test_terminal_fault_reruns_on_the_event_kernel(monkeypatch):
     """The seed re-runs on the event kernel, which raises its error."""
     config = _config(
         fault_plan=transient_plan(0.5, retry=RetryPolicy(max_attempts=1))
     )
-
-    def run() -> None:
-        with pytest.raises(FaultExhaustedError, match="retry budget"):
-            api.run_trials([config], trials=[0])
-
-    assert _counted(run) == {"terminal-fault": 1}
+    reruns = _record_reruns(monkeypatch)
+    with pytest.raises(FaultExhaustedError, match="retry budget"):
+        api.run_trials([config], trials=[0])
+    assert reruns == ["terminal-fault"]
 
 
 def test_event_budget_exhaustion_reruns_on_the_event_kernel(monkeypatch):
@@ -98,32 +113,25 @@ def test_event_budget_exhaustion_reruns_on_the_event_kernel(monkeypatch):
         SimulationConfig, "event_budget", property(lambda self: 50)
     )
     config = _config()
-
-    def run() -> None:
-        with pytest.raises(TrialBudgetExceeded, match="budget of 50 events"):
-            api.run_trials([config], trials=[0])
-
-    assert _counted(run) == {"event-budget": 1}
+    reruns = _record_reruns(monkeypatch)
+    with pytest.raises(TrialBudgetExceeded, match="budget of 50 events"):
+        api.run_trials([config], trials=[0])
+    assert reruns == ["event-budget"]
 
 
 def test_traced_trials_count_as_traced():
     """An ambient trace session keeps batch trials on the event kernel."""
     config = _config()
-
-    def run() -> None:
-        with api.configure(trace=True):
-            api.run_trials([config] * 2, trials=[0, 1])
-
-    assert _counted(run) == {"traced": 2}
+    with api.configure(trace=True):
+        results = api.run_trials([config] * 2, trials=[0, 1])
+    assert _fallbacks(results) == ["traced", "traced"]
 
 
 def test_depletion_source_counts_only_its_trial():
     config = _config()
     order = iter([run for _ in range(30) for run in range(6)])
-    counted = _counted(
-        lambda: api.run_trials([config] * 2, depletion_sources=[order, None])
-    )
-    assert counted == {"depletion-source": 1}
+    results = api.run_trials([config] * 2, depletion_sources=[order, None])
+    assert _fallbacks(results) == ["depletion-source", None]
 
 
 @pytest.mark.parametrize(
@@ -136,40 +144,26 @@ def test_depletion_source_counts_only_its_trial():
         (ext_skewed_depletion, 4 * 3),
     ],
 )
-def test_depletion_source_experiments_count_every_trial(experiment, trials):
-    """Both experiments that replay a depletion order reach the tally."""
-    scale = Scale(trials=1, blocks_per_run=30, sweep_density=0.5)
-    counted = _counted(lambda: experiment(scale))
+def test_depletion_source_experiments_count_every_trial(
+    experiment, trials, monkeypatch
+):
+    """Both experiments that replay a depletion order fall back."""
+    counted: Counter = Counter()
+    run_trials = api.run_trials
+
+    def census(*args, **kwargs):
+        results = run_trials(*args, **kwargs)
+        counted.update(m.fallback for m in results if m.fallback)
+        return results
+
+    monkeypatch.setattr(api, "run_trials", census)
+    experiment(Scale(trials=1, blocks_per_run=30, sweep_density=0.5))
     assert counted == {"depletion-source": trials}
-
-
-def test_concurrent_counting_loses_no_update():
-    """Sweep, serve and dist threads share the tally."""
-    threads, per_thread = 8, 2000
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-
-        def count() -> None:
-            for _ in range(per_thread):
-                batch.count_fallback("stress")
-
-        before = batch.fallback_counts().get("stress", 0)
-        workers = [threading.Thread(target=count) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30)
-        assert not any(worker.is_alive() for worker in workers)
-    finally:
-        sys.setswitchinterval(previous)
-    after = batch.fallback_counts()["stress"]
-    assert after - before == threads * per_thread
 
 
 def test_out_of_order_arrival_slice_diverges(monkeypatch):
     """A request slice folded out of order trips the bulk fold's guard;
-    the seed is tallied and re-run on the reference kernel."""
+    the seed re-runs on the reference kernel."""
     from repro.core.merge_sim import MergeTrial
 
     schedule = batch._schedule
@@ -184,11 +178,8 @@ def test_out_of_order_arrival_slice_diverges(monkeypatch):
     with pytest.raises(batch.BatchDivergence, match="out of order"):
         batch._FlatTrial(batch._Shared(config), 3).run()
 
-    results: list = []
-    counted = _counted(
-        lambda: results.extend(batch.run_trial_batch(config, [3]))
-    )
-    assert counted == {"divergence": 1}
+    results = batch.run_trial_batch(config, [3])
+    assert _fallbacks(results) == ["divergence"]
     assert [m.to_dict() for m in results] == [
         MergeTrial(config, seed=3).run().to_dict()
     ]

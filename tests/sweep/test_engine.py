@@ -79,6 +79,32 @@ def test_inline_engine_matches_pool(tmp_path):
     assert _dump(pooled.run_spec(SPEC).cells) == _dump(inline.run_spec(SPEC).cells)
 
 
+def test_inline_and_pooled_engines_count_the_same_fallbacks(tmp_path):
+    # Write disks are outside the batch interpreter's envelope: every
+    # computed trial runs on the reference kernel, in a pool process or
+    # inline, and cache hits are not counted again.
+    spec = SweepSpec(
+        name="fallbacks",
+        base={"num_runs": 3, "blocks_per_run": 20, "write_disks": 1},
+        grid={"num_disks": [1, 2]},
+        trials=2,
+    )
+    expected = {"the write subsystem requires the event kernel": 4}
+    counted = []
+    for workers in (1, 2):
+        store = ResultStore(tmp_path / f"w{workers}")
+        stats = SweepEngine(store=store, workers=workers).run_spec(spec).stats
+        assert stats.fallbacks == expected
+        assert "fallbacks to the reference kernel: 4 (the write" in (
+            stats.summary()
+        )
+        assert SweepStats.from_dict(stats.to_dict()).fallbacks == expected
+        counted.append(stats.fallbacks)
+        warm = SweepEngine(store=store, workers=workers).run_spec(spec).stats
+        assert warm.fallbacks == {} and "fallbacks" not in warm.summary()
+    assert counted[0] == counted[1]
+
+
 def test_inline_engine_batches_reference_cells(monkeypatch, tmp_path):
     # The engine does not know kernels: every multi-trial cell is one
     # execute_batch call, and run_trials runs reference trials one by

@@ -13,12 +13,32 @@ queue FIFO, a run's blocks always arrive in index order; the per-run
 state therefore reduces to a handful of counters rather than explicit
 block sets.  Invariants are asserted in :meth:`BlockCache.check`
 (exercised heavily by the property-based tests).
+
+**Capacity envelope.**  A trial observes the capacity ``C`` only
+through :meth:`BlockCache.can_reserve` and :attr:`BlockCache.free`
+(the planners' view) and through :meth:`BlockCache.reserve`'s space
+check.  Occupancy -- its level, time integral and peak -- never
+depends on ``C``.  The cache therefore records the capacities
+``[lo, hi)`` under which every observation so far would have come out
+the same:
+
+* a passing ``can_reserve(b)`` raises ``lo`` to ``occupied + b``;
+* a failing one lowers ``hi`` to ``occupied + b``;
+* a read of ``free`` (the greedy budget, the adaptive depth) pins the
+  range to ``[C, C + 1)``;
+* every ``reserve`` is bounded by the peak occupancy, so the finished
+  trial's ``lo`` is at least ``peak_occupancy``.
+
+Any capacity ``C'`` in :meth:`BlockCache.capacity_envelope` replays the
+same trajectory: the same draws, the same events, the same metrics,
+apart from ``config_description`` (which names ``C``) and
+``cache_min_free`` (always ``C - peak_occupancy``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.obs.events import CACHE_TRACK, EventKind
 from repro.sim.events import Event
@@ -30,6 +50,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class CacheAccountingError(RuntimeError):
     """An operation violated the cache space or ordering invariants."""
+
+
+class CapacityEnvelope(NamedTuple):
+    """Cache capacities ``lo <= C < hi`` that replay one trajectory.
+
+    ``hi`` is None when no capacity above ``lo`` would change it.
+    """
+
+    lo: int
+    hi: Optional[int]
+
+    def admits(self, capacity: int) -> bool:
+        return self.lo <= capacity and (self.hi is None or capacity < self.hi)
 
 
 @dataclass
@@ -96,25 +129,48 @@ class BlockCache:
         self.runs = [RunCacheState(run, blocks_per_run) for run in range(runs)]
         self._waiters: dict[tuple[int, int], Event] = {}
         # Statistics.
-        self.min_free = capacity
         self._occupancy_weighted_ms = 0.0
         self._last_change_ms = sim.now
         self.peak_occupancy = 0
         self.trace = trace
+        # The capacity envelope (module docstring): lo <= capacity < hi.
+        self._envelope_lo = 0
+        self._envelope_hi: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Space accounting
     # ------------------------------------------------------------------
     @property
     def free(self) -> int:
+        """Free slots; reading them ties the trajectory to this capacity."""
+        self._envelope_lo = self.capacity
+        self._envelope_hi = self.capacity + 1
         return self._free
+
+    @property
+    def min_free(self) -> int:
+        """The least free space so far."""
+        return self.capacity - self.peak_occupancy
 
     @property
     def occupied_or_reserved(self) -> int:
         return self.capacity - self._free
 
     def can_reserve(self, blocks: int) -> bool:
-        return blocks <= self._free
+        needed = self.capacity - self._free + blocks
+        if needed <= self.capacity:
+            if needed > self._envelope_lo:
+                self._envelope_lo = needed
+            return True
+        if self._envelope_hi is None or needed < self._envelope_hi:
+            self._envelope_hi = needed
+        return False
+
+    def capacity_envelope(self) -> CapacityEnvelope:
+        """The capacities that replay the trajectory so far."""
+        return CapacityEnvelope(
+            max(self._envelope_lo, self.peak_occupancy), self._envelope_hi
+        )
 
     def reserve(self, run: int, blocks: int) -> None:
         """Claim space for ``blocks`` in-flight blocks of ``run``."""
@@ -134,7 +190,6 @@ class BlockCache:
         self._free -= blocks
         state.in_flight += blocks
         state.next_fetch += blocks
-        self.min_free = min(self.min_free, self._free)
         self.peak_occupancy = max(self.peak_occupancy, self.occupied_or_reserved)
         self._note()
 

@@ -475,6 +475,7 @@ class MergeTrial:
             healthy_stall_ms=self._healthy_stall_ms,
             demand_timeouts=self._demand_timeouts,
             degraded_skips=self._degraded_skips,
+            capacity_envelope=self.cache.capacity_envelope(),
         )
         if self.trace is not None:
             self.trace.finalize(metrics)

@@ -19,6 +19,7 @@ from repro.disks.drive import DriveStats
 from repro.obs.events import BUSY_DISKS_TRACK, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.cache import CapacityEnvelope
     from repro.obs.collector import TrialTrace
     from repro.sim.kernel import Simulator
 
@@ -131,6 +132,12 @@ class MergeMetrics:
     # the interpreter (None: it did not).  Not a measurement: left out
     # of to_dict() and of equality, so results match across kernels.
     fallback: Optional[str] = field(default=None, compare=False)
+    # The cache capacities that replay this trial's trajectory (see
+    # repro.core.cache); None when unknown, as for loaded results.
+    # Like fallback, left out of to_dict() and of equality.
+    capacity_envelope: Optional["CapacityEnvelope"] = field(
+        default=None, compare=False
+    )
 
     #: Scalar fields serialized verbatim by :meth:`to_dict`.
     _SCALAR_FIELDS = (

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -132,6 +133,8 @@ class Coordinator(JsonService):
         self.aggregator = CampaignAggregator(spec)
         self.manifest = CampaignManifest(self.store.root, spec.name)
         self.leases: Optional[LeaseManager] = None  # built in start()
+        #: Completed trials that ran off the batch interpreter, by reason.
+        self._fallbacks: Counter[str] = Counter()
         self._trace = None
         if trace is not None:
             self._trace = trace.trial(
@@ -344,6 +347,13 @@ class Coordinator(JsonService):
                 )
                 self.aggregator.record(job.index, metrics)
                 self.metrics.counter("dist_jobs", outcome="completed").inc()
+                reason = entry.get("fallback")
+                if reason:
+                    reason = str(reason)
+                    self._fallbacks[reason] += 1
+                    self.metrics.counter(
+                        "dist_batch_fallback_trials", reason=reason
+                    ).inc()
             else:
                 self.aggregator.record_failure(
                     job.index, str(entry.get("error", "unknown error"))
@@ -363,6 +373,7 @@ class Coordinator(JsonService):
             "expired_total": self.leases.expired_total,
             "duplicate_total": self.leases.duplicate_total,
         }
+        body["batch_fallback_trials"] = dict(sorted(self._fallbacks.items()))
         return 200, body, {}
 
     def _health_body(self) -> dict:

@@ -76,9 +76,10 @@ def parse_complete_request(
     """``{"token": t, "results": [...]}`` → ``(token, results, worker)``.
 
     Each result is ``{"index": int, "ok": bool}`` plus, when ok,
-    ``"metrics"``/``"elapsed_s"``, or ``"error"`` when not.  ``worker``
-    is ``None`` unless the request names the worker that wants its
-    next lease in the answer.
+    ``"metrics"``/``"elapsed_s"`` and, for a trial that ran off the
+    batch interpreter, its ``"fallback"`` reason; or ``"error"`` when
+    not.  ``worker`` is ``None`` unless the request names the worker
+    that wants its next lease in the answer.
     """
     data = _require_dict(payload)
     token = data.get("token")

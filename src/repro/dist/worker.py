@@ -227,9 +227,14 @@ class DistWorker:
             error = f"{type(outcome).__name__}: {outcome}"
             return {"index": index, "ok": False, "error": error}
         self.stats.jobs_ok += 1
-        return {
+        result = {
             "index": index,
             "ok": True,
             "metrics": outcome["metrics"],
             "elapsed_s": outcome.get("elapsed_s"),
         }
+        if outcome.get("fallback"):
+            # Why the trial ran off the batch interpreter (protocol
+            # readers ignore keys they do not know).
+            result["fallback"] = outcome["fallback"]
+        return result

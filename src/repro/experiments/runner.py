@@ -5,12 +5,13 @@ reported (with the experiment id), an :class:`ExperimentResult` carrying
 ``error`` joins the returned list, and the remaining experiments still
 run.  Passing a :class:`~repro.sweep.engine.SweepEngine` routes every
 simulation the experiments perform through the engine's result cache
-and worker pool (see :class:`repro.api.RunContext`).
+and worker pool (see :class:`repro.api.RunContext`).  Without one, a
+:class:`~repro.experiments.memo.TrialMemo` lives for the call, so each
+distinct trajectory is simulated once.
 """
 
 from __future__ import annotations
 
-import contextlib
 import sys
 import time
 from typing import TYPE_CHECKING, Iterable, Optional, TextIO
@@ -21,6 +22,7 @@ from repro.experiments.config import (
     all_experiments,
     get_experiment,
 )
+from repro.experiments.memo import trial_memo
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.engine import SweepEngine
@@ -38,12 +40,14 @@ def run_experiments(
     list.  An experiment that raises produces a result with ``error``
     set (check :attr:`ExperimentResult.ok`) instead of aborting the
     remaining ones.  With ``engine``, all simulations fan out through
-    the sweep engine's cache and worker pool.
+    the sweep engine's cache and worker pool; without one, through a
+    :func:`~repro.experiments.memo.trial_memo` that reports its counts
+    on stderr.
     """
     out = stream or sys.stdout
     scale = scale or Scale.full()
     results = []
-    backend = engine.backend() if engine is not None else contextlib.nullcontext()
+    backend = engine.backend() if engine is not None else trial_memo()
     with backend:
         for experiment_id in experiment_ids:
             start = time.perf_counter()

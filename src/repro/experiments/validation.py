@@ -28,6 +28,7 @@ from repro.core.metrics import AggregateMetrics
 from repro.core.parameters import PAPER_DISK, PrefetchStrategy, SimulationConfig
 from repro.core.simulator import MergeSimulation
 from repro.experiments.config import ExperimentResult, Scale, get_experiment
+from repro.experiments.memo import trial_memo
 
 
 @dataclass(frozen=True)
@@ -529,31 +530,34 @@ def judge_claims(claims: Sequence[Claim], scale: Scale) -> list[ClaimVerdict]:
     """Run each claimed experiment once at ``scale``; judge its claims.
 
     An experiment or check that raises fails the claims it feeds, with
-    the error in the verdict.
+    the error in the verdict.  The experiments share one
+    :func:`~repro.experiments.memo.trial_memo`, so a trajectory two of
+    them simulate runs once.
     """
     by_experiment: dict[str, list[Claim]] = {}
     for claim in claims:
         by_experiment.setdefault(claim.experiment_id, []).append(claim)
-    verdicts = []
-    for experiment_id, group in by_experiment.items():
-        try:
-            result = get_experiment(experiment_id).run(scale)
-        except Exception as exc:
-            verdicts += [
-                ClaimVerdict(experiment_id, claim.label, False, claim.source,
-                             _describe(exc))
-                for claim in group
-            ]
-            continue
-        for claim in group:
+    with trial_memo():
+        verdicts = []
+        for experiment_id, group in by_experiment.items():
             try:
-                ok, error = bool(claim.check(result, scale)), None
+                result = get_experiment(experiment_id).run(scale)
             except Exception as exc:
-                ok, error = False, _describe(exc)
-            verdicts.append(
-                ClaimVerdict(experiment_id, claim.label, ok, claim.source, error)
-            )
-    return verdicts
+                verdicts += [
+                    ClaimVerdict(experiment_id, claim.label, False, claim.source,
+                                 _describe(exc))
+                    for claim in group
+                ]
+                continue
+            for claim in group:
+                try:
+                    ok, error = bool(claim.check(result, scale)), None
+                except Exception as exc:
+                    ok, error = False, _describe(exc)
+                verdicts.append(
+                    ClaimVerdict(experiment_id, claim.label, ok, claim.source, error)
+                )
+        return verdicts
 
 
 def _describe(exc: Exception) -> str:

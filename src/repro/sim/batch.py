@@ -515,7 +515,7 @@ class _FlatTrial:
         """Reserve and queue ``plan``'s groups at ``now``, the clock's
         time (the run loop sets it before planning).  Nothing else
         touches the cache here, so its occupancy integral, free count
-        and extremes are updated once per plan."""
+        and peak are updated once per plan."""
         cache = self.cache
         runs = cache.runs
         capacity = cache.capacity
@@ -555,8 +555,6 @@ class _FlatTrial:
                 self.tracker.on_busy_change(drive.drive_id, True)
                 self._start_service(drive, request, now)
         cache._free = free
-        if free < cache.min_free:
-            cache.min_free = free
         occupied = capacity - free
         if occupied > cache.peak_occupancy:
             cache.peak_occupancy = occupied
@@ -733,6 +731,7 @@ class _FlatTrial:
             healthy_stall_ms=healthy_stall_ms,
             demand_timeouts=0,
             degraded_skips=self._degraded_skips,
+            capacity_envelope=cache.capacity_envelope(),
         )
 
 

@@ -238,6 +238,22 @@ def test_kernel_bit_identical(config, kernel, seed):
     assert _trial_dict(config, kernel) == _trial_dict(config, "reference")
 
 
+@pytest.mark.parametrize(
+    "config", [*MATRIX, *PLANNER_ROWS], ids=lambda c: c.describe()
+)
+def test_kernels_report_the_same_capacity_envelope(config):
+    """The envelope is outside equality and to_dict(), so it gets its
+    own check: both kernels observe the cache identically."""
+
+    def envelope(kernel):
+        trial = dataclasses.replace(config, kernel=kernel)
+        return _outcome(
+            lambda: MergeSimulation(trial).run_trial().capacity_envelope
+        )
+
+    assert envelope("batch") == envelope("reference")
+
+
 def test_batch_idles_drives_in_reference_order(monkeypatch):
     """Drives idled in one time advance reach the concurrency tracker
     in time order, whichever drive the advance visited first."""

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.cache import BlockCache, CacheAccountingError
+from repro.core.cache import BlockCache, CacheAccountingError, CapacityEnvelope
+from repro.core.merge_sim import MergeTrial
+from repro.core.parameters import PrefetchStrategy, SimulationConfig
 from repro.sim import Simulator
 
 
@@ -183,3 +185,63 @@ def test_mean_occupancy_time_weighted():
     sim.run()
     # 4 blocks for 10ms, then 2 blocks for 10ms: mean 3 over 20ms.
     assert cache.mean_occupancy() == pytest.approx(3.0)
+
+
+# ----------------------------------------------------------------------
+# The capacity envelope
+# ----------------------------------------------------------------------
+def test_envelope_starts_at_the_peak_occupancy_and_is_unbounded():
+    _sim, cache = make_cache(capacity=10)
+    assert cache.capacity_envelope() == CapacityEnvelope(0, None)
+    cache.preload(0, 3)
+    cache.deplete(0)
+    assert cache.capacity_envelope() == CapacityEnvelope(3, None)
+
+
+def test_passing_can_reserve_raises_lo_to_occupied_plus_blocks():
+    _sim, cache = make_cache(capacity=10)
+    cache.preload(0, 2)
+    assert cache.can_reserve(5)
+    assert cache.capacity_envelope() == CapacityEnvelope(7, None)
+    assert cache.can_reserve(3)  # a smaller need leaves lo alone
+    assert cache.capacity_envelope() == CapacityEnvelope(7, None)
+
+
+def test_failing_can_reserve_lowers_hi_to_occupied_plus_blocks():
+    _sim, cache = make_cache(capacity=10)
+    cache.preload(0, 4)
+    assert not cache.can_reserve(9)
+    assert cache.capacity_envelope() == CapacityEnvelope(4, 13)
+    assert not cache.can_reserve(7)
+    assert not cache.can_reserve(8)  # a larger need leaves hi alone
+    envelope = cache.capacity_envelope()
+    assert envelope == CapacityEnvelope(4, 11)
+    assert envelope.admits(10) and envelope.admits(4)
+    assert not envelope.admits(11) and not envelope.admits(3)
+
+
+def test_reading_free_pins_the_envelope_to_the_capacity():
+    _sim, cache = make_cache(capacity=10)
+    cache.preload(0, 2)
+    assert cache.can_reserve(3)
+    assert cache.free == 8
+    assert cache.capacity_envelope() == CapacityEnvelope(10, 11)
+
+
+def test_intra_run_trial_envelope_floors_at_its_peak_occupancy():
+    # Intra-run plans never ask the cache for room, so only the
+    # reservations themselves bound the capacity: from below, by the
+    # trial's peak occupancy.
+    config = SimulationConfig(
+        num_runs=4,
+        num_disks=2,
+        strategy=PrefetchStrategy.INTRA_RUN,
+        prefetch_depth=3,
+        blocks_per_run=20,
+        cache_capacity=40,
+    )
+    metrics = MergeTrial(config, seed=5).run()
+    assert metrics.capacity_envelope == CapacityEnvelope(
+        metrics.cache_peak_occupancy, None
+    )
+    assert metrics.cache_peak_occupancy == config.minimum_cache_capacity

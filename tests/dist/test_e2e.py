@@ -22,6 +22,7 @@ from repro.dist import DistWorker
 from repro.dist.shards import make_shards
 from repro.serve.client import ServeHTTPError
 from repro.sweep.engine import SweepEngine
+from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ResultStore
 from repro.sweep.worker import execute_job
 
@@ -405,3 +406,39 @@ def test_worker_runs_each_cell_of_a_shard_as_one_batch(
     # SMALL_SPEC: two cells of two trials, one cell per shard.
     assert batches == [2, 2]
     assert coordinator.aggregator.is_complete()
+
+
+def test_fallback_trials_reach_metricz_and_campaign_status(
+    coordinator_factory,
+):
+    """A write-disk campaign runs every trial off the batch
+    interpreter; each completed trial's reason reaches the coordinator."""
+    spec = SweepSpec(
+        name="dist-fallbacks",
+        base={"num_runs": 6, "blocks_per_run": 30, "write_disks": 1},
+        grid={"num_disks": [1, 2]},
+        trials=2,
+        base_seed=17,
+    )
+    coordinator, handle = coordinator_factory(spec)
+    run_workers(handle, count=1)
+    client = client_for(handle)
+    reason = "the write subsystem requires the event kernel"
+    counters = client.metricz()["counters"]
+    assert counters[f"dist_batch_fallback_trials{{reason={reason}}}"] == 4
+    snapshot = client.campaign(spec.name)
+    assert snapshot["complete"]
+    assert snapshot["batch_fallback_trials"] == {reason: 4}
+    handle.stop()
+
+
+def test_native_campaign_reports_no_fallbacks(coordinator_factory):
+    coordinator, handle = coordinator_factory()
+    run_workers(handle, count=1)
+    snapshot = client_for(handle).campaign(SMALL_SPEC.name)
+    assert snapshot["batch_fallback_trials"] == {}
+    assert not any(
+        key.startswith("dist_batch_fallback_trials")
+        for key in client_for(handle).metricz()["counters"]
+    )
+    handle.stop()

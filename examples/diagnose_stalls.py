@@ -5,8 +5,8 @@ A merge is slower than expected.  Is the cache too small?  Are disks
 idle?  Are demand fetches queueing behind prefetches?  This example
 runs a deliberately under-provisioned configuration next to a healthy
 one under a trace session and answers those questions with views over
-the trace -- request records, wait statistics, and utilization
-timelines -- the workflow for tuning a real deployment.
+the trace -- request records, wait statistics, utilization and the
+per-track timeline -- the workflow for tuning a real deployment.
 
 Run:  python examples/diagnose_stalls.py
 """
@@ -15,8 +15,8 @@ from repro import PrefetchStrategy, SimulationConfig
 from repro.api import configure
 from repro.core.merge_sim import MergeTrial
 from repro.disks.request import FetchKind
+from repro.obs.export import render_timeline
 from repro.obs.views import (
-    render_gantt,
     request_statistics,
     request_traces,
     utilization_report,
@@ -60,9 +60,7 @@ def report(label: str, config, metrics, trial) -> None:
     print(utilization_report(trial, DISKS, config.resolved_cache_capacity,
                              buckets=56))
     print()
-    window = metrics.total_time_ms / 20
-    print(f"service windows, first {window:.0f} ms:")
-    print(render_gantt(traces, DISKS, width=56, end_ms=window))
+    print(render_timeline(trial, width=56))
     print()
 
 

@@ -726,14 +726,18 @@ def _cmd_validation(args: argparse.Namespace) -> int:
     from repro.analysis.calibration import M
     from repro.core.parameters import PAPER_DISK as disk
     from repro.experiments import Scale, validation
+    from repro.experiments.memo import trial_memo
 
     if args.command == "validate":
-        verdicts = validation.validate(blocks_per_run=args.blocks)
-        print(validation.render_verdicts(verdicts))
         scale = Scale.full()
         if args.blocks is not None:
             scale = dataclasses.replace(scale, blocks_per_run=args.blocks)
-        claims = validation.judge_claims(validation.FIGURE_CLAIMS, scale)
+        # One memo for both tiers: a paper value and a claim that
+        # simulate the same trajectory share it.
+        with trial_memo():
+            verdicts = validation.validate(blocks_per_run=args.blocks)
+            print(validation.render_verdicts(verdicts))
+            claims = validation.judge_claims(validation.FIGURE_CLAIMS, scale)
         print("\n" + validation.render_claim_verdicts(claims))
         return 0 if all(v.ok for v in [*verdicts, *claims]) else 1
     if args.command == "paper-check":

@@ -31,15 +31,6 @@ from repro.mergesort.records import make_records
 from repro.workloads import generators
 
 
-def _config(scale: Scale, **kwargs) -> SimulationConfig:
-    return SimulationConfig(
-        blocks_per_run=scale.blocks_per_run,
-        trials=scale.trials,
-        base_seed=scale.base_seed,
-        **kwargs,
-    )
-
-
 @register(
     "ablation-cache-policy",
     "Conservative vs greedy almost-full-cache policy",
@@ -54,8 +45,7 @@ def ablation_cache_policy(scale: Scale) -> ExperimentResult:
         row: list[object] = [cache]
         for policy in (CachePolicy.CONSERVATIVE, CachePolicy.GREEDY):
             result = MergeSimulation(
-                _config(
-                    scale,
+                scale.config(
                     num_runs=25,
                     num_disks=5,
                     strategy=PrefetchStrategy.INTER_RUN,
@@ -99,8 +89,7 @@ def ablation_selector(scale: Scale) -> ExperimentResult:
         row: list[object] = [selector.value]
         for cache in (300, 800):
             result = MergeSimulation(
-                _config(
-                    scale,
+                scale.config(
                     num_runs=25,
                     num_disks=5,
                     strategy=PrefetchStrategy.INTER_RUN,
@@ -210,8 +199,7 @@ def ablation_streaming(scale: Scale) -> ExperimentResult:
         row: list[object] = [n]
         for streaming in (False, True):
             result = MergeSimulation(
-                _config(
-                    scale,
+                scale.config(
                     num_runs=25,
                     num_disks=5,
                     strategy=PrefetchStrategy.INTRA_RUN,
@@ -253,8 +241,7 @@ def ablation_queue_discipline(scale: Scale) -> ExperimentResult:
         row: list[object] = [label]
         for discipline in QueueDiscipline:
             result = MergeSimulation(
-                _config(
-                    scale,
+                scale.config(
                     num_runs=25,
                     num_disks=5,
                     strategy=strategy,
@@ -297,13 +284,13 @@ def ext_write_traffic(scale: Scale) -> ExperimentResult:
         strategy=PrefetchStrategy.INTER_RUN,
         prefetch_depth=10,
     )
-    ignored = MergeSimulation(_config(scale, **base)).run()
+    ignored = MergeSimulation(scale.config(**base)).run()
     rows: list[object] = [
         ["ignored (paper)", ignored.total_time_s.mean, 0.0, "-"]
     ]
     for write_disks in scale.thin([1, 2, 3, 5, 8]):
         result = MergeSimulation(
-            _config(scale, write_disks=write_disks, **base)
+            scale.config(write_disks=write_disks, **base)
         ).run()
         stall = sum(m.write_stall_ms for m in result.trials) / len(result.trials)
         overhead = (
@@ -357,15 +344,12 @@ def ext_skewed_depletion(scale: Scale) -> ExperimentResult:
             (PrefetchStrategy.INTER_RUN, 10, VictimSelector.RANDOM),
             (PrefetchStrategy.INTER_RUN, 10, VictimSelector.MOST_DEPLETED),
         ):
-            config = SimulationConfig(
+            config = scale.config(
                 num_runs=k,
                 num_disks=d,
                 strategy=strategy,
                 prefetch_depth=depth,
                 victim_selector=selector,
-                blocks_per_run=scale.blocks_per_run,
-                trials=scale.trials,
-                base_seed=scale.base_seed,
             )
             trials = range(scale.trials)
             results = api.run_trials(
@@ -423,8 +407,7 @@ def ext_adaptive_depth(scale: Scale) -> ExperimentResult:
         row: list[object] = [cache]
         for adaptive in (False, True):
             result = MergeSimulation(
-                _config(
-                    scale,
+                scale.config(
                     num_runs=25,
                     num_disks=5,
                     strategy=PrefetchStrategy.INTER_RUN,
@@ -526,8 +509,7 @@ def ablation_k100(scale: Scale) -> ExperimentResult:
             (PrefetchStrategy.INTER_RUN, "AllDisksOneRun"),
         ):
             result = MergeSimulation(
-                _config(
-                    scale,
+                scale.config(
                     num_runs=100,
                     num_disks=d,
                     strategy=strategy,

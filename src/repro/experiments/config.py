@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.core.parameters import SimulationConfig
+
 
 @dataclass(frozen=True)
 class Scale:
@@ -27,6 +29,16 @@ class Scale:
     @classmethod
     def quick(cls) -> "Scale":
         return cls(trials=2, blocks_per_run=200, sweep_density=0.5)
+
+    def config(self, **overrides) -> SimulationConfig:
+        """A configuration at this scale: its blocks per run, trials
+        and base seed, plus ``overrides``."""
+        return SimulationConfig(
+            blocks_per_run=self.blocks_per_run,
+            trials=self.trials,
+            base_seed=self.base_seed,
+            **overrides,
+        )
 
     def thin(self, values: Sequence) -> list:
         """Thin a sweep list according to ``sweep_density``.

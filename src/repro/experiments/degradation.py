@@ -45,14 +45,11 @@ _STRATEGIES = (
 
 
 def _config(scale: Scale, strategy: PrefetchStrategy, plan: FaultPlan) -> SimulationConfig:
-    return SimulationConfig(
+    return scale.config(
         num_runs=25,
         num_disks=5,
         strategy=strategy,
         prefetch_depth=10,
-        blocks_per_run=scale.blocks_per_run,
-        trials=scale.trials,
-        base_seed=scale.base_seed,
         fault_plan=plan,
     )
 

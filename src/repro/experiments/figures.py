@@ -14,11 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.metrics import AggregateMetrics
-from repro.core.parameters import (
-    PAPER_DISK,
-    PrefetchStrategy,
-    SimulationConfig,
-)
+from repro.core.parameters import PAPER_DISK, PrefetchStrategy
 from repro.core.simulator import MergeSimulation
 from repro.experiments.config import (
     ExperimentResult,
@@ -38,13 +34,7 @@ CPU_SWEEP = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
 
 def run_config(scale: Scale, **kwargs) -> AggregateMetrics:
     """Run one configuration at the given scale."""
-    config = SimulationConfig(
-        blocks_per_run=scale.blocks_per_run,
-        trials=scale.trials,
-        base_seed=scale.base_seed,
-        **kwargs,
-    )
-    return MergeSimulation(config).run()
+    return MergeSimulation(scale.config(**kwargs)).run()
 
 
 def _intra(scale: Scale, k: int, d: int, n: int, **kw) -> AggregateMetrics:

@@ -19,11 +19,7 @@ EXPERIMENTS.md discusses it.
 from __future__ import annotations
 
 from repro.analysis.markov import average_parallelism
-from repro.core.parameters import (
-    CachePolicy,
-    PrefetchStrategy,
-    SimulationConfig,
-)
+from repro.core.parameters import CachePolicy, PrefetchStrategy
 from repro.core.simulator import MergeSimulation
 from repro.experiments.config import ExperimentResult, Scale, Table, register
 
@@ -32,16 +28,13 @@ CACHES = [6, 8, 10, 12, 16, 20]
 
 
 def _timed(scale: Scale, capacity: int, policy: CachePolicy):
-    config = SimulationConfig(
+    config = scale.config(
         num_runs=DISKS,
         num_disks=DISKS,
         strategy=PrefetchStrategy.INTER_RUN,
         prefetch_depth=1,
         cache_capacity=capacity,
         cache_policy=policy,
-        blocks_per_run=scale.blocks_per_run,
-        trials=scale.trials,
-        base_seed=scale.base_seed,
     )
     return MergeSimulation(config).run()
 

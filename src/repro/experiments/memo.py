@@ -18,9 +18,9 @@ that mutates a result cannot change another.  Only trials that ran
 natively (``fallback is None``) are stored; fallbacks re-run every
 time.  :func:`trial_memo` installs one memo for the length of a
 ``with`` block -- :func:`~repro.experiments.runner.run_experiments`
-and :func:`~repro.experiments.validation.judge_claims` use it when no
-engine, backend or trace is installed -- and then reports its counts
-on stderr.
+uses it when no engine, backend or trace is installed, and
+``repro validate`` around both its tiers -- and then reports its
+counts on stderr.
 """
 
 from __future__ import annotations

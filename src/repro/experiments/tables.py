@@ -19,15 +19,6 @@ from repro.experiments.config import ExperimentResult, Scale, Table, register
 from repro.workloads.depletion import DepletionTrace
 
 
-def _config(scale: Scale, **kwargs) -> SimulationConfig:
-    return SimulationConfig(
-        blocks_per_run=scale.blocks_per_run,
-        trials=scale.trials,
-        base_seed=scale.base_seed,
-        **kwargs,
-    )
-
-
 def _est_vs_sim_row(label: str, config: SimulationConfig, paper: object) -> list[object]:
     estimate = predict(config)
     simulated = MergeSimulation(config).run()
@@ -92,7 +83,7 @@ def tab_single(scale: Scale) -> ExperimentResult:
     rows = [
         _est_vs_sim_row(
             f"k={k} D=1",
-            _config(scale, num_runs=k, num_disks=1, strategy=PrefetchStrategy.NONE),
+            scale.config(num_runs=k, num_disks=1, strategy=PrefetchStrategy.NONE),
             printed(f"no prefetch k={k} D=1"),
         )
         for k in (25, 50)
@@ -117,8 +108,7 @@ def tab_intra_1d(scale: Scale) -> ExperimentResult:
             rows.append(
                 _est_vs_sim_row(
                     f"k={k} N={n}",
-                    _config(
-                        scale,
+                    scale.config(
                         num_runs=k,
                         num_disks=1,
                         strategy=PrefetchStrategy.INTRA_RUN,
@@ -130,7 +120,7 @@ def tab_intra_1d(scale: Scale) -> ExperimentResult:
     bounds = Table(
         title="Single-disk transfer-time lower bound (full scale)",
         headers=["k", "bound (s)"],
-        rows=[[k, interrun.lower_bound_total_s(k, 1, _config(scale, num_runs=k, num_disks=1).disk)] for k in (25, 50)],
+        rows=[[k, interrun.lower_bound_total_s(k, 1, scale.config(num_runs=k, num_disks=1).disk)] for k in (25, 50)],
     )
     return ExperimentResult(
         experiment_id="tab-intra-1d",
@@ -151,7 +141,7 @@ def tab_multi_nopf(scale: Scale) -> ExperimentResult:
     rows = [
         _est_vs_sim_row(
             f"k={k} D={d}",
-            _config(scale, num_runs=k, num_disks=d, strategy=PrefetchStrategy.NONE),
+            scale.config(num_runs=k, num_disks=d, strategy=PrefetchStrategy.NONE),
             printed(f"no prefetch k={k} D={d}"),
         )
         for k, d in ((25, 5), (50, 10))
@@ -191,16 +181,14 @@ def tab_urn(scale: Scale) -> ExperimentResult:
 
     measured_rows = []
     for k, d in ((25, 5), (50, 10)):
-        config = _config(
-            scale,
+        config = scale.config(
             num_runs=k,
             num_disks=d,
             strategy=PrefetchStrategy.INTRA_RUN,
             prefetch_depth=30,
         )
         sync_total = predict(
-            _config(
-                scale,
+            scale.config(
                 num_runs=k,
                 num_disks=d,
                 strategy=PrefetchStrategy.INTRA_RUN,
@@ -252,8 +240,7 @@ def tab_urn(scale: Scale) -> ExperimentResult:
     "Estimate mkS/(3ND^2) + 2R/(N(D+1)) + T/D vs simulation.",
 )
 def tab_inter_sync(scale: Scale) -> ExperimentResult:
-    config = _config(
-        scale,
+    config = scale.config(
         num_runs=25,
         num_disks=5,
         strategy=PrefetchStrategy.INTER_RUN,
@@ -281,7 +268,7 @@ def tab_inter_sync(scale: Scale) -> ExperimentResult:
     "large N and cache.",
 )
 def tab_bounds(scale: Scale) -> ExperimentResult:
-    disk = _config(scale, num_runs=25, num_disks=5).disk
+    disk = scale.config(num_runs=25, num_disks=5).disk
     bound_rows = [
         [f"k={k} D={d}", interrun.lower_bound_total_s(k, d, disk),
          printed(f"bound k={k} D={d}")]
@@ -295,8 +282,7 @@ def tab_bounds(scale: Scale) -> ExperimentResult:
 
     sim_rows = []
     for k in (25, 50):
-        config = _config(
-            scale,
+        config = scale.config(
             num_runs=k,
             num_disks=5,
             strategy=PrefetchStrategy.INTER_RUN,

@@ -16,6 +16,7 @@ one command to audit.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -27,8 +28,8 @@ from repro.analysis.predictions import predict
 from repro.core.metrics import AggregateMetrics
 from repro.core.parameters import PAPER_DISK, PrefetchStrategy, SimulationConfig
 from repro.core.simulator import MergeSimulation
-from repro.experiments.config import ExperimentResult, Scale, get_experiment
-from repro.experiments.memo import trial_memo
+from repro.experiments.config import ExperimentResult, Scale
+from repro.experiments.runner import run_experiments
 
 
 @dataclass(frozen=True)
@@ -529,39 +530,29 @@ FIGURE_CLAIMS: tuple[Claim, ...] = (
 def judge_claims(claims: Sequence[Claim], scale: Scale) -> list[ClaimVerdict]:
     """Run each claimed experiment once at ``scale``; judge its claims.
 
-    An experiment or check that raises fails the claims it feeds, with
-    the error in the verdict.  The experiments share one
-    :func:`~repro.experiments.memo.trial_memo`, so a trajectory two of
-    them simulate runs once.
+    The experiments run through
+    :func:`~repro.experiments.runner.run_experiments`, reports
+    discarded, so they share its trial memo (or the one already
+    ambient).  An experiment or check that raises fails the claims it
+    feeds, with the error in the verdict.
     """
     by_experiment: dict[str, list[Claim]] = {}
     for claim in claims:
         by_experiment.setdefault(claim.experiment_id, []).append(claim)
-    with trial_memo():
-        verdicts = []
-        for experiment_id, group in by_experiment.items():
-            try:
-                result = get_experiment(experiment_id).run(scale)
-            except Exception as exc:
-                verdicts += [
-                    ClaimVerdict(experiment_id, claim.label, False, claim.source,
-                                 _describe(exc))
-                    for claim in group
-                ]
-                continue
-            for claim in group:
+    results = run_experiments(by_experiment, scale, stream=io.StringIO())
+    verdicts = []
+    for (experiment_id, group), result in zip(by_experiment.items(), results):
+        for claim in group:
+            ok, error = False, result.error
+            if error is None:
                 try:
-                    ok, error = bool(claim.check(result, scale)), None
+                    ok = bool(claim.check(result, scale))
                 except Exception as exc:
-                    ok, error = False, _describe(exc)
-                verdicts.append(
-                    ClaimVerdict(experiment_id, claim.label, ok, claim.source, error)
-                )
-        return verdicts
-
-
-def _describe(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+                    error = f"{type(exc).__name__}: {exc}"
+            verdicts.append(
+                ClaimVerdict(experiment_id, claim.label, ok, claim.source, error)
+            )
+    return verdicts
 
 
 def validate(

@@ -189,11 +189,6 @@ class TraceSession:
         return session
 
     # -- export conveniences (see repro.obs.export) ---------------------
-    def to_chrome(self) -> dict:
-        from repro.obs.export import chrome_trace
-
-        return chrome_trace(self)
-
     def export_chrome(self, path) -> None:
         from repro.obs.export import write_chrome_trace
 

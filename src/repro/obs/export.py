@@ -211,11 +211,9 @@ _PRIORITY = {kind: rank for rank, kind in enumerate(_MARK_PRIORITY)}
 def render_timeline(trial, width: int = 72) -> str:
     """One row per track, ``width`` virtual-time buckets per row.
 
-    Generalizes :func:`repro.obs.views.render_gantt` (which draws
-    demand/prefetch service on disk rows) to every track and kind the
-    collector knows: the CPU row shows merge work (``#``) and stalls
-    (``s``/``w``), disk rows show service (``D``/``p``), retries
-    (``r``), outages (``o``) and faults (``!``).  ``LEVEL`` step
+    Covers every track and kind the collector knows: the CPU row shows
+    merge work (``#``) and stalls (``s``/``w``), disk rows show service
+    (``D``/``p``), retries (``r``), outages (``o``) and faults (``!``).  ``LEVEL`` step
     functions are skipped; :func:`repro.obs.views.utilization_report`
     renders them.
     """

@@ -1,8 +1,8 @@
 """Read-only views over one traced trial (a ``TrialTrace``).
 
-Service spans (with their ``issue_ms``) become per-request records,
-wait statistics and an ASCII Gantt chart -- how long do demand fetches
-queue behind prefetches?  ``LEVEL`` instants on the ``"busy-disks"``
+Service spans (with their ``issue_ms``) become per-request records and
+wait statistics -- how long do demand fetches queue behind
+prefetches?  ``LEVEL`` instants on the ``"busy-disks"``
 and ``"cache"`` tracks become step functions rendered as sparklines --
 the quickest way to *see* idle disks or a starved cache.  Record under
 ``repro.api.configure(trace=True)``, then read ``ctx.trace.trials[i]``.
@@ -133,52 +133,6 @@ def request_statistics(
         mean_service_ms=sum(services) / len(services),
         total_blocks=sum(t.blocks for t in selected),
     )
-
-
-def render_gantt(
-    traces: Sequence[RequestTrace],
-    num_disks: int,
-    width: int = 72,
-    start_ms: float = 0.0,
-    end_ms: float | None = None,
-) -> str:
-    """ASCII service chart: one row per disk, time left to right.
-
-    Cells show ``D`` where a demand fetch is in service, ``p`` for a
-    prefetch, ``.`` idle.  Overlaps within a cell favour demand marks.
-    """
-    if num_disks < 1:
-        raise ValueError("need at least one disk")
-    if not traces:
-        raise ValueError("no traces to render")
-    horizon = end_ms if end_ms is not None else max(t.finish_ms for t in traces)
-    if horizon <= start_ms:
-        raise ValueError("empty time window")
-    span = horizon - start_ms
-    rows = [["."] * width for _ in range(num_disks)]
-
-    def column(time_ms: float) -> int:
-        fraction = (time_ms - start_ms) / span
-        return min(width - 1, max(0, int(fraction * width)))
-
-    for trace in traces:
-        if trace.finish_ms < start_ms or trace.start_ms > horizon:
-            continue
-        mark = "D" if trace.kind is FetchKind.DEMAND else "p"
-        first = column(max(trace.start_ms, start_ms))
-        last = column(min(trace.finish_ms, horizon))
-        row = rows[trace.disk]
-        for cell in range(first, last + 1):
-            if row[cell] != "D":  # demand marks win overlaps
-                row[cell] = mark
-    lines = [
-        f"disk {disk} |{''.join(row)}|" for disk, row in enumerate(rows)
-    ]
-    lines.append(
-        f"        {start_ms:.0f}ms{'':>{max(1, width - 12)}}{horizon:.0f}ms"
-    )
-    lines.append("        D demand fetch   p prefetch   . idle")
-    return "\n".join(lines)
 
 
 def downsample(timeline: Timeline, buckets: int, end_ms: float) -> list[float]:

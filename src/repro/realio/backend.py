@@ -41,7 +41,7 @@ import queue
 import random
 import threading
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 from repro.core.cache import RunCacheState  # noqa: F401  (re-export for views)
 from repro.core.metrics import AggregateMetrics, MergeMetrics
@@ -286,7 +286,7 @@ class RealMerge:
 
     def _reader_loop(self, disk: int) -> None:
         stats = self._stats[disk]
-        handles: dict[int, object] = {}
+        handles: dict[int, BinaryIO] = {}
         throttle = self.config.throttle_ms_per_block
         try:
             while True:
@@ -361,6 +361,9 @@ class RealMerge:
             # its demand wait and re-raises this as the trial's error.
             with self._results_lock:
                 self._reader_errors.append(exc)
+        finally:
+            for handle in handles.values():
+                handle.close()
 
     # -- issuing fetches -----------------------------------------------------
     def _submit(self, run: int, count: int, demand: bool) -> None:

@@ -13,7 +13,7 @@ serves it over five endpoints::
 Every simulate request flows through the same pipeline:
 
 1. **cache front** — each trial is looked up by its
-   :func:`repro.sweep.store.compute_key` content address; hits are
+   :func:`repro.sweep.keys.trial_keys` content address; hits are
    answered from one JSON read and never touch a worker.
 2. **single flight** — concurrent identical misses coalesce onto one
    computation keyed by the same content address.
@@ -257,7 +257,10 @@ class SimulationServer(JsonService):
         coalesced_count = 0
         if misses:
             computed = await asyncio.gather(
-                *(self._compute_trial(config, trial) for trial in misses)
+                *(
+                    self._compute_trial(config, trial, key)
+                    for trial, key in misses.items()
+                )
             )
             for trial, metrics, coalesced in computed:
                 results[trial] = metrics
@@ -268,11 +271,11 @@ class SimulationServer(JsonService):
         return ordered, len(hits), coalesced_count
 
     async def _compute_trial(
-        self, config: SimulationConfig, trial: int, *, wait: bool = False
+        self, config: SimulationConfig, trial: int, key: str, *,
+        wait: bool = False,
     ) -> tuple[int, MergeMetrics, bool]:
-        """One miss through single-flight + admission + the worker pool."""
-        key = self.cache.key_for(config, trial)
-
+        """One miss through single-flight + admission + the worker pool,
+        coalesced on and stored under its store ``key``."""
         async def flight() -> MergeMetrics:
             async with self.admission.slot(wait=wait):
                 payload = await self._execute(config, trial)
@@ -286,7 +289,7 @@ class SimulationServer(JsonService):
             # store_trial writes through atomic_write_json (mkstemp +
             # rename): blocking file I/O belongs on the executor.
             return await self._loop.run_in_executor(
-                None, self.cache.store_trial, config, trial, payload
+                None, self.cache.store_trial, key, config, trial, payload
             )
 
         metrics, coalesced = await self.flights.run(key, flight)
@@ -376,9 +379,9 @@ class SimulationServer(JsonService):
                     ).inc(len(hits))
                 record["trials_done"] += len(hits)
                 results: dict[int, MergeMetrics] = dict(hits)
-                for trial in misses:
+                for trial, key in misses.items():
                     _, metrics, coalesced = await self._compute_trial(
-                        config, trial, wait=True
+                        config, trial, key, wait=True
                     )
                     outcome = "coalesced" if coalesced else "miss"
                     self.metrics.counter("serve_cache", outcome=outcome).inc()

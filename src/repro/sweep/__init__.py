@@ -54,8 +54,6 @@ from repro.sweep.store import (
     DEFAULT_CACHE_DIR,
     CampaignManifest,
     ResultStore,
-    compute_key,
-    lookup,
 )
 
 __all__ = [
@@ -74,9 +72,7 @@ __all__ = [
     "SweepSpec",
     "SweepStats",
     "cache_key",
-    "compute_key",
     "config_from_dict",
     "config_to_dict",
     "jobs_for_config",
-    "lookup",
 ]

@@ -5,15 +5,18 @@ Execution model:
 * Every job (one seeded trial of one grid cell) is first looked up in
   the :class:`~repro.sweep.store.ResultStore` by content address — hits
   cost one JSON read and no simulation.
-* Misses run on a ``concurrent.futures.ProcessPoolExecutor`` with
-  ``workers`` processes (``workers <= 1`` runs inline, which is also
-  the zero-dependency fallback).  Each completed trial is persisted to
-  the store *immediately*, so killing the sweep at any point loses at
-  most the in-flight trials; re-invoking resumes from what finished.
-* A failed job is retried up to ``retries`` times; a job that
-  exhausts its retries is recorded as a failure and journaled in the
-  campaign manifest.  With ``allow_partial`` the sweep completes
-  around it, otherwise :class:`SweepError` reports every casualty.
+* Misses run through :func:`~repro.sweep.worker.execute_cell`: inline
+  (``workers <= 1``, also the zero-dependency fallback) one call per
+  grid cell, or on a ``concurrent.futures.ProcessPoolExecutor`` with
+  ``workers`` processes one call per job.  Each completed trial is
+  persisted to the store *immediately*, so killing the sweep at any
+  point loses at most the in-flight trials; re-invoking resumes from
+  what finished.
+* ``execute_cell`` retries a failed trial up to ``retries`` times; a
+  job that exhausts its retries is recorded as a failure and journaled
+  in the campaign manifest.  With ``allow_partial`` the sweep
+  completes around it, otherwise :class:`SweepError` reports every
+  casualty.  A broken pool is not a job failure: it raises.
 * Results are returned in spec expansion order regardless of the order
   workers finish them, so parallel sweeps aggregate bit-identically to
   the serial path.
@@ -22,9 +25,10 @@ Execution model:
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.core.metrics import AggregateMetrics, MergeMetrics
 from repro.core.parameters import SimulationConfig
@@ -45,7 +49,14 @@ from repro.sweep.spec import (
     jobs_for_config,
 )
 from repro.sweep.store import CampaignManifest, ResultStore
-from repro.sweep.worker import cell_groups, execute_cell, execute_job
+# execute_job is not called here: benchmark/spans.py wraps it on every
+# module that holds it, and its tests look it up on this one.
+from repro.sweep.worker import (  # noqa: F401
+    CellResult,
+    cell_groups,
+    execute_cell,
+    execute_job,
+)
 
 
 @dataclass(frozen=True)
@@ -257,61 +268,59 @@ class SweepEngine:
                 manifest.record(job.key, "failed")
             settle(job, FAILED)
 
-        if pending:
-            if self.workers <= 1:
-                self._run_inline(pending, complete, fail, stats)
-            else:
-                self._run_pooled(pending, complete, fail, stats)
+        attempts = self.retries + 1
+        # closing(): an error settling a job shuts the pool down now,
+        # not whenever its traceback lets the generator go.
+        with contextlib.closing(self._cell_results(pending, attempts)) as cells:
+            for group, (outcomes, retries) in cells:
+                stats.retries += retries
+                for job, outcome in zip(group, outcomes):
+                    if isinstance(outcome, Exception):
+                        fail(job, attempts, outcome)
+                    else:
+                        complete(job, outcome)
 
         stats.wall_s = time.perf_counter() - start
         self.progress.on_end(stats)
+        failures.sort(key=lambda failure: failure.index)  # pool: any order
         if failures and not self.allow_partial:
             raise SweepError(failures)
         ordered = [results.get(job.index) for job in jobs]
         return ordered, stats, failures
 
-    def _payload(self, job: SweepJob) -> dict:
-        return {"config": config_to_dict(job.config), "trial": job.trial}
+    def _cell_results(
+        self, pending: list[SweepJob], attempts: int
+    ) -> Iterator[tuple[list[SweepJob], CellResult]]:
+        """Run ``pending`` through :func:`execute_cell`; yield each group
+        of jobs with its result.
 
-    def _run_inline(self, pending, complete, fail, stats: SweepStats) -> None:
-        attempts = self.retries + 1
-        for group in cell_groups(pending, lambda job: job.cell):
-            outcomes, retries = execute_cell(
-                config_to_dict(group[0].config),
-                [job.trial for job in group],
-                attempts=attempts,
-            )
-            stats.retries += retries
-            for job, outcome in zip(group, outcomes):
-                if isinstance(outcome, Exception):
-                    fail(job, attempts, outcome)
-                else:
-                    complete(job, outcome)
-
-    def _run_pooled(self, pending, complete, fail, stats: SweepStats) -> None:
-        attempts: dict[int, int] = {job.index: 0 for job in pending}
+        Inline, a group is one grid cell's adjacent jobs, run as one
+        batch.  Pooled, a group is one job, yielded as it completes.  A
+        failure of the pool itself, such as a worker process that dies,
+        raises out of the sweep (``BrokenProcessPool``); trials already
+        stored stay stored.
+        """
+        if not pending:
+            return
+        if self.workers <= 1:
+            for group in cell_groups(pending, lambda job: job.cell):
+                yield group, execute_cell(
+                    config_to_dict(group[0].config),
+                    [job.trial for job in group],
+                    attempts=attempts,
+                )
+            return
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.workers, len(pending))
         ) as pool:
-            futures: dict[concurrent.futures.Future, SweepJob] = {}
-
-            def submit(job: SweepJob) -> None:
-                attempts[job.index] += 1
-                futures[pool.submit(execute_job, self._payload(job))] = job
-
-            for job in pending:
-                submit(job)
-            while futures:
-                done, _ = concurrent.futures.wait(
-                    futures, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    job = futures.pop(future)
-                    try:
-                        complete(job, future.result())
-                    except Exception as exc:
-                        if attempts[job.index] <= self.retries:
-                            stats.retries += 1
-                            submit(job)
-                        else:
-                            fail(job, attempts[job.index], exc)
+            futures = {
+                pool.submit(
+                    execute_cell,
+                    config_to_dict(job.config),
+                    [job.trial],
+                    attempts=attempts,
+                ): job
+                for job in pending
+            }
+            for future in concurrent.futures.as_completed(futures):
+                yield [futures[future]], future.result()

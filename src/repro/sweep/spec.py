@@ -53,8 +53,8 @@ def jobs_for_config(
 ) -> list[SweepJob]:
     """Expand one configuration into its per-trial jobs.
 
-    Trial ``t`` is keyed by its seed ``config.base_seed + t``, exactly
-    as :func:`repro.sweep.store.compute_key` derives it.
+    Trial ``t`` is keyed by its seed ``config.base_seed + t``, as every
+    store consumer derives it (:func:`repro.sweep.keys.trial_keys`).
     """
     seeds = [config.base_seed + trial for trial in range(config.trials)]
     return [

@@ -23,41 +23,10 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.core.metrics import MergeMetrics
-from repro.core.parameters import SimulationConfig
-from repro.sweep.keys import CACHE_SCHEMA_VERSION, cache_key
+from repro.sweep.keys import CACHE_SCHEMA_VERSION
 
 #: Default store location (gitignored).
 DEFAULT_CACHE_DIR = Path("results") / "cache"
-
-
-def compute_key(config: SimulationConfig, trial: int = 0) -> str:
-    """Content address of trial ``trial`` of ``config``.
-
-    The public spelling of the key derivation every store consumer must
-    share: trial ``t`` is keyed by its derived seed
-    ``config.base_seed + t``, exactly as the sweep engine expands jobs
-    (:func:`repro.sweep.spec.jobs_for_config`) and the serve layer
-    answers requests — byte-identical keys are what make the cache a
-    shared global answer store.
-    """
-    return cache_key(config, config.base_seed + trial)
-
-
-def lookup(
-    config: SimulationConfig,
-    trial: int = 0,
-    store: Optional["ResultStore"] = None,
-) -> Optional[MergeMetrics]:
-    """Cached metrics of one trial of ``config``, or ``None`` on a miss.
-
-    The one-call read path over :func:`compute_key` +
-    :meth:`ResultStore.get`, so callers never reach into store
-    internals.  ``store`` defaults to a :class:`ResultStore` at
-    :data:`DEFAULT_CACHE_DIR`.
-    """
-    if store is None:
-        store = ResultStore()
-    return store.get(compute_key(config, trial))
 
 
 def atomic_write_json(path: Path, payload: dict) -> None:

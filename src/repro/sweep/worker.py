@@ -6,10 +6,10 @@ serialized form, runs exactly one seeded trial through
 :func:`repro.api.run_trials`, and hands the metrics back as a JSON-able
 dict.  ``execute_batch`` is its many-trials sibling: one config, many
 trial indices, one ``run_trials`` call — which runs a ``batch``-kernel
-group through the flattened interpreter in one go.  :func:`cell_groups`
-and :func:`execute_cell` are how the inline sweep engine and the dist
-worker use the pair: each grid cell's trials as one batch, trial by
-trial with retries only when the batch fails.
+group through the flattened interpreter in one go.  :func:`execute_cell`
+is how the sweep engine (inline and pooled) and the dist worker use the
+pair: a group of one cell's trials (see :func:`cell_groups`) as one
+batch, trial by trial with retries only when the batch fails.
 
 Runaway protection is the trial's own event budget
 (:attr:`~repro.core.parameters.SimulationConfig.event_budget`), checked
@@ -88,9 +88,14 @@ def cell_groups(
     return groups
 
 
+#: What :func:`execute_cell` returns: each trial's result dict or last
+#: exception, in trial order, and the retries made.
+CellResult = tuple[list[Union[dict, Exception]], int]
+
+
 def execute_cell(
     config: dict, trials: Sequence[int], *, attempts: int = 1
-) -> tuple[list[Union[dict, Exception]], int]:
+) -> CellResult:
     """Run trials of one config: one batch, else trial by trial.
 
     Several trials go to one :func:`execute_batch` call (``run_trials``
@@ -98,18 +103,27 @@ def execute_cell(
     batch, the reference kernel trial by trial).  If that call fails,
     each trial runs through :func:`execute_job`, up to ``attempts``
     times.  Returns, in ``trials`` order, each trial's result dict or
-    the exception of its last attempt, and the number of retries made
-    (a failed batch counts as one).
+    the exception of its last attempt, and the number of retries made:
+    the attempts of a trial after it failed on its own.  A failed batch
+    call is not one, so the count does not depend on how trials were
+    grouped.
     """
-    retries = 0
     if len(trials) > 1:
         try:
             return execute_batch({"config": config, "trials": list(trials)}), 0
         except Exception:
             # Whatever failed (one runaway trial aborts the whole batch
-            # call), the per-trial path retries each trial and
-            # attributes failures precisely.
-            retries = 1
+            # call), trial by trial retries each trial and attributes
+            # failures precisely.
+            return _trial_by_trial(config, trials, attempts)
+    return _trial_by_trial(config, trials, attempts)
+
+
+def _trial_by_trial(
+    config: dict, trials: Sequence[int], attempts: int
+) -> CellResult:
+    """Each trial through :func:`execute_job`, up to ``attempts`` times."""
+    retries = 0
     outcomes: list[Union[dict, Exception]] = []
     for trial in trials:
         for attempt in range(1, attempts + 1):

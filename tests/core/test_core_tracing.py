@@ -10,7 +10,6 @@ from repro.obs.collector import TrialTrace
 from repro.obs.events import EventKind
 from repro.obs.views import (
     RequestTrace,
-    render_gantt,
     request_statistics,
     request_traces,
 )
@@ -91,52 +90,3 @@ def test_from_request_rejects_incomplete():
                {"run": 0, "blocks": 1})
     with pytest.raises(ValueError, match="issue_ms"):
         request_traces(trial)
-
-
-def test_gantt_renders_rows_per_disk():
-    _metrics, traces = run_traced()
-    chart = render_gantt(traces, num_disks=2, width=40)
-    lines = chart.splitlines()
-    assert lines[0].startswith("disk 0 |")
-    assert lines[1].startswith("disk 1 |")
-    assert len(lines[0]) == len("disk 0 ||") + 40
-    assert "D" in chart  # demand fetches visible
-    assert "demand fetch" in chart
-
-
-def test_gantt_demand_wins_overlap():
-    traces = [
-        RequestTrace(run=0, disk=0, kind=FetchKind.PREFETCH, blocks=1,
-                     issue_ms=0, start_ms=0, finish_ms=100),
-        RequestTrace(run=1, disk=0, kind=FetchKind.DEMAND, blocks=1,
-                     issue_ms=0, start_ms=0, finish_ms=100),
-    ]
-    chart = render_gantt(traces, num_disks=1, width=10)
-    row = chart.splitlines()[0]
-    assert "p" not in row
-    assert row.count("D") == 10
-
-
-def test_gantt_window_clipping():
-    traces = [
-        RequestTrace(run=0, disk=0, kind=FetchKind.PREFETCH, blocks=1,
-                     issue_ms=0, start_ms=0, finish_ms=10),
-        RequestTrace(run=0, disk=0, kind=FetchKind.PREFETCH, blocks=1,
-                     issue_ms=90, start_ms=90, finish_ms=100),
-    ]
-    chart = render_gantt(traces, num_disks=1, width=10,
-                         start_ms=50, end_ms=100)
-    row = chart.splitlines()[0]
-    # Only the second request falls in the window.
-    assert row.index("p") > len("disk 0 |") + 5
-
-
-def test_gantt_invalid_arguments():
-    trace = RequestTrace(run=0, disk=0, kind=FetchKind.DEMAND, blocks=1,
-                         issue_ms=0, start_ms=0, finish_ms=1)
-    with pytest.raises(ValueError):
-        render_gantt([], num_disks=1)
-    with pytest.raises(ValueError):
-        render_gantt([trace], num_disks=0)
-    with pytest.raises(ValueError):
-        render_gantt([trace], num_disks=1, start_ms=5, end_ms=5)

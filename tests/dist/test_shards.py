@@ -3,9 +3,8 @@
 import pytest
 
 from repro.dist.shards import job_from_wire, job_wire, make_shards
-from repro.sweep.keys import config_from_dict
+from repro.sweep.keys import cache_key, config_from_dict
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import compute_key
 
 SPEC = SweepSpec(
     name="shards",
@@ -42,7 +41,8 @@ def test_job_wire_round_trip_preserves_key_derivation():
         wire = job_wire(job)
         rebuilt = job_from_wire(wire)
         config = config_from_dict(rebuilt["config"])
-        assert compute_key(config, rebuilt["trial"]) == wire["key"] == job.key
+        seed = config.base_seed + rebuilt["trial"]
+        assert cache_key(config, seed) == wire["key"] == job.key
         assert rebuilt["index"] == job.index
         assert rebuilt["cell"] == job.cell
 

@@ -2,7 +2,7 @@
 
 ``golden/`` holds the stdout of ``examples/diagnose_stalls.py`` and of
 ``repro simulate ... --timeline``.  Both render views over a trace
-(request records, wait statistics, sparklines, a Gantt chart), so any
+(request records, wait statistics, sparklines, a per-track timeline), so any
 drift in what the trace records or how the views read it shows up here
 as a diff.
 """

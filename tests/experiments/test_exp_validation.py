@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.core.parameters import PrefetchStrategy, SimulationConfig
 from repro.experiments import Scale, get_experiment
-from repro.experiments import validation
+from repro.experiments import runner, validation
 from repro.experiments.validation import (
     FIGURE_CLAIMS,
     PAPER_EXPECTATIONS,
@@ -103,7 +103,8 @@ def test_claims_share_one_run_and_errors_fail_only_their_claims(monkeypatch):
         looked_up.append(experiment_id)
         return get_experiment(experiment_id)
 
-    monkeypatch.setattr(validation, "get_experiment", counting_get_experiment)
+    # judge_claims runs its experiments through run_experiments.
+    monkeypatch.setattr(runner, "get_experiment", counting_get_experiment)
     verdicts = judge_claims(
         [
             Claim("tab-seek", "holds", lambda result, scale: True, "test"),

@@ -1,7 +1,9 @@
-"""The per-call trial memo behind ``run_experiments`` and ``judge_claims``."""
+"""The per-call trial memo behind ``run_experiments``, ``judge_claims``
+and ``repro validate``."""
 
 import dataclasses
 import io
+import re
 from collections import Counter
 
 import pytest
@@ -13,7 +15,13 @@ from repro.core.simulator import MergeSimulation
 from repro.experiments import Scale, get_experiment
 from repro.experiments.memo import TrialMemo, trial_memo
 from repro.experiments.runner import default_experiment_ids, run_experiments
-from repro.experiments.validation import FIGURE_CLAIMS, judge_claims
+from repro.experiments.validation import (
+    FIGURE_CLAIMS,
+    judge_claims,
+    render_claim_verdicts,
+    render_verdicts,
+    validate,
+)
 from repro.sweep import SweepEngine
 
 TINY = Scale(trials=1, blocks_per_run=40, sweep_density=0.25)
@@ -126,6 +134,35 @@ def test_judge_claims_reports_its_memo_on_stderr(capsys):
     judge_claims(claims, TINY)
     err = capsys.readouterr().err
     assert err.count("[trial memo: ") == 1
+
+
+def _memo_counts(err):
+    """(simulated, exact, derived) from the one memo line in ``err``."""
+    (line,) = [
+        line for line in err.splitlines() if line.startswith("[trial memo: ")
+    ]
+    return tuple(int(count) for count in re.findall(r"\d+", line))
+
+
+def test_validate_is_one_memo_pass_with_an_unchanged_report(capsys):
+    code = main(["validate", "--blocks", "20"])
+    out, err = capsys.readouterr()
+    one_pass = _memo_counts(err)
+    # The two tiers, each under a memo of its own, report the same.
+    with trial_memo():
+        verdicts = validate(blocks_per_run=20)
+    paper = _memo_counts(capsys.readouterr().err)
+    claims = judge_claims(
+        FIGURE_CLAIMS, dataclasses.replace(Scale.full(), blocks_per_run=20)
+    )
+    figures = _memo_counts(capsys.readouterr().err)
+    assert out == (
+        render_verdicts(verdicts) + "\n\n" + render_claim_verdicts(claims) + "\n"
+    )
+    assert code == (0 if all(v.ok for v in [*verdicts, *claims]) else 1)
+    # The one memo sees every trial of both tiers, and runs fewer.
+    assert sum(one_pass) == sum(paper) + sum(figures)
+    assert one_pass[0] < paper[0] + figures[0]
 
 
 def test_an_engine_run_never_sees_the_memo(monkeypatch, capsys):

@@ -16,7 +16,8 @@ import pytest
 from repro.core.parameters import SimulationConfig
 from repro.core.simulator import MergeSimulation
 from repro.serve import RetryPolicy, ServeError, ServeHTTPError
-from repro.sweep.store import ResultStore, compute_key
+from repro.sweep.keys import cache_key, trial_keys
+from repro.sweep.store import ResultStore
 
 from tests.serve.conftest import SMALL_CONFIG, client_for
 
@@ -53,6 +54,27 @@ class TestSimulate:
         for trial in range(2):
             direct = MergeSimulation(config).run_trial(trial=trial)
             assert served["trials"][trial] == jsonable(direct.to_dict())
+
+    def test_a_miss_derives_its_key_once(self, serve_factory, monkeypatch):
+        # The key each lookup derives is the one single flight coalesces
+        # on and the store write uses: one derivation per request.
+        derived = []
+
+        def counting(config, seeds):
+            seeds = list(seeds)
+            derived.append(len(seeds))
+            return trial_keys(config, seeds)
+
+        monkeypatch.setattr("repro.sweep.keys.trial_keys", counting)
+        monkeypatch.setattr("repro.serve.cache.trial_keys", counting)
+        server, handle = serve_factory()
+        client = client_for(handle)
+        answer = client.simulate(SMALL_CONFIG, trials=2, seed=7)
+        assert answer["cache"] == {"hits": 0, "misses": 2, "coalesced": 0}
+        assert derived == [2]
+        config = SimulationConfig(trials=2, base_seed=7, **SMALL_CONFIG)
+        for trial in range(2):
+            assert cache_key(config, 7 + trial) in server.cache.store
 
     def test_trial_granular_hits(self, serve_factory):
         server, handle = serve_factory()
@@ -178,7 +200,7 @@ class TestAdmissionControl:
         # the store; a retry is a pure cache hit.
         store = server.cache.store
         config = SimulationConfig(trials=1, base_seed=7, **SMALL_CONFIG)
-        key = compute_key(config, 0)
+        key = cache_key(config, config.base_seed)
         deadline = time.monotonic() + 10
         while key not in store and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -211,11 +233,9 @@ class TestCacheWithoutWorkers:
         cache_dir = tmp_path / "warm-cache"
         config = SimulationConfig(trials=2, base_seed=7, **SMALL_CONFIG)
         store = ResultStore(cache_dir)
-        for trial in range(2):
-            store.put(
-                compute_key(config, trial),
-                MergeSimulation(config).run_trial(trial=trial),
-            )
+        keys = trial_keys(config, [config.base_seed + t for t in range(2)])
+        for trial, key in enumerate(keys):
+            store.put(key, MergeSimulation(config).run_trial(trial=trial))
         server, handle = serve_factory(workers=2, cache_dir=cache_dir)
         client = client_for(handle)
         answer = client.simulate(SMALL_CONFIG, trials=2, seed=7)

@@ -1,11 +1,15 @@
 """SweepEngine: determinism, caching, resume, retries, timeouts."""
 
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.parameters import SimulationConfig
 from repro.core.simulator import MergeSimulation
+from repro.faults.plan import FaultPlan, OutageFault
 from repro.sweep import (
     NullProgress,
     ResultStore,
@@ -103,6 +107,66 @@ def test_inline_and_pooled_engines_count_the_same_fallbacks(tmp_path):
         warm = SweepEngine(store=store, workers=workers).run_spec(spec).stats
         assert warm.fallbacks == {} and "fallbacks" not in warm.summary()
     assert counted[0] == counted[1]
+
+
+def test_inline_and_pooled_engines_settle_the_same_outcomes(tmp_path):
+    # Half the cells always fail (their one input drive is offline for
+    # good) and half run off the batch interpreter (a write disk).  With
+    # two trials a cell, the inline engine tries each cell as one batch
+    # first and the pooled engine runs trial by trial; both must settle
+    # the same cells, failures and counts.
+    outage = FaultPlan(outages=(OutageFault(drive=0, start_ms=0.0),))
+    spec = SweepSpec(
+        name="outcomes",
+        base={"num_runs": 3, "num_disks": 1, "blocks_per_run": 20},
+        grid={"fault_plan": [None, outage.to_dict()], "write_disks": [0, 1]},
+        trials=2,
+    )
+    settled = []
+    for workers in (1, 2):
+        store = ResultStore(tmp_path / f"w{workers}")
+        result = SweepEngine(
+            store=store, workers=workers, retries=2, allow_partial=True
+        ).run_spec(spec)
+        stats = result.stats
+        settled.append((
+            _dump(result.cells),
+            result.failures,
+            stats.computed,
+            stats.cached,
+            stats.failed,
+            stats.retries,
+            stats.fallbacks,
+        ))
+    assert settled[0] == settled[1]
+    _cells, failures, computed, cached, failed, retries, fallbacks = settled[0]
+    assert (computed, cached, failed) == (4, 0, 4)
+    assert retries == 4 * 2  # every failing trial, each retry
+    assert {failure.attempts for failure in failures} == {3}
+    assert all("DriveOfflineError" in failure.error for failure in failures)
+    assert fallbacks == {"the write subsystem requires the event kernel": 2}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the planted exit reaches pool processes by fork",
+)
+def test_a_dead_pool_process_raises_out_of_the_sweep(monkeypatch, tmp_path):
+    # A dead worker breaks the pool, not a job: the sweep raises and
+    # records no JobFailure, whatever the retry budget.
+    def dying(payload):
+        if payload["trial"] == 1:
+            os._exit(3)
+        return execute_job(payload)
+
+    monkeypatch.setattr("repro.sweep.worker.execute_job", dying)
+    spec = SweepSpec(base={"num_runs": 2, "num_disks": 1,
+                           "blocks_per_run": 20}, trials=3)
+    for retries in (0, 1):
+        engine = SweepEngine(store=ResultStore(tmp_path), workers=2,
+                             retries=retries, allow_partial=True)
+        with pytest.raises(BrokenProcessPool):
+            engine.run_spec(spec)
 
 
 def test_inline_engine_batches_reference_cells(monkeypatch, tmp_path):

@@ -13,10 +13,9 @@ from repro.sweep import (
     CampaignManifest,
     ResultStore,
     cache_key,
-    compute_key,
-    lookup,
 )
 from repro.sweep.engine import SweepEngine
+from repro.sweep.keys import trial_keys
 from repro.sweep.spec import SweepSpec
 
 
@@ -150,15 +149,15 @@ def test_manifest_rejects_spec_change_under_same_name(tmp_path):
 
 
 class TestPublicKeyHelpers:
-    """compute_key/lookup: the public spelling every consumer shares."""
+    """cache_key/trial_keys: the one key derivation every consumer shares."""
 
     def test_compute_key_matches_engine_derivation(self):
         config = SimulationConfig(num_runs=3, num_disks=1, blocks_per_run=20,
                                   trials=3, base_seed=41)
-        for trial in range(config.trials):
-            assert compute_key(config, trial) == cache_key(
-                config, config.base_seed + trial
-            )
+        seeds = [config.base_seed + trial for trial in range(config.trials)]
+        assert trial_keys(config, seeds) == [
+            cache_key(config, seed) for seed in seeds
+        ]
 
     def test_compute_key_matches_sweep_jobs(self):
         from repro.sweep.spec import jobs_for_config
@@ -166,16 +165,17 @@ class TestPublicKeyHelpers:
         config = SimulationConfig(num_runs=3, num_disks=2, blocks_per_run=20,
                                   trials=2)
         for job in jobs_for_config(config):
-            assert job.key == compute_key(config, job.trial)
+            assert job.key == cache_key(config, config.base_seed + job.trial)
 
     def test_lookup_round_trip(self, tmp_path, metrics_and_key):
         metrics, _ = metrics_and_key
         config = SimulationConfig(num_runs=3, num_disks=1, blocks_per_run=20,
                                   trials=1)
         store = ResultStore(tmp_path)
-        assert lookup(config, store=store) is None
-        store.put(compute_key(config, 0), metrics)
-        restored = lookup(config, store=store)
+        (key,) = trial_keys(config, [config.base_seed])
+        assert store.get(key) is None
+        store.put(key, metrics)
+        restored = store.get(key)
         assert restored is not None
         assert restored.to_dict() == metrics.to_dict()
 

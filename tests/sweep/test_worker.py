@@ -1,4 +1,4 @@
-"""The cell runner shared by the inline sweep engine and the dist worker."""
+"""The cell runner shared by the sweep engine and the dist worker."""
 
 import pytest
 
@@ -63,8 +63,8 @@ def test_a_failed_batch_falls_back_trial_by_trial_with_retries(monkeypatch):
     config = config_to_dict(SPEC.jobs()[0].config)
     outcomes, retries = execute_cell(config, [0, 1, 2], attempts=3)
     assert calls == [0, 1, 1, 1, 2]
-    # The failed batch, then trial 1's two retries.
-    assert retries == 3
+    # Trial 1's two retries; the failed batch call is not a retry.
+    assert retries == 2
     assert isinstance(outcomes[1], RuntimeError)
     assert "metrics" in outcomes[0] and "metrics" in outcomes[2]
 

@@ -65,13 +65,17 @@ bench-smoke:
 			results/bench/$$baseline || exit 1; \
 	done
 
-# Traced replay of the pinned merge-d5 scenario: exercises the
-# repro.obs pipeline end to end (trace collection, busy-accounting
-# cross-check, Chrome export, schema validation).  What CI's obs-smoke
+# Traced replay of the pinned merge-d5 scenario, then a traced
+# quick fig-3.5a report: exercises the repro.obs pipeline end to end
+# (trace collection, busy-accounting cross-check, Chrome export,
+# schema validation, a non-empty report trace).  What CI's obs-smoke
 # job runs.
 obs-smoke:
 	$(PYTHON) -m repro run merge-d5 --trace-out results/obs/merge-d5.json
 	$(PYTHON) -m repro trace validate results/obs/merge-d5.json
+	$(PYTHON) -m repro run fig-3.5a --quick --blocks 20 \
+		--trace-out results/obs/fig-3.5a.json
+	$(PYTHON) -m repro trace validate results/obs/fig-3.5a.json
 
 # The full sim-vs-real loop on a temp-filesystem dataset: run both
 # strategies through the real-I/O backend with tracing, validate the

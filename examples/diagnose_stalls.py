@@ -26,6 +26,10 @@ K_RUNS = 25
 DISKS = 5
 DEPTH = 10
 BLOCKS_PER_RUN = 150
+#: A finite-speed CPU (inside Figure 3.3's range), so the timeline's cpu
+#: row can tell merge work from waiting: with the paper's infinitely
+#: fast CPU every moment of a merge is a stall.
+CPU_MS_PER_BLOCK = 0.5
 
 
 def run(cache_blocks: int):
@@ -36,6 +40,7 @@ def run(cache_blocks: int):
         prefetch_depth=DEPTH,
         cache_capacity=cache_blocks,
         blocks_per_run=BLOCKS_PER_RUN,
+        cpu_ms_per_block=CPU_MS_PER_BLOCK,
         trials=1,
     )
     with configure(trace=True) as ctx:
@@ -48,7 +53,8 @@ def report(label: str, config, metrics, trial) -> None:
     print(f"--- {label}: cache = {config.resolved_cache_capacity} blocks ---")
     print(f"total time     : {metrics.total_time_s:.2f} s")
     print(f"success ratio  : {metrics.success_ratio:.2f}")
-    print(f"busy disks     : {metrics.average_concurrency:.2f} of {DISKS}")
+    print(f"busy disks     : {metrics.average_concurrency:.2f} of {DISKS} "
+          f"while any is busy")
     demand = request_statistics(traces, FetchKind.DEMAND)
     prefetch = request_statistics(traces, FetchKind.PREFETCH)
     print(f"demand fetches : {demand.count}, mean queue wait "
@@ -76,7 +82,10 @@ def main() -> None:
         f"{starved.success_ratio:.2f}), so most fetches are single demand "
         f"blocks, disks sit idle,\nand the merge runs {speedup:.1f}x "
         f"slower. The sparklines show it at a glance:\na pinned-full "
-        f"cache with near-idle disks means 'grow the cache or shrink N'."
+        f"cache with near-idle disks means 'grow the cache or shrink N'.\n"
+        f"The timelines agree: the starved cpu row is stalls (s) and its "
+        f"disks mostly idle;\nthe healthy one is mostly merge work (#) "
+        f"over busy disks."
     )
 
 

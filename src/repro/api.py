@@ -2,8 +2,9 @@
 
 :class:`RunContext` is the one surface for the ambient run options:
 
-* ``backend`` — route :meth:`MergeSimulation.run` through the sweep
-  engine's cache and worker pool,
+* ``backend`` — answer :meth:`MergeSimulation.run` from another
+  executor (the report's
+  :class:`~repro.experiments.memo.TrialMemo`),
 * ``fault_plan`` — subject plan-free configs to a fault schedule,
 * ``kernel`` — execute on a named (result-equivalent) kernel,
 * ``trace`` — collect a structured trace.

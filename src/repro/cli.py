@@ -15,6 +15,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.core.parameters import (
@@ -98,16 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--export-dir",
         help="also export JSON + CSV per experiment into this directory",
-    )
-    run.add_argument(
-        "--workers", type=int, default=None,
-        help="fan simulations out through the sweep engine with this many "
-        "worker processes (and the persistent result cache)",
-    )
-    run.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory used with --workers "
-        "(default results/cache)",
     )
 
     sub.add_parser(
@@ -327,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_validate = trace_sub.add_parser(
         "validate",
         help="validate a Chrome trace JSON against the checked-in schema "
-        "(docs/schemas/chrome_trace_schema.json)",
+        "(docs/schemas/chrome_trace_schema.json); a trace with no events "
+        "fails",
     )
     trace_validate.add_argument(
         "path", help="trace file written with --trace-out"
@@ -569,35 +561,19 @@ def _cmd_list() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments import Scale
-    from repro.experiments.runner import default_experiment_ids, run_experiments
+    from repro.experiments.runner import (
+        default_experiment_ids,
+        failed_experiment_ids,
+        run_experiments,
+    )
 
-    scale = Scale.quick() if args.quick else Scale.full()
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.blocks is not None:
-        overrides["blocks_per_run"] = args.blocks
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if overrides:
-        scale = Scale(
-            trials=overrides.get("trials", scale.trials),
-            blocks_per_run=overrides.get("blocks_per_run", scale.blocks_per_run),
-            sweep_density=scale.sweep_density,
-            base_seed=overrides.get("base_seed", scale.base_seed),
-        )
+    scale = dataclasses.replace(
+        Scale.quick() if args.quick else Scale.full(), **_run_overrides(args)
+    )
     ids = args.ids
     if ids == ["all"]:
         ids = default_experiment_ids()
     experiment_ids, scenario_ids = _partition_run_ids(ids)
-    engine = None
-    if args.workers is not None:
-        from repro.sweep import ResultStore, SweepEngine
-
-        engine = SweepEngine(
-            store=ResultStore(args.cache_dir or "results/cache"),
-            workers=args.workers,
-        )
     session = _trace_session(args, "run")
     context, code = _run_context(args, session)
     if context is None:
@@ -606,7 +582,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = []
     with context:
         if experiment_ids:
-            results = run_experiments(experiment_ids, scale, engine=engine)
+            results = run_experiments(experiment_ids, scale)
         for name in scenario_ids:
             if not _replay_scenario(name, args, session):
                 scenario_failures += 1
@@ -622,14 +598,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         written = export_results(results, args.export_dir)
         print(f"{len(written)} files exported to {args.export_dir}")
-    from repro.experiments.runner import failed_experiment_ids
-
     failed = failed_experiment_ids(results)
     if failed:
         print(f"{len(failed)} experiment(s) failed: {', '.join(failed)}")
     if failed or scenario_failures:
         return 1
     return 0
+
+
+def _run_overrides(args: argparse.Namespace) -> dict:
+    """``--trials``/``--blocks``/``--seed`` as the fields they override
+    (on a :class:`Scale` or a :class:`SimulationConfig` alike)."""
+    fields = {
+        "trials": args.trials,
+        "blocks_per_run": args.blocks,
+        "base_seed": args.seed,
+    }
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 def _partition_run_ids(ids: list) -> tuple[list, list]:
@@ -671,8 +656,6 @@ def _replay_scenario(name: str, args: argparse.Namespace, session) -> bool:
     collected per-drive service spans against ``DriveStats.busy_ms``
     (the obs-smoke invariant) and fails loudly on drift.
     """
-    import dataclasses
-
     from repro.bench import scenario_config
 
     try:
@@ -680,15 +663,7 @@ def _replay_scenario(name: str, args: argparse.Namespace, session) -> bool:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return False
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.blocks is not None:
-        overrides["blocks_per_run"] = args.blocks
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = dataclasses.replace(config, **_run_overrides(args))
     first_trial = len(session.trials) if session is not None else 0
     result = MergeSimulation(config).run()
     low, high = result.total_time_s.confidence_interval()
@@ -721,8 +696,6 @@ def _busy_span_check(session, trials, first_trial: int) -> bool:
 def _cmd_validation(args: argparse.Namespace) -> int:
     """``paper-check``, ``selfcheck`` and ``validate``: the tiers of
     :mod:`repro.experiments.validation`; exit 1 on any FAIL."""
-    import dataclasses
-
     from repro.analysis.calibration import M
     from repro.core.parameters import PAPER_DISK as disk
     from repro.experiments import Scale, validation
@@ -1455,19 +1428,31 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "validate":
-        from repro.obs import validate_chrome_trace_file
+        import json
+
+        from repro.obs import validate_chrome_trace
 
         try:
-            errors = validate_chrome_trace_file(args.path)
+            with open(args.path, encoding="utf-8") as handle:
+                document = json.load(handle)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
             return 2
+        errors = validate_chrome_trace(document)
         if errors:
             print(f"{args.path}: {len(errors)} schema violation(s)")
             for error in errors:
                 print(f"  {error}")
             return 1
-        print(f"{args.path}: valid Chrome trace")
+        events = sum(
+            1 for event in document["traceEvents"] if event["ph"] != "M"
+        )
+        trials = document["otherData"]["trials"]
+        if not events:
+            print(f"{args.path}: no trace events ({trials} trial(s))")
+            return 1
+        print(f"{args.path}: valid Chrome trace, {trials} trial(s), "
+              f"{events} event(s)")
         return 0
     raise AssertionError(f"unhandled trace command {args.trace_command}")
 

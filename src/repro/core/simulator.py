@@ -36,10 +36,10 @@ from repro.core.parameters import PrefetchStrategy, SimulationConfig
 
 #: Optional alternative executor for whole configurations.  When
 #: installed (``RunContext(backend=...)``), :meth:`MergeSimulation.run`
-#: delegates to it — this is how the sweep engine (:mod:`repro.sweep`)
-#: transparently adds caching and a worker pool underneath existing
-#: experiment code.  Backends must preserve the serial contract: trial
-#: ``t`` seeded ``base_seed + t``, trials aggregated in order.
+#: delegates to it: a report's trial memo answers repeated trajectories
+#: this way (:mod:`repro.experiments.memo`).  Backends must preserve the
+#: serial contract: trial ``t`` seeded ``base_seed + t``, trials
+#: aggregated in order.
 SimulationBackend = Callable[[SimulationConfig], AggregateMetrics]
 
 
@@ -73,11 +73,11 @@ class MergeSimulation:
     def run(self) -> AggregateMetrics:
         """Run all trials and return aggregated metrics.
 
-        Delegates to the ambient simulation backend, if any (see
-        ``repro.api.RunContext(backend=...)``); otherwise the trials
-        run as one :func:`repro.api.run_trials` batch (on the ``batch``
-        kernel, one flattened-interpreter call) and aggregate
-        in trial order.
+        Delegates to the ambient simulation backend, if any (a report's
+        trial memo, see ``repro.api.RunContext(backend=...)``);
+        otherwise the trials run as one :func:`repro.api.run_trials`
+        batch (on the ``batch`` kernel, one flattened-interpreter call)
+        and aggregate in trial order.
         """
         backend = api.current_backend()
         if backend is not None:

@@ -18,7 +18,7 @@ that mutates a result cannot change another.  Only trials that ran
 natively (``fallback is None``) are stored; fallbacks re-run every
 time.  :func:`trial_memo` installs one memo for the length of a
 ``with`` block -- :func:`~repro.experiments.runner.run_experiments`
-uses it when no engine, backend or trace is installed, and
+uses it unless a backend or trace is already installed, and
 ``repro validate`` around both its tiers -- and then reports its
 counts on stderr.
 """
@@ -120,10 +120,10 @@ class TrialMemo:
 def trial_memo() -> Iterator[Optional[TrialMemo]]:
     """Install a fresh :class:`TrialMemo` as the simulation backend.
 
-    Yields None and installs nothing when a backend (a sweep engine)
-    or a trace session is already ambient: an engine has its own
-    result store, and a trace must see every trial run.  On a clean
-    exit the memo's counts go to stderr as one line.
+    Yields None and installs nothing when a backend (an outer memo)
+    or a trace session is already ambient: the outer backend answers
+    every simulation, and a trace must see every trial run.  On a
+    clean exit the memo's counts go to stderr as one line.
     """
     if api.current_backend() is not None or api.current_trace() is not None:
         yield None

@@ -3,18 +3,15 @@
 One failing experiment no longer aborts the batch: its error is
 reported (with the experiment id), an :class:`ExperimentResult` carrying
 ``error`` joins the returned list, and the remaining experiments still
-run.  Passing a :class:`~repro.sweep.engine.SweepEngine` routes every
-simulation the experiments perform through the engine's result cache
-and worker pool (see :class:`repro.api.RunContext`).  Without one, a
-:class:`~repro.experiments.memo.TrialMemo` lives for the call, so each
-distinct trajectory is simulated once.
+run.  A :class:`~repro.experiments.memo.TrialMemo` lives for the call,
+so each distinct trajectory is simulated once.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import TYPE_CHECKING, Iterable, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from repro.experiments.config import (
     ExperimentResult,
@@ -24,31 +21,25 @@ from repro.experiments.config import (
 )
 from repro.experiments.memo import trial_memo
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.engine import SweepEngine
-
 
 def run_experiments(
     experiment_ids: Iterable[str],
     scale: Optional[Scale] = None,
     stream: Optional[TextIO] = None,
-    engine: Optional["SweepEngine"] = None,
 ) -> list[ExperimentResult]:
     """Run experiments in order, streaming each report as it finishes.
 
     Every requested experiment yields exactly one entry in the returned
     list.  An experiment that raises produces a result with ``error``
     set (check :attr:`ExperimentResult.ok`) instead of aborting the
-    remaining ones.  With ``engine``, all simulations fan out through
-    the sweep engine's cache and worker pool; without one, through a
+    remaining ones.  Every simulation goes through a
     :func:`~repro.experiments.memo.trial_memo` that reports its counts
     on stderr.
     """
     out = stream or sys.stdout
     scale = scale or Scale.full()
     results = []
-    backend = engine.backend() if engine is not None else trial_memo()
-    with backend:
+    with trial_memo():
         for experiment_id in experiment_ids:
             start = time.perf_counter()
             try:

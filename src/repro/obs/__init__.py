@@ -31,7 +31,6 @@ from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.schema import (
     load_schema,
     validate_chrome_trace,
-    validate_chrome_trace_file,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "render_timeline",
     "track_sort_key",
     "validate_chrome_trace",
-    "validate_chrome_trace_file",
     "write_chrome_trace",
     "write_jsonl",
     "write_trace",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 from repro.obs.events import EventKind, TraceEvent, track_sort_key
 
@@ -183,7 +183,9 @@ _TIMELINE_MARKS = {
 }
 
 #: Kinds that win when several map onto the same timeline cell
-#: (faults over stalls over service over mechanics).
+#: (faults over stalls over service over mechanics): an instant shows
+#: over a bucket's time-weighted kind only when it ranks higher, and
+#: the rank breaks an exact tie between two kinds' shares.
 _MARK_PRIORITY = (
     EventKind.SEEK,
     EventKind.ROTATION,
@@ -208,14 +210,44 @@ _MARK_PRIORITY = (
 _PRIORITY = {kind: rank for rank, kind in enumerate(_MARK_PRIORITY)}
 
 
+def _visible_pieces(spans) -> Iterator[tuple[EventKind, float, float]]:
+    """One track's spans cut into disjoint ``(kind, start, end)`` pieces.
+
+    Spans nest (a request's seek, transfer and retry backoff lie inside
+    its service span), so each moment goes to the highest-ranked kind
+    active then.
+    """
+    edges = sorted(
+        [(event.start_ms, 1, event.kind) for event in spans]
+        + [(event.end_ms, -1, event.kind) for event in spans],
+        key=lambda edge: edge[0],
+    )
+    active: dict[EventKind, int] = {}
+    previous = 0.0
+    for time, step, kind in edges:
+        if active and time > previous:
+            yield max(active, key=_PRIORITY.__getitem__), previous, time
+        active[kind] = active.get(kind, 0) + step
+        if not active[kind]:
+            del active[kind]
+        previous = time
+
+
 def render_timeline(trial, width: int = 72) -> str:
     """One row per track, ``width`` virtual-time buckets per row.
 
     Covers every track and kind the collector knows: the CPU row shows
     merge work (``#``) and stalls (``s``/``w``), disk rows show service
-    (``D``/``p``), retries (``r``), outages (``o``) and faults (``!``).  ``LEVEL`` step
-    functions are skipped; :func:`repro.obs.views.utilization_report`
-    renders them.
+    (``D``/``p``), retries (``r``), outages (``o``) and faults (``!``).
+
+    Spans are charged to the buckets they overlap by overlap time
+    (nested spans by :func:`_visible_pieces`).  A bucket shows the kind
+    with the largest share of its time, or a blank when spans cover
+    less than half of it, so a brief stall no longer paints a bucket of
+    merge work.  Instants (faults, timeouts, degradations, zero-cost
+    merge steps) mark their bucket when they outrank its kind.
+    ``LEVEL`` step functions are skipped;
+    :func:`repro.obs.views.utilization_report` renders them.
     """
     events = [
         event for event in trial.events if event.kind is not EventKind.LEVEL
@@ -225,33 +257,48 @@ def render_timeline(trial, width: int = 72) -> str:
     horizon = max(event.end_ms for event in events)
     if horizon <= 0:
         horizon = 1.0
-    scale = width / horizon
+    bucket_ms = horizon / width
     tracks = sorted({event.track for event in events}, key=track_sort_key)
-    rows = {track: [" "] * width for track in tracks}
-    ranks = {track: [-1] * width for track in tracks}
-    for event in events:
-        first = min(int(event.start_ms * scale), width - 1)
-        last = min(int(event.end_ms * scale), width - 1)
-        mark = _TIMELINE_MARKS[event.kind]
-        rank = _PRIORITY[event.kind]
-        row, row_ranks = rows[event.track], ranks[event.track]
-        for cell in range(first, last + 1):
-            if rank >= row_ranks[cell]:
-                row[cell] = mark
-                row_ranks[cell] = rank
     label_width = max(len(track) for track in tracks)
-    header = (
+    lines = [
         f"trial {trial.trial_index} seed {trial.seed}: "
-        f"0 .. {horizon:.1f} ms ({horizon / width:.2f} ms/col)"
-    )
-    legend = (
+        f"0 .. {horizon:.1f} ms ({bucket_ms:.2f} ms/col)"
+    ]
+    on_track: dict[str, list[TraceEvent]] = {track: [] for track in tracks}
+    for event in events:
+        on_track[event.track].append(event)
+    for track in tracks:
+        spans = []
+        instants: list[Optional[EventKind]] = [None] * width
+        for event in on_track[track]:
+            if event.is_span:
+                spans.append(event)
+                continue
+            cell = min(int(event.start_ms / bucket_ms), width - 1)
+            if _PRIORITY[event.kind] >= _PRIORITY.get(instants[cell], -1):
+                instants[cell] = event.kind
+        shares: list[dict[EventKind, float]] = [{} for _ in range(width)]
+        for kind, start, end in _visible_pieces(spans):
+            first = min(int(start / bucket_ms), width - 1)
+            for cell in range(first, min(int(end / bucket_ms), width - 1) + 1):
+                overlap = min(end, (cell + 1) * bucket_ms) - max(
+                    start, cell * bucket_ms
+                )
+                if overlap > 0:
+                    shares[cell][kind] = shares[cell].get(kind, 0.0) + overlap
+        marks = []
+        for share, instant in zip(shares, instants):
+            kind = None
+            if sum(share.values()) >= bucket_ms / 2:
+                kind = max(share, key=lambda k: (share[k], _PRIORITY[k]))
+            if _PRIORITY.get(instant, -1) > _PRIORITY.get(kind, -1):
+                kind = instant
+            marks.append(_TIMELINE_MARKS.get(kind, " "))
+        lines.append(f"{track.rjust(label_width)} |{''.join(marks)}|")
+    lines.append(
         "legend: #=merge s=stall w=write-stall D=demand p=prefetch "
         "r=retry o=outage !=fault x=degraded T=timeout"
     )
-    lines = [header]
-    for track in tracks:
-        lines.append(f"{track.rjust(label_width)} |{''.join(rows[track])}|")
-    lines.append(legend)
     return "\n".join(lines)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
 
 _SCHEMA_PATH = (
     Path(__file__).resolve().parents[3] / "docs" / "schemas"
@@ -108,13 +107,3 @@ def validate_chrome_trace(document: dict) -> list[str]:
                 "has no metadata name"
             )
     return errors
-
-
-def validate_chrome_trace_file(path: Union[str, Path]) -> list[str]:
-    """Validate a trace file on disk (parse errors become one finding)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        return [f"$: cannot read trace: {error}"]
-    return validate_chrome_trace(document)

@@ -185,9 +185,10 @@ class SweepEngine:
     def run_config(self, config: SimulationConfig) -> AggregateMetrics:
         """Run one configuration's trials through the engine.
 
-        Drop-in equivalent of
-        ``MergeSimulation(config).run()`` — same seeds, same
-        aggregation — but cached and parallel.
+        Equivalent of ``MergeSimulation(config).run()`` — same seeds,
+        same aggregation — but cached and parallel.  No report path
+        calls it; it stays as the one-configuration entry point that
+        ``benchmark/spans.py`` instruments alongside :meth:`run_spec`.
         """
         jobs = jobs_for_config(config)
         metrics, _, _ = self._run_jobs(jobs, manifest=None)
@@ -195,20 +196,6 @@ class SweepEngine:
             config_description=config.describe(),
             trials=[m for m in metrics if m is not None],
         )
-
-    def backend(self):
-        """Context manager routing ``MergeSimulation.run`` through this engine.
-
-        While active, every configuration simulated anywhere in the
-        process — including inside registered figure/table experiments —
-        fans its trials through the worker pool and the result store::
-
-            with engine.backend():
-                run_experiments(["fig-3.2a"], scale)
-        """
-        from repro.api import RunContext
-
-        return RunContext(backend=self.run_config)
 
     # -- internals ----------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import main
@@ -127,8 +130,6 @@ def test_sweep_runs_grid_and_caches(tmp_path, capsys):
 
 
 def test_sweep_exports_results_and_progress(tmp_path, capsys):
-    import json
-
     export = tmp_path / "sweep.json"
     progress = tmp_path / "progress.json"
     code = main([
@@ -145,14 +146,13 @@ def test_sweep_exports_results_and_progress(tmp_path, capsys):
     assert counters["total"] == 1
 
 
-def test_run_with_workers_uses_sweep_engine(tmp_path, capsys):
-    code = main([
-        "run", "tab-seek", "--quick", "--trials", "1", "--blocks", "50",
-        "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "tab-seek" in out
+def test_run_has_no_engine_options(capsys):
+    # The report runs through the trial memo only; --workers and
+    # --cache-dir belong to sweep/serve/dist.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "tab-seek", "--quick", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_missing_command_errors():
@@ -182,6 +182,29 @@ def test_simulate_trace_out_writes_valid_chrome_trace(tmp_path, capsys):
     assert "chrome trace" in capsys.readouterr().out
     assert main(["trace", "validate", str(trace_path)]) == 0
     assert "valid Chrome trace" in capsys.readouterr().out
+
+
+def test_trace_validate_counts_trials_and_events(tmp_path, capsys):
+    trace_path = tmp_path / "fig.json"
+    args = ["run", "fig-3.5a", "--quick", "--blocks", "20"]
+    assert main([*args, "--trace-out", str(trace_path)]) == 0
+    capsys.readouterr()
+    assert main(["trace", "validate", str(trace_path)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(
+        r"valid Chrome trace, 32 trial\(s\), [1-9]\d* event\(s\)", out
+    )
+
+
+def test_trace_validate_rejects_an_empty_trace(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({
+        "traceEvents": [],
+        "displayTimeUnit": "ms",
+        "otherData": {"source": "repro.obs", "session": "run", "trials": 0},
+    }))
+    assert main(["trace", "validate", str(empty)]) == 1
+    assert "no trace events (0 trial(s))" in capsys.readouterr().out
 
 
 def test_trace_validate_rejects_garbage(tmp_path, capsys):

@@ -22,7 +22,6 @@ from repro.experiments.validation import (
     render_verdicts,
     validate,
 )
-from repro.sweep import SweepEngine
 
 TINY = Scale(trials=1, blocks_per_run=40, sweep_density=0.25)
 
@@ -163,19 +162,6 @@ def test_validate_is_one_memo_pass_with_an_unchanged_report(capsys):
     # The one memo sees every trial of both tiers, and runs fewer.
     assert sum(one_pass) == sum(paper) + sum(figures)
     assert one_pass[0] < paper[0] + figures[0]
-
-
-def test_an_engine_run_never_sees_the_memo(monkeypatch, capsys):
-    def refuse(self, config):
-        raise AssertionError("the memo answered an engine run")
-
-    monkeypatch.setattr(TrialMemo, "__call__", refuse)
-    results = run_experiments(
-        ["fig-3.5a"], TINY, stream=io.StringIO(),
-        engine=SweepEngine(workers=0),
-    )
-    assert all(result.ok for result in results)
-    assert "trial memo" not in capsys.readouterr().err
 
 
 def test_an_ambient_backend_or_trace_gets_no_memo():

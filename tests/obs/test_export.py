@@ -14,7 +14,6 @@ from repro.obs import (
     jsonl_lines,
     render_timeline,
     validate_chrome_trace,
-    validate_chrome_trace_file,
     write_trace,
 )
 
@@ -132,7 +131,7 @@ def test_write_trace_dispatches_on_suffix(tmp_path, traced_session):
     jsonl_path = tmp_path / "new" / "dir" / "trace.jsonl"
     assert write_trace(traced_session, chrome_path) == "chrome"
     assert write_trace(traced_session, jsonl_path) == "jsonl"
-    assert validate_chrome_trace_file(chrome_path) == []
+    assert validate_chrome_trace(json.loads(chrome_path.read_text())) == []
     first = json.loads(jsonl_path.read_text().splitlines()[0])
     assert first["type"] == "trial"
 
@@ -168,3 +167,43 @@ def test_level_events_export_as_instants_but_skip_the_text_timeline(
 def test_timeline_marks_demand_service():
     text = render_timeline(_synthetic_session().trials[0], width=10)
     assert "D" in text
+
+
+def _timeline_rows(trial, width):
+    lines = render_timeline(trial, width=width).splitlines()[1:-1]
+    return {
+        line.split("|")[0].strip(): line.split("|")[1] for line in lines
+    }
+
+
+def test_timeline_weights_buckets_by_time():
+    session = TraceSession(name="weighted")
+    trial = session.trial(seed=1)
+    # cpu, 10 ms buckets: 80% merge + 20% stall, then 30% merge.
+    trial.span(EventKind.CPU_MERGE, "cpu", 0.0, 8.0)
+    trial.span(EventKind.DEMAND_STALL, "cpu", 8.0, 10.0)
+    trial.span(EventKind.CPU_MERGE, "cpu", 10.0, 13.0)
+    # disk-0: service with a nested transfer, then a retry backoff
+    # filling most of a second service span, then a fault instant.
+    trial.span(EventKind.PREFETCH, "disk-0", 0.0, 10.0)
+    trial.span(EventKind.TRANSFER, "disk-0", 1.0, 9.0)
+    trial.span(EventKind.DEMAND_FETCH, "disk-0", 10.0, 20.0)
+    trial.span(EventKind.RETRY_BACKOFF, "disk-0", 11.0, 18.0)
+    trial.instant(EventKind.FAULT, "disk-0", 25.0)
+    trial.span(EventKind.DEMAND_FETCH, "disk-0", 20.0, 30.0)
+    rows = _timeline_rows(trial, width=3)
+    assert rows["cpu"] == "#  "
+    assert rows["disk-0"] == "pr!"
+
+
+def test_timeline_instants_yield_to_a_higher_ranked_bucket():
+    session = TraceSession(name="instants")
+    trial = session.trial(seed=1)
+    # Zero-cost merge steps inside a stall: the stall holds the bucket.
+    trial.span(EventKind.DEMAND_STALL, "cpu", 0.0, 10.0)
+    trial.instant(EventKind.CPU_MERGE, "cpu", 5.0)
+    trial.instant(EventKind.CPU_MERGE, "cpu", 15.0)
+    trial.span(EventKind.DEMAND_FETCH, "disk-0", 0.0, 20.0)
+    rows = _timeline_rows(trial, width=2)
+    assert rows["cpu"] == "s#"
+    assert rows["disk-0"] == "DD"

@@ -216,22 +216,6 @@ def test_run_config_equals_merge_simulation(tmp_path):
     assert json.dumps(via_engine.to_dict()) == json.dumps(serial.to_dict())
 
 
-def test_backend_routes_merge_simulation_through_engine(tmp_path):
-    config = SimulationConfig(num_runs=3, num_disks=1, blocks_per_run=25,
-                              trials=2)
-    store = ResultStore(tmp_path)
-    engine = SweepEngine(store=store, workers=1)
-    with engine.backend():
-        first = MergeSimulation(config).run()
-        second = MergeSimulation(config).run()
-    # Second call inside the backend was served from the cache.
-    assert len(store) == config.trials
-    assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
-    # Outside the context the serial path is back and matches.
-    serial = MergeSimulation(config).run()
-    assert json.dumps(serial.to_dict()) == json.dumps(first.to_dict())
-
-
 def test_failures_are_retried_then_raised(monkeypatch):
     calls = {"n": 0}
 

@@ -37,8 +37,9 @@ sweep-smoke:
 	$(PYTHON) scripts/sweep_smoke.py
 
 # Live repro.serve instance on an ephemeral port: cache hits without a
-# worker, coalescing, 429/503 shedding, a sweep job, clean drain.  The
-# final /v1/metricz snapshot lands in results/serve/ (CI artifact).
+# worker, coalescing, 429/503 shedding, a `repro sweep` campaign on the
+# server's cache dir answered as hits, clean drain.  The final
+# /v1/metricz snapshot lands in results/serve/ (CI artifact).
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 

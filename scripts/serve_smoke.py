@@ -10,7 +10,8 @@ drives the full admission pipeline through :class:`ServeClient`:
 * two identical concurrent misses coalesce onto one computation,
 * a rate-limited client is shed with 429 + ``Retry-After``,
 * a full admission queue sheds with 503,
-* a sweep job is submitted, polled to ``done``, and warms the cache,
+* a ``repro sweep`` campaign on the server's ``--cache-dir`` warms the
+  cache: its cells are then answered as hits, without a worker,
 * the server drains cleanly.
 
 Writes the final ``/v1/metricz`` snapshot to ``results/serve/`` when
@@ -19,12 +20,15 @@ non-zero on any violation.  Finishes in a few seconds.
 """
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import threading
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.serve import (  # noqa: E402
     NO_RETRY,
@@ -141,20 +145,34 @@ def main() -> int:
             server.admission.release()
         print("[serve-smoke] queue full: 503 with Retry-After")
 
-        # -- sweep job lifecycle ----------------------------------------
-        sweep_base = {k: v for k, v in CONFIG.items() if k != "num_disks"}
-        job = client.sweep({
-            "name": "serve-smoke", "base": sweep_base,
-            "grid": {"num_disks": [1, 2]}, "trials": 1, "base_seed": 7,
-        })
-        done = client.wait_for_job(job["job"], poll_s=0.1)
-        if done["status"] != "done":
-            return fail(f"sweep job ended {done['status']}: {done['error']}")
-        hit = client.simulate({**CONFIG, "num_disks": 1}, trials=1, seed=7)
-        if hit["cache"]["hits"] != 1:
-            return fail("sweep job did not warm the shared cache")
-        print(f"[serve-smoke] sweep job {job['job']}: "
-              f"{done['trials_done']} trials, cache shared")
+        # -- a sweep campaign warms the server's cache ------------------
+        # Campaigns run through `repro sweep` on the server's store; the
+        # cells it computes are then answered without a worker.
+        computed_before = client.metricz()["counters"]["serve_computed"]
+        campaign = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "-k", "4", "-D", "1,3",
+             "--strategy", "intra-run", "-N", "2", "--blocks", "40",
+             "--trials", "2", "--seed", "7", "--name", "serve-smoke",
+             "--cache-dir", tmp, "--quiet"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+            )},
+            capture_output=True, text=True, timeout=120,
+        )
+        if campaign.returncode != 0:
+            return fail(f"repro sweep exited {campaign.returncode}: "
+                        f"{campaign.stderr.strip()}")
+        for disks in (1, 3):
+            hit = client.simulate({**CONFIG, "num_disks": disks}, trials=2,
+                                  seed=7)
+            if hit["cache"] != {"hits": 2, "misses": 0, "coalesced": 0}:
+                return fail(f"repro sweep did not warm the server's cache: "
+                            f"D={disks} answered {hit['cache']}")
+        counters = client.metricz()["counters"]
+        if counters["serve_computed"] != computed_before:
+            return fail(f"swept cells reached a worker: {counters}")
+        print("[serve-smoke] repro sweep campaign (2 cells x 2 trials) on "
+              "the server's cache dir: every swept trial a hit")
 
         # -- metrics snapshot -------------------------------------------
         metricz = client.metricz()

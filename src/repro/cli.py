@@ -962,9 +962,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     session = _trace_session(args, "sweep")
-    if session is not None and args.workers != 1:
-        print("error: --trace requires --workers 1 (subprocess workers "
-              "cannot stream trace events back)", file=sys.stderr)
+    if session is not None and args.workers > 1:
+        print("error: --trace requires --workers 1 or 0, which run "
+              "inline (subprocess workers cannot stream trace events "
+              "back)", file=sys.stderr)
         return 2
     if session is not None and not args.no_cache:
         print("note: cached sweep cells replay stored metrics and emit "

@@ -187,9 +187,6 @@ class JsonService:
         self._active: set[asyncio.Task] = set()
         #: Kept-alive connections waiting for their next request.
         self._idle: dict[asyncio.Task, asyncio.StreamWriter] = {}
-        #: Work besides connections that a drain waits on (serve's
-        #: sweep jobs); the owning service adds and discards tasks.
-        self._background: set[asyncio.Task] = set()
         self._drain_task: Optional[asyncio.Task] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -231,8 +228,8 @@ class JsonService:
         """Begin a graceful shutdown (idempotent; SIGTERM handler).
 
         Stops accepting connections, closes idle kept-alive ones, lets
-        in-flight requests and background work finish (bounded by
-        ``drain_grace_s``), cancels the rest, then releases :meth:`run`.
+        in-flight requests finish (bounded by ``drain_grace_s``),
+        cancels the rest, then releases :meth:`run`.
         """
         if self._draining:
             return
@@ -245,7 +242,7 @@ class JsonService:
         # read at once, where waiting would sit out drain_grace_s.
         for writer in self._idle.values():
             writer.close()
-        pending = self._active | set(self._idle) | self._background
+        pending = self._active | set(self._idle)
         if pending:
             _done, straggling = await asyncio.wait(
                 pending, timeout=self.config.drain_grace_s

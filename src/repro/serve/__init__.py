@@ -24,7 +24,6 @@ from repro.serve.protocol import (
     ProtocolError,
     SimulateRequest,
     parse_simulate_request,
-    parse_sweep_request,
     simulate_response,
 )
 from repro.serve.queue import AdmissionQueue, QueueFullError
@@ -57,7 +56,6 @@ __all__ = [
     "SingleFlight",
     "TokenBucket",
     "parse_simulate_request",
-    "parse_sweep_request",
     "simulate_response",
     "start_in_thread",
 ]

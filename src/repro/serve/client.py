@@ -158,28 +158,6 @@ class ServeClient:
             body["deadline_ms"] = deadline_ms
         return self._request("POST", "/v1/simulate", body)
 
-    def sweep(self, spec: dict) -> dict:
-        """``POST /v1/sweep``; returns the 202 job record."""
-        return self._request("POST", "/v1/sweep", {"spec": spec})
-
-    def job(self, job_id: str) -> dict:
-        """``GET /v1/jobs/<id>``; the job's current record."""
-        return self._request("GET", f"/v1/jobs/{job_id}")
-
-    def wait_for_job(
-        self, job_id: str, *, poll_s: float = 0.2, max_polls: int = 600
-    ) -> dict:
-        """Poll until the job leaves ``queued``/``running``."""
-        for _ in range(max_polls):
-            record = self.job(job_id)
-            if record["status"] not in ("queued", "running"):
-                return record
-            self._sleep(poll_s)
-        raise ServeError(
-            f"job {job_id} still {record['status']} after "
-            f"{max_polls} polls"
-        )
-
     def healthz(self) -> dict:
         return self._request("GET", "/v1/healthz")
 

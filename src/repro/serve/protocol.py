@@ -22,17 +22,17 @@ from typing import Any, Optional
 from repro.core.metrics import AggregateMetrics, MergeMetrics
 from repro.core.parameters import SimulationConfig
 from repro.sweep.keys import CACHE_SCHEMA_VERSION, config_to_dict, coerce_params
-from repro.sweep.spec import SweepSpec
 
 #: Bump on any incompatible change to request or response shapes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on accepted request bodies (1 MiB is orders of magnitude
-#: above any real config or sweep spec; bigger is a client bug).
+#: above any real config; bigger is a client bug).
 MAX_BODY_BYTES = 1 << 20
 
 #: Ceiling on trials per simulate request: a single request is an
-#: interactive unit of work; bulk campaigns belong on ``/v1/sweep``.
+#: interactive unit of work; bulk campaigns belong on ``repro sweep
+#: --cache-dir`` or ``repro dist`` against the server's store.
 MAX_TRIALS_PER_REQUEST = 64
 
 
@@ -108,7 +108,7 @@ def parse_simulate_request(payload: Any) -> SimulateRequest:
         raise ProtocolError(
             400, "bad-config",
             f"trials={config.trials} exceeds the per-request ceiling "
-            f"{MAX_TRIALS_PER_REQUEST}; submit a sweep instead",
+            f"{MAX_TRIALS_PER_REQUEST}; run a sweep campaign instead",
         )
     deadline_s = None
     if payload.get("deadline_ms") is not None:
@@ -119,20 +119,6 @@ def parse_simulate_request(payload: Any) -> SimulateRequest:
             )
         deadline_s = float(deadline_ms) / 1000.0
     return SimulateRequest(config=config, deadline_s=deadline_s)
-
-
-def parse_sweep_request(payload: Any) -> SweepSpec:
-    """Validate a decoded ``/v1/sweep`` body into a :class:`SweepSpec`."""
-    payload = _require_object(payload, "request body")
-    if "spec" not in payload:
-        raise ProtocolError(400, "bad-request", "missing required key 'spec'")
-    spec_dict = _require_object(payload["spec"], "'spec'")
-    try:
-        spec = SweepSpec.from_dict(spec_dict)
-        spec.cells()  # force expansion so bad grids fail at admission
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ProtocolError(400, "bad-spec", str(exc)) from exc
-    return spec
 
 
 def simulate_response(

@@ -4,9 +4,8 @@ The worker pool absorbs at most ``workers`` computations at a time;
 everything beyond that waits.  Unbounded waiting is how services fall
 over — latency grows without limit while clients retry and multiply
 the load — so admission to the compute path is a fixed number of
-*slots* (``queue_limit``): interactive requests that cannot get a slot
-are shed immediately with ``503`` and a ``Retry-After``, while
-background sweep jobs may opt to wait their turn.
+*slots* (``queue_limit``): a request that cannot get a slot is shed
+immediately with ``503`` and a ``Retry-After``; nothing waits for one.
 
 This is plain counting, not an :class:`asyncio.Queue` of work items:
 the pool executor already queues the callables; what needs bounding is
@@ -15,7 +14,6 @@ how much work the *service* admits ahead of it.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 from typing import AsyncIterator
 
@@ -34,7 +32,6 @@ class AdmissionQueue:
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self._held = 0
-        self._waiters: list[asyncio.Future] = []
 
     @property
     def depth(self) -> int:
@@ -53,36 +50,15 @@ class AdmissionQueue:
             )
         self._held += 1
 
-    async def acquire(self) -> None:
-        """Wait for a slot (background work that must not be shed)."""
-        while self.bounded and self._held >= self.limit:
-            waiter: asyncio.Future = asyncio.get_running_loop().create_future()
-            self._waiters.append(waiter)
-            try:
-                await waiter
-            finally:
-                with contextlib.suppress(ValueError):
-                    self._waiters.remove(waiter)
-        self._held += 1
-
     def release(self) -> None:
         if self._held <= 0:
             raise RuntimeError("release() without a held slot")
         self._held -= 1
-        # Wake one waiter; it re-checks the bound under the event loop's
-        # single-threaded execution model.
-        for waiter in self._waiters:
-            if not waiter.done():
-                waiter.set_result(None)
-                break
 
     @contextlib.asynccontextmanager
-    async def slot(self, *, wait: bool) -> AsyncIterator[None]:
-        """Scoped slot: shed (``wait=False``) or queue (``wait=True``)."""
-        if wait:
-            await self.acquire()
-        else:
-            self.try_acquire()
+    async def slot(self) -> AsyncIterator[None]:
+        """Scoped slot: :meth:`try_acquire`, released on exit."""
+        self.try_acquire()
         try:
             yield
         finally:

@@ -2,13 +2,15 @@
 
 One :class:`SimulationServer` is the repo's front door: it turns the
 content-addressed sweep cache into a shared global answer store and
-serves it over five endpoints::
+serves it over three endpoints::
 
     POST /v1/simulate   one configuration, trial-granular cached
-    POST /v1/sweep      submit a SweepSpec as a background job (202)
-    GET  /v1/jobs/<id>  poll a submitted sweep job
     GET  /v1/healthz    liveness + drain state
     GET  /v1/metricz    obs MetricsRegistry snapshot (JSON)
+
+Serve answers configurations; campaigns run through ``repro sweep
+--cache-dir`` or ``repro dist`` on the same store, and every trial they
+write is a hit here (one trial key, :func:`repro.sweep.keys.trial_keys`).
 
 Every simulate request flows through the same pipeline:
 
@@ -42,7 +44,7 @@ import math
 from pathlib import Path
 from typing import Optional
 
-from repro.core.metrics import AggregateMetrics, MergeMetrics
+from repro.core.metrics import MergeMetrics
 from repro.core.parameters import SimulationConfig
 from repro.netutil import JsonService
 from repro.netutil import (  # noqa: F401  (the threaded harness, re-exported)
@@ -59,13 +61,11 @@ from repro.serve.protocol import (
     SimulateRequest,
     overload_body,
     parse_simulate_request,
-    parse_sweep_request,
     simulate_response,
 )
 from repro.serve.queue import AdmissionQueue, QueueFullError
 from repro.serve.singleflight import SingleFlight
 from repro.sweep.keys import config_to_dict
-from repro.sweep.spec import SweepSpec
 from repro.sweep.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.sweep.worker import execute_job
 
@@ -113,8 +113,6 @@ class SimulationServer(JsonService):
     prefix = "serve"
     routes = JsonService.routes + (
         ("POST", "/v1/simulate", "simulate"),
-        ("POST", "/v1/sweep", "sweep"),
-        ("GET", "/v1/jobs/", "jobs"),
     )
     max_body_bytes = MAX_BODY_BYTES
 
@@ -131,8 +129,6 @@ class SimulationServer(JsonService):
         self.admission = AdmissionQueue(config.queue_limit)
         self.flights = SingleFlight()
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._jobs: dict[str, dict] = {}
-        self._job_seq = 0
 
     # -- service hooks -------------------------------------------------------
 
@@ -144,11 +140,7 @@ class SimulationServer(JsonService):
     async def _handle(
         self, endpoint: str, path: str, headers: dict, body: bytes
     ) -> tuple[int, dict, dict]:
-        if endpoint == "simulate":
-            return await self._handle_simulate(headers, body)
-        if endpoint == "sweep":
-            return self._handle_sweep(headers, body)
-        return self._job_status(path.removeprefix("/v1/jobs/"))
+        return await self._handle_simulate(headers, body)
 
     def _health_body(self) -> dict:
         return {
@@ -157,7 +149,6 @@ class SimulationServer(JsonService):
             "uptime_s": self.clock() - self._started_at,
             "inflight": len(self._active),
             "queue_depth": self.admission.depth,
-            "jobs": len(self._jobs),
         }
 
     def _refresh_gauges(self) -> None:
@@ -168,9 +159,6 @@ class SimulationServer(JsonService):
         self.metrics.gauge("serve_flights").set(float(len(self.flights)))
 
     # -- admission helpers ---------------------------------------------------
-
-    def _client_id(self, headers: dict) -> str:
-        return headers.get("x-client-id", "anonymous")
 
     def _shed(self, reason: str, code: str, detail: str,
               retry_after_s: float) -> tuple[int, dict, dict]:
@@ -190,7 +178,7 @@ class SimulationServer(JsonService):
                 "server is draining; retry against another instance",
                 self.config.drain_grace_s,
             )
-        client = self._client_id(headers)
+        client = headers.get("x-client-id", "anonymous")
         if not self.limiter.allow(client):
             retry_after = self.limiter.retry_after_s(client)
             return self._shed(
@@ -271,13 +259,12 @@ class SimulationServer(JsonService):
         return ordered, len(hits), coalesced_count
 
     async def _compute_trial(
-        self, config: SimulationConfig, trial: int, key: str, *,
-        wait: bool = False,
+        self, config: SimulationConfig, trial: int, key: str
     ) -> tuple[int, MergeMetrics, bool]:
         """One miss through single-flight + admission + the worker pool,
         coalesced on and stored under its store ``key``."""
         async def flight() -> MergeMetrics:
-            async with self.admission.slot(wait=wait):
+            async with self.admission.slot():
                 payload = await self._execute(config, trial)
             self.metrics.counter("serve_computed").inc()
             reason = payload.get("fallback")
@@ -314,100 +301,3 @@ class SimulationServer(JsonService):
                 float(self.config.workers)
             )
         return self._pool
-
-    # -- /v1/sweep + /v1/jobs ------------------------------------------------
-
-    def _handle_sweep(
-        self, headers: dict, body: bytes
-    ) -> tuple[int, dict, dict]:
-        if self._draining:
-            return self._shed(
-                "draining", "draining",
-                "server is draining; retry against another instance",
-                self.config.drain_grace_s,
-            )
-        client = self._client_id(headers)
-        if not self.limiter.allow(client):
-            return self._shed(
-                "rate", "rate-limited",
-                f"client {client!r} exceeded its request rate",
-                self.limiter.retry_after_s(client),
-            )
-        try:
-            spec = parse_sweep_request(json.loads(body or b"null"))
-        except json.JSONDecodeError as exc:
-            return 400, {"error": "bad-json", "detail": str(exc)}, {}
-        except ProtocolError as exc:
-            return exc.status, exc.body(), {}
-        self._job_seq += 1
-        job_id = f"job-{self._job_seq:06d}"
-        jobs = spec.jobs()
-        record = {
-            "job": job_id,
-            "status": "queued",
-            "name": spec.name,
-            "cells": len(spec.cell_params()),
-            "trials_total": len(jobs),
-            "trials_done": 0,
-            "error": None,
-        }
-        self._jobs[job_id] = record
-        task = self._loop.create_task(self._run_sweep_job(record, spec))
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
-        self.metrics.counter("serve_sweep_jobs").inc()
-        return 202, dict(record), {}
-
-    async def _run_sweep_job(self, record: dict, spec: SweepSpec) -> None:
-        """Background execution of one submitted sweep.
-
-        Runs through the identical trial pipeline as ``/v1/simulate``
-        (store, single flight, pool) but *waits* for compute slots
-        instead of shedding — a background job wants throughput, not a
-        latency bound.
-        """
-        record["status"] = "running"
-        try:
-            cells = []
-            for config in spec.cells():
-                hits, misses = await self._loop.run_in_executor(
-                    None, self.cache.lookup_trials, config
-                )
-                if hits:
-                    self.metrics.counter(
-                        "serve_cache", outcome="hit"
-                    ).inc(len(hits))
-                record["trials_done"] += len(hits)
-                results: dict[int, MergeMetrics] = dict(hits)
-                for trial, key in misses.items():
-                    _, metrics, coalesced = await self._compute_trial(
-                        config, trial, key, wait=True
-                    )
-                    outcome = "coalesced" if coalesced else "miss"
-                    self.metrics.counter("serve_cache", outcome=outcome).inc()
-                    results[trial] = metrics
-                    record["trials_done"] += 1
-                aggregate = AggregateMetrics(
-                    config.describe(),
-                    [results[t] for t in range(config.trials)],
-                )
-                cells.append(aggregate.to_dict())
-            record["cells_result"] = cells
-            record["status"] = "done"
-        except asyncio.CancelledError:
-            record["status"] = "cancelled"
-            record["error"] = "cancelled during drain"
-            raise
-        except Exception as exc:
-            # Job isolation boundary: a failing sweep job must be
-            # reported through /v1/jobs, never crash the server.
-            record["status"] = "failed"
-            record["error"] = f"{type(exc).__name__}: {exc}"
-
-    def _job_status(self, job_id: str) -> tuple[int, dict, dict]:
-        record = self._jobs.get(job_id)
-        if record is None:
-            return 404, {"error": "not-found",
-                         "detail": f"unknown job {job_id!r}"}, {}
-        return 200, dict(record), {}
-

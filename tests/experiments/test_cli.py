@@ -237,6 +237,14 @@ def test_sweep_trace_requires_single_worker(capsys):
     ])
     assert code == 2
     assert "--workers 1" in capsys.readouterr().err
+    # --workers 0 runs inline like --workers 1, so it traces.
+    code = main([
+        "sweep", "-k", "3", "-D", "1", "--blocks", "20", "--trials", "1",
+        "--no-cache", "--quiet", "--workers", "0", "--trace",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "legend:" in captured.out
 
 
 def test_kernel_flag_is_uniform_across_commands():

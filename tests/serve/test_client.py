@@ -12,7 +12,6 @@ from repro.serve.client import (
     NO_RETRY,
     RetryPolicy,
     ServeClient,
-    ServeError,
     ServeHTTPError,
 )
 
@@ -138,20 +137,3 @@ class TestRequestShapes:
             "config": {"num_runs": 4, "num_disks": 2},
             "trials": 3, "seed": 9, "kernel": "batch", "deadline_ms": 500,
         }
-
-    def test_wait_for_job_polls_until_terminal(self, monkeypatch):
-        client, transport, sleeps = make_client([
-            (200, {}, {"status": "queued"}),
-            (200, {}, {"status": "running"}),
-            (200, {}, {"status": "done", "cells": 2}),
-        ], monkeypatch=monkeypatch)
-        record = client.wait_for_job("job-000001", poll_s=0.1)
-        assert record["status"] == "done"
-        assert sleeps == [0.1, 0.1]
-
-    def test_wait_for_job_gives_up(self, monkeypatch):
-        client, transport, _ = make_client(
-            [(200, {}, {"status": "running"})] * 3, monkeypatch=monkeypatch
-        )
-        with pytest.raises(ServeError, match="still running"):
-            client.wait_for_job("job-000001", poll_s=0, max_polls=3)

@@ -10,7 +10,6 @@ from repro.serve.protocol import (
     ProtocolError,
     overload_body,
     parse_simulate_request,
-    parse_sweep_request,
     simulate_response,
 )
 from repro.sweep.keys import CACHE_SCHEMA_VERSION
@@ -79,27 +78,6 @@ class TestParseSimulate:
             parse_simulate_request({})
         body = excinfo.value.body()
         assert set(body) == {"error", "detail"}
-
-
-class TestParseSweep:
-    def test_round_trip(self):
-        spec = parse_sweep_request({"spec": {
-            "name": "t", "base": CONFIG, "grid": {"prefetch_depth": [1, 2]},
-            "trials": 2, "base_seed": 5,
-        }})
-        assert spec.name == "t"
-        assert len(spec.cells()) == 2
-
-    def test_missing_spec(self):
-        with pytest.raises(ProtocolError, match="spec"):
-            parse_sweep_request({})
-
-    def test_bad_grid_fails_at_admission(self):
-        with pytest.raises(ProtocolError) as excinfo:
-            parse_sweep_request({"spec": {
-                "base": CONFIG, "grid": {"num_disks": []},
-            }})
-        assert excinfo.value.status == 400
 
 
 class TestSimulateResponse:

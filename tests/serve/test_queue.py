@@ -1,4 +1,4 @@
-"""Admission-queue slot accounting: shed vs wait."""
+"""Admission-queue slot accounting: every slot is taken or shed."""
 
 import asyncio
 
@@ -31,39 +31,14 @@ def test_release_without_slot_is_a_bug():
         AdmissionQueue(limit=1).release()
 
 
-def test_acquire_waits_for_a_slot():
+def test_slot_context_manager_sheds():
     async def scenario():
         queue = AdmissionQueue(limit=1)
-        queue.try_acquire()
-        order = []
-
-        async def waiter():
-            await queue.acquire()
-            order.append("acquired")
-            queue.release()
-
-        task = asyncio.ensure_future(waiter())
-        await asyncio.sleep(0)
-        assert order == []  # still parked
-        order.append("releasing")
-        queue.release()
-        await task
-        return order
-
-    assert asyncio.run(scenario()) == ["releasing", "acquired"]
-
-
-def test_slot_context_manager_sheds_and_waits():
-    async def scenario():
-        queue = AdmissionQueue(limit=1)
-        async with queue.slot(wait=False):
+        async with queue.slot():
             assert queue.depth == 1
             with pytest.raises(QueueFullError):
-                async with queue.slot(wait=False):
+                async with queue.slot():
                     pass
-        assert queue.depth == 0
-        async with queue.slot(wait=True):
-            assert queue.depth == 1
         assert queue.depth == 0
 
     asyncio.run(scenario())
@@ -73,7 +48,7 @@ def test_slot_released_on_exception():
     async def scenario():
         queue = AdmissionQueue(limit=1)
         with pytest.raises(ValueError):
-            async with queue.slot(wait=False):
+            async with queue.slot():
                 raise ValueError("work blew up")
         assert queue.depth == 0
 

@@ -7,6 +7,7 @@ drains it afterwards — the full production path minus the process pool
 suite fast and lets tests gate the worker function deterministically).
 """
 
+import http.client
 import json
 import threading
 import time
@@ -16,7 +17,9 @@ import pytest
 from repro.core.parameters import SimulationConfig
 from repro.core.simulator import MergeSimulation
 from repro.serve import RetryPolicy, ServeError, ServeHTTPError
+from repro.sweep.engine import SweepEngine
 from repro.sweep.keys import cache_key, trial_keys
+from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ResultStore
 
 from tests.serve.conftest import SMALL_CONFIG, client_for
@@ -207,6 +210,38 @@ class TestAdmissionControl:
         retry = client.simulate(SMALL_CONFIG, trials=1, seed=7)
         assert retry["cache"] == {"hits": 1, "misses": 0, "coalesced": 0}
         assert gated_execute.calls == 1
+        counters = client.metricz()["counters"]
+        assert counters["serve_deadline_exceeded"] == 1
+
+    def test_a_request_arriving_during_a_drain_is_shed(self, serve_factory):
+        server, handle = serve_factory(drain_grace_s=2.0)
+        body = json.dumps({"config": SMALL_CONFIG, "trials": 1}).encode()
+        host, port = handle.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            # The headers arrive before the drain and the body after it:
+            # the connection is in flight, so the drain answers it.
+            connection.putrequest("POST", "/v1/simulate")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str(len(body)))
+            connection.endheaders()
+            deadline = time.monotonic() + 10
+            while not server._active and time.monotonic() < deadline:
+                time.sleep(0.01)  # the server has taken the connection
+            server._loop.call_soon_threadsafe(server.request_drain)
+            while not server.draining and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.draining
+            connection.send(body)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 503
+        assert payload["error"] == "draining"
+        assert int(response.getheader("Retry-After")) >= 1
+        shed = server.metrics.counter("serve_shed", reason="draining")
+        assert shed.value == 1
 
     def test_client_retry_loop_rides_out_a_504(self, serve_factory,
                                                gated_execute):
@@ -245,38 +280,37 @@ class TestCacheWithoutWorkers:
         assert "serve_computed" not in counters
 
 
-class TestSweepJobs:
-    def test_submit_poll_done(self, serve_factory):
+class TestCampaignsShareTheStore:
+    def test_a_sweep_campaign_warms_the_server(self, serve_factory):
+        # Campaigns run through the sweep engine on the server's store;
+        # every trial they write is a hit here, with no worker touched.
+        server, handle = serve_factory()
+        spec = SweepSpec(
+            name="e2e", base=SMALL_CONFIG, grid={"prefetch_depth": [1, 2]},
+            trials=2, base_seed=7,
+        )
+        result = SweepEngine(store=server.cache.store).run_spec(spec)
+        assert result.stats.computed == 4
+        client = client_for(handle)
+        for depth in (1, 2):
+            answer = client.simulate({**SMALL_CONFIG, "prefetch_depth": depth},
+                                     trials=2, seed=7)
+            assert answer["cache"] == {"hits": 2, "misses": 0, "coalesced": 0}
+        assert "serve_computed" not in client.metricz()["counters"]
+
+    def test_sweep_job_routes_are_gone(self, serve_factory):
         server, handle = serve_factory()
         client = client_for(handle)
-        record = client.sweep({
-            "name": "e2e", "base": SMALL_CONFIG,
-            "grid": {"prefetch_depth": [1, 2]}, "trials": 1, "base_seed": 7,
-        })
-        assert record["status"] == "queued"
-        assert record["job"] == "job-000001"
-        assert record["trials_total"] == 2
-        done = client.wait_for_job(record["job"], poll_s=0.05)
-        assert done["status"] == "done"
-        assert done["trials_done"] == 2
-        assert len(done["cells_result"]) == 2
-        # The job warmed the shared cache: the same cell is now a hit.
-        hit = client.simulate({**SMALL_CONFIG, "prefetch_depth": 2},
-                              trials=1, seed=7)
-        assert hit["cache"]["hits"] == 1
-
-    def test_bad_spec_rejected_at_admission(self, serve_factory):
-        server, handle = serve_factory()
-        client = client_for(handle)
-        with pytest.raises(ServeHTTPError) as excinfo:
-            client.sweep({"base": SMALL_CONFIG, "grid": {"num_disks": []}})
-        assert excinfo.value.status == 400
-
-    def test_unknown_job_404(self, serve_factory):
-        server, handle = serve_factory()
-        with pytest.raises(ServeHTTPError) as excinfo:
-            client_for(handle).job("job-999999")
-        assert excinfo.value.status == 404
+        for method, path, body in (
+            ("POST", "/v1/sweep", {"spec": {"base": SMALL_CONFIG}}),
+            ("GET", "/v1/jobs/job-000001", None),
+        ):
+            with pytest.raises(ServeHTTPError) as excinfo:
+                client._request(method, path, body)
+            assert excinfo.value.status == 404, path
+        health = client.healthz()
+        assert health["protocol"] == 2
+        assert "jobs" not in health
 
 
 class TestLifecycle:

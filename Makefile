@@ -6,7 +6,7 @@ PYTHON ?= python3
 # import path without requiring an install step.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast lint sanitize-smoke sweep-smoke serve-smoke dist-smoke bench bench-smoke obs-smoke realio-smoke check reproduce reproduce-quick clean
+.PHONY: install test test-fast lint sanitize-smoke sweep-smoke serve-smoke dist-smoke bench bench-smoke obs-smoke realio-smoke regen-parity check reproduce reproduce-quick clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -65,6 +65,24 @@ bench-smoke:
 		$(PYTHON) -m repro bench compare $$baseline \
 			results/bench/$$baseline || exit 1; \
 	done
+
+# Serial/pooled parity of the report path: every default experiment
+# except ext-realio (its report holds host-measured timings) at
+# --quick, once with --workers 1 and once with --workers 2.  The two
+# reports and the two [trial memo: ...] lines must be identical.
+regen-parity:
+	mkdir -p results/parity
+	ids=$$($(PYTHON) -c 'from repro.experiments.runner import default_experiment_ids as ids; print(*(i for i in ids() if i != "ext-realio"))'); \
+	for workers in 1 2; do \
+		$(PYTHON) -m repro run $$ids --quick --workers $$workers \
+			> results/parity/report-$$workers.txt \
+			2> results/parity/stderr-$$workers.txt || exit 1; \
+		grep '^\[trial memo: ' results/parity/stderr-$$workers.txt \
+			> results/parity/memo-$$workers.txt || exit 1; \
+	done
+	cmp results/parity/report-1.txt results/parity/report-2.txt
+	cmp results/parity/memo-1.txt results/parity/memo-2.txt
+	cat results/parity/memo-1.txt
 
 # Traced replay of the pinned merge-d5 scenario, then a traced
 # quick fig-3.5a report: exercises the repro.obs pipeline end to end

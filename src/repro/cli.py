@@ -70,6 +70,19 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1 (else a usage error, exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -93,8 +106,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "names (e.g. merge-d5)",
     )
     run.add_argument("--quick", action="store_true", help="reduced scale")
-    run.add_argument("--trials", type=int, help="override trial count")
-    run.add_argument("--blocks", type=int, help="override blocks per run")
+    run.add_argument("--trials", type=_positive_int,
+                     help="override trial count")
+    run.add_argument("--blocks", type=_positive_int,
+                     help="override blocks per run")
+    run.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="processes that simulate a configuration's seeds in "
+        "parallel (default: the usable CPUs; 1 = serial); the report "
+        "is the same for any value; traced runs stay serial",
+    )
     run.add_argument("--out", help="also write the report to this file")
     run.add_argument(
         "--export-dir",
@@ -112,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "check every figure and ablation claim (~6 min)",
     )
     validate.add_argument(
-        "--blocks", type=int, default=None,
+        "--blocks", type=_positive_int, default=None,
         help="override blocks per run for values and claims (full paper "
         "scale = 1000; smaller values are smoke tests, not comparable to "
         "the paper)",
@@ -582,7 +603,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = []
     with context:
         if experiment_ids:
-            results = run_experiments(experiment_ids, scale)
+            results = run_experiments(
+                experiment_ids, scale, workers=args.workers
+            )
         for name in scenario_ids:
             if not _replay_scenario(name, args, session):
                 scenario_failures += 1

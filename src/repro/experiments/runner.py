@@ -4,7 +4,8 @@ One failing experiment no longer aborts the batch: its error is
 reported (with the experiment id), an :class:`ExperimentResult` carrying
 ``error`` joins the returned list, and the remaining experiments still
 run.  A :class:`~repro.experiments.memo.TrialMemo` lives for the call,
-so each distinct trajectory is simulated once.
+so each distinct trajectory is simulated once, and a configuration's
+missing seeds run in parallel on its worker pool.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ def run_experiments(
     experiment_ids: Iterable[str],
     scale: Optional[Scale] = None,
     stream: Optional[TextIO] = None,
+    workers: Optional[int] = None,
 ) -> list[ExperimentResult]:
     """Run experiments in order, streaming each report as it finishes.
 
@@ -34,12 +36,14 @@ def run_experiments(
     set (check :attr:`ExperimentResult.ok`) instead of aborting the
     remaining ones.  Every simulation goes through a
     :func:`~repro.experiments.memo.trial_memo` that reports its counts
-    on stderr.
+    on stderr; ``workers`` sizes its process pool (default: the usable
+    CPUs; ``1`` runs every trial in this process).  Reports and counts
+    are the same for any ``workers``.
     """
     out = stream or sys.stdout
     scale = scale or Scale.full()
     results = []
-    with trial_memo():
+    with trial_memo(workers):
         for experiment_id in experiment_ids:
             start = time.perf_counter()
             try:

@@ -147,12 +147,31 @@ def test_sweep_exports_results_and_progress(tmp_path, capsys):
 
 
 def test_run_has_no_engine_options(capsys):
-    # The report runs through the trial memo only; --workers and
-    # --cache-dir belong to sweep/serve/dist.
+    # The report runs through the trial memo only; a result store
+    # (--cache-dir) belongs to sweep/serve/dist.
     with pytest.raises(SystemExit) as excinfo:
-        main(["run", "tab-seek", "--quick", "--workers", "2"])
+        main(["run", "tab-seek", "--quick", "--cache-dir", "cache"])
     assert excinfo.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert "--cache-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "all", "--trials", "0"],
+        ["run", "all", "--blocks", "0"],
+        ["run", "all", "--workers", "0"],
+        ["run", "all", "--workers", "two"],
+        ["validate", "--blocks", "0"],
+    ],
+)
+def test_run_and_validate_reject_non_positive_counts(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}" in err
+    assert "Traceback" not in err
 
 
 def test_missing_command_errors():

@@ -3,8 +3,15 @@ and ``repro validate``."""
 
 import dataclasses
 import io
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +22,7 @@ from repro.core.simulator import MergeSimulation
 from repro.experiments import Scale, get_experiment
 from repro.experiments.memo import TrialMemo, trial_memo
 from repro.experiments.runner import default_experiment_ids, run_experiments
+from repro.faults.plan import transient_plan
 from repro.experiments.validation import (
     FIGURE_CLAIMS,
     judge_claims,
@@ -105,7 +113,11 @@ def test_quick_suite_fallback_census_is_unchanged(monkeypatch, capsys):
         return results
 
     monkeypatch.setattr(api, "run_trials", counting)
-    run_experiments(default_experiment_ids(), Scale.quick(), stream=io.StringIO())
+    # Serial: the patch counts this process's trials, not a pool's.
+    run_experiments(
+        default_experiment_ids(), Scale.quick(), stream=io.StringIO(),
+        workers=1,
+    )
     assert census == {
         "depletion-source": 28,
         "streamed sequential requests (systematic equal-time ties)": 6,
@@ -186,3 +198,123 @@ def test_traced_run_bypasses_the_memo_and_traces_every_trial(
     assert "32 trial(s)) written to" in out
     assert "trial memo" not in err
 
+
+
+#: Two seeds per configuration, so every configuration the memo misses
+#: is pooled.  fig-3.5a derives by capacity; the other two fall back.
+POOLED = Scale(trials=2, blocks_per_run=40, sweep_density=0.25)
+POOLED_IDS = ["fig-3.5a", "ablation-streaming", "ext-write-traffic"]
+
+
+@pytest.mark.parametrize("kernel", [None, "reference"])
+def test_a_pooled_report_equals_the_serial_one(kernel, capsys):
+    runs = []
+    for workers in (1, 2):
+        stream = io.StringIO()
+        with api.configure(kernel=kernel):
+            run_experiments(POOLED_IDS, POOLED, stream=stream, workers=workers)
+        runs.append((stream.getvalue(), _memo_counts(capsys.readouterr().err)))
+    serial, pooled = runs
+    assert pooled == serial
+    assert serial[1] == (22, 0, 10)
+
+
+def test_a_runaway_trial_fails_the_same_in_the_pool(monkeypatch):
+    # A planted event budget no real trial fits in.
+    monkeypatch.setattr(
+        SimulationConfig, "event_budget", property(lambda self: 50)
+    )
+    errors = [
+        run_experiments(
+            ["fig-3.5a"], POOLED, stream=io.StringIO(), workers=workers
+        )[0].error
+        for workers in (1, 2)
+    ]
+    assert errors[0].startswith("TrialBudgetExceeded: ")
+    assert errors[1] == errors[0]
+
+
+def test_a_worker_forked_under_a_fault_plan_runs_later_configs_plan_free():
+    plan = transient_plan(0.05)
+    other = dataclasses.replace(ROOMY, prefetch_depth=2)
+    memo = TrialMemo(workers=2)
+    try:
+        with api.configure(backend=memo):
+            with api.configure(fault_plan=plan):
+                faulty = MergeSimulation(ROOMY).run()
+                # The pool was forked inside the plan's scope.
+                assert multiprocessing.active_children()
+            clean = MergeSimulation(other).run()
+    finally:
+        memo.close()
+    assert clean.trials == _direct(other)
+    with api.configure(fault_plan=plan):
+        assert faulty.trials == _direct(ROOMY)
+        # The stale plan would have shown.
+        assert _direct(other) != clean.trials
+
+
+def test_the_pool_starts_lazily_and_no_child_outlives_the_memo():
+    def seeds(trials, offset):
+        return dataclasses.replace(
+            ROOMY, trials=trials, base_seed=ROOMY.base_seed + offset
+        )
+
+    with pytest.raises(KeyboardInterrupt):
+        with trial_memo(workers=3):
+            MergeSimulation(seeds(1, 10)).run()
+            assert multiprocessing.active_children() == []
+            # As many workers as a configuration has missing seeds.
+            MergeSimulation(seeds(2, 20)).run()
+            assert len(multiprocessing.active_children()) == 2
+            MergeSimulation(seeds(4, 30)).run()
+            assert len(multiprocessing.active_children()) == 3
+            raise KeyboardInterrupt
+    assert multiprocessing.active_children() == []
+
+
+#: Starts a memo's pool, prints the workers' pids, then waits to be killed.
+_POOLED_THEN_WAITING = """
+import multiprocessing, sys, time
+from repro.core.simulator import simulate_merge
+from repro.experiments.memo import trial_memo
+
+with trial_memo(workers=2):
+    simulate_merge(6, 3, blocks_per_run=30, trials=2)
+    print(*(child.pid for child in multiprocessing.active_children()))
+    sys.stdout.flush()
+    time.sleep(60)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_pool_workers_exit_when_the_parent_is_killed():
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _POOLED_THEN_WAITING],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+    finally:
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=10)
+        parent.stdout.close()
+    assert len(workers) == 2
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    stragglers = [pid for pid in workers if _running(pid)]
+    for pid in stragglers:
+        os.kill(pid, signal.SIGKILL)
+    assert stragglers == []

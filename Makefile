@@ -32,14 +32,17 @@ sanitize-smoke:
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
-# Tiny 2-worker sweep; verifies the second pass is 100% cache hits.
+# Tiny 2-worker sweep; verifies the second pass is 100% cache hits and
+# that no pool worker outlives a campaign.
 sweep-smoke:
 	$(PYTHON) scripts/sweep_smoke.py
 
 # Live repro.serve instance on an ephemeral port: cache hits without a
 # worker, coalescing, 429/503 shedding, a `repro sweep` campaign on the
-# server's cache dir answered as hits, clean drain.  The final
-# /v1/metricz snapshot lands in results/serve/ (CI artifact).
+# server's cache dir answered as hits, clean drain; then a `repro serve
+# --workers 2` process: one pooled miss, SIGTERM drain with exit 0 and
+# no worker left.  The final /v1/metricz snapshot lands in
+# results/serve/ (CI artifact).
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 

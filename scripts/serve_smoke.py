@@ -12,7 +12,9 @@ drives the full admission pipeline through :class:`ServeClient`:
 * a full admission queue sheds with 503,
 * a ``repro sweep`` campaign on the server's ``--cache-dir`` warms the
   cache: its cells are then answered as hits, without a worker,
-* the server drains cleanly.
+* the server drains cleanly;
+* a ``repro serve --workers 2`` process computes one miss on its
+  worker pool, and a SIGTERM drains it with exit 0 and no worker left.
 
 Writes the final ``/v1/metricz`` snapshot to ``results/serve/`` when
 that directory is writable (CI uploads it as an artifact).  Exits
@@ -21,6 +23,8 @@ non-zero on any violation.  Finishes in a few seconds.
 
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -194,7 +198,66 @@ def main() -> int:
         handle.stop()
     if handle.thread.is_alive():
         return fail("server thread did not drain")
-    print("[serve-smoke] ok: clean drain")
+    print("[serve-smoke] clean drain")
+    return pooled_phase(tmp)
+
+
+def children(pid: int) -> list[int]:
+    """The live processes whose parent is ``pid`` (from /proc)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # exited while we looked
+            continue
+        if fields[1] == str(pid) and fields[0] != "Z":
+            found.append(int(stat.parent.name))
+    return found
+
+
+def pooled_phase(tmp: str) -> int:
+    """``repro serve --workers 2`` as a process: one miss computed on its
+    worker pool, then a SIGTERM drain that exits 0 and leaves no worker."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2", "--cache-dir", tmp],
+        env={**os.environ, "PYTHONUNBUFFERED": "1", "PYTHONPATH":
+             os.pathsep.join(filter(None, [str(SRC),
+                                           os.environ.get("PYTHONPATH")]))},
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        listening = server.stdout.readline()
+        match = re.search(r"listening on http://(.+):(\d+)", listening)
+        if match is None:
+            return fail(f"no 'listening on' line: {listening!r}")
+        host, port = match.group(1), int(match.group(2))
+        with ServeClient(host, port, client_id="smoke",
+                         retry=NO_RETRY) as client:
+            miss = client.simulate({**CONFIG, "num_runs": 6}, trials=1, seed=7)
+            computed = client.metricz()["counters"].get("serve_computed")
+        if miss["cache"]["misses"] != 1 or computed != 1:
+            return fail(f"pooled miss not computed once: {miss['cache']}, "
+                        f"serve_computed={computed}")
+        has_proc = Path("/proc/self/stat").exists()
+        workers = children(server.pid) if has_proc else []
+        if has_proc and len(workers) != 2:
+            return fail(f"expected 2 pool workers, found {workers}")
+        server.send_signal(signal.SIGTERM)
+        code = server.wait(timeout=30)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+    if code != 0:
+        return fail(f"SIGTERM drain exited {code}")
+    left = [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+    if left:
+        return fail(f"pool workers outlived the server: {left}")
+    print(f"[serve-smoke] repro serve --workers 2: one pooled miss, "
+          f"SIGTERM drain exit 0, {len(workers)} workers joined")
+    print("[serve-smoke] ok")
     return 0
 
 

@@ -6,11 +6,13 @@ directory, then re-runs it and verifies the second pass is served
 entirely from the cache with results identical to the first, and that
 neither pass ran a trial off the batch interpreter.  A pooled pass of a
 write-disk campaign, which the interpreter hands to the reference
-kernel, must report every job as such a fallback.  Exits non-zero on
-any violation.  Finishes in a couple of seconds.
+kernel, must report every job as such a fallback.  No pool worker may
+outlive its campaign.  Exits non-zero on any violation.  Finishes in a
+couple of seconds.
 """
 
 import json
+import multiprocessing
 import sys
 import tempfile
 from pathlib import Path
@@ -36,18 +38,28 @@ WRITE_SPEC = SweepSpec(
 WRITE_REASON = "the write subsystem requires the event kernel"
 
 
+def run(engine: SweepEngine, spec: SweepSpec):
+    """``engine.run_spec(spec)``; exits 1 if a pool worker outlives it."""
+    result = engine.run_spec(spec)
+    left = multiprocessing.active_children()
+    if left:
+        print(f"[sweep-smoke] FAIL: {spec.name} left workers {left}")
+        sys.exit(1)
+    return result
+
+
 def main() -> int:
     jobs = len(SPEC.jobs())
     with tempfile.TemporaryDirectory(prefix="repro-sweep-smoke-") as tmp:
         store = ResultStore(tmp)
 
-        cold = SweepEngine(store=store, workers=2).run_spec(SPEC)
+        cold = run(SweepEngine(store=store, workers=2), SPEC)
         print(f"[sweep-smoke] cold: {cold.stats.summary()}")
         if cold.stats.computed != jobs or cold.failures:
             print("[sweep-smoke] FAIL: cold run did not compute every job")
             return 1
 
-        warm = SweepEngine(store=store, workers=2).run_spec(SPEC)
+        warm = run(SweepEngine(store=store, workers=2), SPEC)
         print(f"[sweep-smoke] warm: {warm.stats.summary()}")
         if warm.stats.cached != jobs or warm.stats.computed != 0:
             print("[sweep-smoke] FAIL: warm run was not 100% cache hits")
@@ -63,7 +75,7 @@ def main() -> int:
             return 1
 
         write_jobs = len(WRITE_SPEC.jobs())
-        write = SweepEngine(store=store, workers=2).run_spec(WRITE_SPEC)
+        write = run(SweepEngine(store=store, workers=2), WRITE_SPEC)
         print(f"[sweep-smoke] write: {write.stats.summary()}")
         if write.stats.fallbacks != {WRITE_REASON: write_jobs}:
             print("[sweep-smoke] FAIL: pooled fallbacks "

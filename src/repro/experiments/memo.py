@@ -22,31 +22,24 @@ uses it unless a backend or trace is already installed, and
 ``repro validate`` around both its tiers -- and then reports its
 counts on stderr.
 
-A configuration with two or more missing seeds runs them in a process
-pool, one task per seed, when the memo has more than one worker
-(:func:`trial_memo` defaults to the usable CPUs).  A worker only
-simulates: it returns the whole pickled
-:class:`~repro.core.metrics.MergeMetrics`, envelope included, and the
-lookups, the envelope derivation and the storing stay in this process,
-in trial order.  So the memo's counts and every report are the same
-for any number of workers.
+With more than one worker, a configuration's two or more missing seeds
+run on the worker pool (:mod:`repro.sweep.pool`), one task per seed.  A
+worker returns the whole :class:`~repro.core.metrics.MergeMetrics`;
+lookups, derivation and storing stay here, in trial order, so counts
+and reports are the same for any number of workers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
-import signal
 import sys
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro import api
 from repro.core.metrics import AggregateMetrics, MergeMetrics
 from repro.core.parameters import SimulationConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ProcessPoolExecutor
+from repro.sweep.pool import WorkerPool, default_workers
 
 
 def at_capacity(metrics: MergeMetrics, config: SimulationConfig) -> MergeMetrics:
@@ -74,10 +67,8 @@ class TrialMemo:
 
     A stored trial is keyed by its configuration with the capacity,
     trial count and base seed taken out, plus its seed.  With
-    ``workers`` > 1, a configuration's missing seeds (two or more) run
-    in a fork pool started on first use, with no more workers than the
-    largest such configuration has missing seeds; :meth:`close` joins
-    it.
+    ``workers`` > 1, missing seeds run on a worker pool that
+    :meth:`close` joins.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -85,9 +76,7 @@ class TrialMemo:
         self.simulated = 0
         self.exact = 0
         self.derived = 0
-        self.workers = workers
-        self._pool: Optional["ProcessPoolExecutor"] = None
-        self._pool_size = 0
+        self._pool = WorkerPool(workers)
 
     def __call__(self, config: SimulationConfig) -> AggregateMetrics:
         capacity = config.resolved_cache_capacity
@@ -121,46 +110,18 @@ class TrialMemo:
     ) -> list[MergeMetrics]:
         """Run ``missing`` trials of ``config``, in order; in the pool
         when there are two or more and more than one worker."""
-        size = min(self.workers, len(missing))
-        if size < 2:
+        if min(self._pool.workers, len(missing)) < 2:
             return api.run_trials([config] * len(missing), trials=missing)
-        if self._pool_size < size:
-            # A fork pool cannot grow, so a larger one replaces it; a
-            # worker more than a configuration has seeds would idle.
-            self.close()
-            # Imported here: a report that never pools never pays for it.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Fork, not spawn: a spawned worker re-imports repro, which
-            # costs more than a quick figure's trials.  The executor
-            # forks its workers before it starts its own threads.
-            self._pool = ProcessPoolExecutor(
-                size,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker,
-            )
-            self._pool_size = size
-        # Resolved here, under this process's ambient options, as
-        # run_trials would resolve it; the worker runs it under none.
-        resolved = api.resolve_config(config)
-        futures = [
-            self._pool.submit(_run_trial, resolved, trial) for trial in missing
-        ]
-        try:
-            # In trial order, so the first failing trial raises, as it
-            # would in a serial run.
-            return [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
+        # Resolved under this process's ambient options; the worker runs
+        # it under none.  In trial order, so the first failing trial
+        # raises, as it would in a serial run.
+        calls = [(api.resolve_config(config), trial) for trial in missing]
+        pooled = self._pool.results(_run_trial, calls, in_order=True)
+        return [metrics for _, metrics in pooled]
 
     def close(self) -> None:
         """Join the pool, if one was started; queued tasks are dropped."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
-            self._pool_size = 0
+        self._pool.close()
 
     def _lookup(
         self, key: tuple[SimulationConfig, int], capacity: int
@@ -183,44 +144,9 @@ class TrialMemo:
         )
 
 
-def _start_worker() -> None:
-    """Pool initializer.  Ctrl-C is left to the parent, which cancels
-    the queue and joins the pool.  A parent killed before it can join
-    leaves the task queue open, so a watcher thread ends the worker
-    when the parent is gone."""
-    import multiprocessing
-    import threading
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent = multiprocessing.parent_process()
-
-    def exit_with_parent() -> None:
-        parent.join()
-        os._exit(1)
-
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-
-
 def _run_trial(config: SimulationConfig, trial: int) -> MergeMetrics:
-    """A pool task: one trial of an already-resolved ``config``.
-
-    A forked worker keeps the ambient options in force when it was
-    forked, so they are cleared for the task.
-    """
-    with api.configure(fault_plan=None, kernel=None, trace=None):
-        return api.run_trials([config], trials=[trial])[0]
-
-
-def _default_workers() -> int:
-    """The CPUs this process may run on; 1 where fork is unavailable."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
+    """A pool task: one trial of an already-resolved ``config``."""
+    return api.run_trials([config], trials=[trial])[0]
 
 
 @contextlib.contextmanager
@@ -241,10 +167,7 @@ def trial_memo(workers: Optional[int] = None) -> Iterator[Optional[TrialMemo]]:
     if api.current_backend() is not None or api.current_trace() is not None:
         yield None
         return
-    memo = TrialMemo(_default_workers() if workers is None else workers)
-    try:
-        with api.RunContext(backend=memo):
-            yield memo
-    finally:
-        memo.close()
+    memo = TrialMemo(default_workers() if workers is None else workers)
+    with contextlib.closing(memo), api.RunContext(backend=memo):
+        yield memo
     print(memo.summary(), file=sys.stderr)

@@ -30,6 +30,7 @@ import ast
 from typing import TYPE_CHECKING, Iterator
 
 from repro.lint.findings import Finding, Severity
+from repro.lint.project import dotted_name
 from repro.lint.registry import (
     ModuleInfo,
     get_rule,
@@ -68,18 +69,6 @@ _WALL_CLOCK_CALLS = frozenset(
 #: Attribute calls like ``datetime.now()`` / ``datetime.datetime.now()``.
 _DATETIME_METHODS = frozenset({"now", "utcnow", "today"})
 _DATETIME_ROOTS = frozenset({"datetime", "date"})
-
-
-def _dotted_name(node: ast.expr) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 class _DeterminismVisitor(ast.NodeVisitor):
@@ -133,7 +122,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
     # -- calls and attribute access ------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             self._check_call(node, dotted)
         self.generic_visit(node)

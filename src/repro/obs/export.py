@@ -116,10 +116,10 @@ def chrome_trace(session) -> dict:
 
 def write_chrome_trace(session, path: Union[str, Path]) -> None:
     """Write :func:`chrome_trace` output to ``path`` as JSON."""
-    payload = chrome_trace(session)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
-        handle.write("\n")
+    # json.dumps, not json.dump: dump streams through the pure-Python
+    # encoder, dumps encodes in C (about 3x faster on a large trace).
+    text = json.dumps(chrome_trace(session), separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def jsonl_lines(session) -> list[dict]:

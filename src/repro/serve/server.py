@@ -21,8 +21,9 @@ Every simulate request flows through the same pipeline:
    computation keyed by the same content address.
 3. **bounded compute** — flight leaders take an
    :class:`~repro.serve.queue.AdmissionQueue` slot (shed with 503 when
-   none is free) and run :func:`repro.sweep.worker.execute_job` on a
-   lazily created ``ProcessPoolExecutor`` — the sweep worker path, so
+   none is free) and run :func:`repro.sweep.worker.execute_job` on the
+   shared fork pool (:class:`repro.sweep.pool.WorkerPool`, started on
+   the first miss) — the sweep worker path, so
    kernel/fault/seed semantics and the per-trial event budget are
    inherited and every computed trial lands back in the shared store.
 4. **admission control** — per-client token buckets answer 429 with
@@ -37,13 +38,13 @@ with the dist coordinator (DESIGN.md, "One JSON service lifecycle").
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import dataclasses
 import json
 import math
 from pathlib import Path
 from typing import Optional
 
+from repro import api
 from repro.core.metrics import MergeMetrics
 from repro.core.parameters import SimulationConfig
 from repro.netutil import JsonService
@@ -66,6 +67,7 @@ from repro.serve.protocol import (
 from repro.serve.queue import AdmissionQueue, QueueFullError
 from repro.serve.singleflight import SingleFlight
 from repro.sweep.keys import config_to_dict
+from repro.sweep.pool import WorkerPool
 from repro.sweep.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.sweep.worker import execute_job
 
@@ -128,14 +130,12 @@ class SimulationServer(JsonService):
         self.limiter = RateLimiter(config.rate, config.burst, clock=clock)
         self.admission = AdmissionQueue(config.queue_limit)
         self.flights = SingleFlight()
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._pool = WorkerPool(config.workers)
 
     # -- service hooks -------------------------------------------------------
 
     async def _shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._pool.close()
 
     async def _handle(
         self, endpoint: str, path: str, headers: dict, body: bytes
@@ -283,21 +283,14 @@ class SimulationServer(JsonService):
         return trial, metrics, coalesced
 
     async def _execute(self, config: SimulationConfig, trial: int) -> dict:
-        """Run one trial on the worker pool (the sweep worker path)."""
-        payload = {"config": config_to_dict(config), "trial": trial}
-        return await self._loop.run_in_executor(
-            self._ensure_pool(), execute_job, payload
-        )
-
-    def _ensure_pool(self) -> Optional[concurrent.futures.Executor]:
-        """The worker pool, created on first miss — hits never pay for it."""
+        """Run one trial (the sweep worker path) on the worker pool,
+        started on the first miss, or on the loop's thread executor."""
+        # Resolved under this process's ambient options: a pool worker
+        # runs under none.
+        resolved = config_to_dict(api.resolve_config(config))
+        payload = {"config": resolved, "trial": trial}
         if self.config.workers <= 0:
-            return None
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.config.workers
-            )
-            self.metrics.gauge("serve_pool_workers").set(
-                float(self.config.workers)
-            )
-        return self._pool
+            return await self._loop.run_in_executor(None, execute_job, payload)
+        future = self._pool.submit(self.config.workers, execute_job, payload)
+        self.metrics.gauge("serve_pool_workers").set(float(self._pool.size))
+        return await asyncio.wrap_future(future)

@@ -6,9 +6,9 @@ Execution model:
   the :class:`~repro.sweep.store.ResultStore` by content address — hits
   cost one JSON read and no simulation.
 * Misses run through :func:`~repro.sweep.worker.execute_cell`: inline
-  (``workers <= 1``, also the zero-dependency fallback) one call per
-  grid cell, or on a ``concurrent.futures.ProcessPoolExecutor`` with
-  ``workers`` processes one call per job.  Each completed trial is
+  (``workers <= 1``) one call per grid cell, or on the shared fork pool
+  (:class:`~repro.sweep.pool.WorkerPool`, at most ``workers``
+  processes) one call per job.  Each completed trial is
   persisted to the store *immediately*, so killing the sweep at any
   point loses at most the in-flight trials; re-invoking resumes from
   what finished.
@@ -24,15 +24,17 @@ Execution model:
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro import api
 from repro.core.metrics import AggregateMetrics, MergeMetrics
 from repro.core.parameters import SimulationConfig
 from repro.sweep.keys import config_to_dict
+from repro.sweep.pool import WorkerPool
 from repro.sweep.progress import (
     CACHED,
     COMPUTED,
@@ -279,16 +281,10 @@ class SweepEngine:
         self, pending: list[SweepJob], attempts: int
     ) -> Iterator[tuple[list[SweepJob], CellResult]]:
         """Run ``pending`` through :func:`execute_cell`; yield each group
-        of jobs with its result.
-
-        Inline, a group is one grid cell's adjacent jobs, run as one
-        batch.  Pooled, a group is one job, yielded as it completes.  A
-        failure of the pool itself, such as a worker process that dies,
-        raises out of the sweep (``BrokenProcessPool``); trials already
-        stored stay stored.
-        """
-        if not pending:
-            return
+        of jobs with its result.  Inline, a group is one grid cell's
+        adjacent jobs, run as one batch.  Pooled, a group is one job,
+        yielded as it completes; a broken pool, such as one whose worker
+        died, raises (``BrokenProcessPool``), and stored trials stay."""
         if self.workers <= 1:
             for group in cell_groups(pending, lambda job: job.cell):
                 yield group, execute_cell(
@@ -297,17 +293,13 @@ class SweepEngine:
                     attempts=attempts,
                 )
             return
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(pending))
-        ) as pool:
-            futures = {
-                pool.submit(
-                    execute_cell,
-                    config_to_dict(job.config),
-                    [job.trial],
-                    attempts=attempts,
-                ): job
-                for job in pending
-            }
-            for future in concurrent.futures.as_completed(futures):
-                yield [futures[future]], future.result()
+        # Resolved under this process's ambient options: a pool worker
+        # runs under none.
+        calls = [
+            (config_to_dict(api.resolve_config(job.config)), [job.trial])
+            for job in pending
+        ]
+        task = functools.partial(execute_cell, attempts=attempts)
+        with contextlib.closing(WorkerPool(self.workers)) as pool:
+            for index, result in pool.results(task, calls, in_order=False):
+                yield [pending[index]], result

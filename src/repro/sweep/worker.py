@@ -1,7 +1,7 @@
 """The subprocess-side job runner.
 
-``execute_job`` is a module-level function (so it pickles cleanly into a
-``ProcessPoolExecutor``) that rebuilds the configuration from its
+``execute_job`` is a module-level function (so it pickles cleanly into
+the worker pool, :mod:`repro.sweep.pool`) that rebuilds the configuration from its
 serialized form, runs exactly one seeded trial through
 :func:`repro.api.run_trials`, and hands the metrics back as a JSON-able
 dict.  ``execute_batch`` is its many-trials sibling: one config, many

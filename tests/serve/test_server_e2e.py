@@ -9,6 +9,7 @@ suite fast and lets tests gate the worker function deterministically).
 
 import http.client
 import json
+import multiprocessing
 import threading
 import time
 
@@ -275,9 +276,28 @@ class TestCacheWithoutWorkers:
         client = client_for(handle)
         answer = client.simulate(SMALL_CONFIG, trials=2, seed=7)
         assert answer["cache"] == {"hits": 2, "misses": 0, "coalesced": 0}
-        assert server._pool is None  # lazy pool never materialized
+        assert server._pool.size == 0  # lazy pool never materialized
         counters = client.metricz()["counters"]
         assert "serve_computed" not in counters
+
+
+class TestWorkerPool:
+    def test_a_pooled_miss_is_stored_then_hit_and_no_worker_outlives_it(
+        self, serve_factory
+    ):
+        server, handle = serve_factory(workers=2)
+        client = client_for(handle)
+        miss = client.simulate(SMALL_CONFIG, trials=1, seed=7)
+        assert miss["cache"] == {"hits": 0, "misses": 1, "coalesced": 0}
+        assert client.metricz()["counters"]["serve_computed"] == 1
+        config = SimulationConfig(trials=1, base_seed=7, **SMALL_CONFIG)
+        assert cache_key(config, 7) in server.cache.store
+        hit = client.simulate(SMALL_CONFIG, trials=1, seed=7)
+        assert hit["cache"] == {"hits": 1, "misses": 0, "coalesced": 0}
+        assert hit["trials"] == miss["trials"]
+        assert client.metricz()["counters"]["serve_computed"] == 1
+        handle.stop()
+        assert multiprocessing.active_children() == []
 
 
 class TestCampaignsShareTheStore:

@@ -7,9 +7,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro import api
 from repro.core.parameters import SimulationConfig
 from repro.core.simulator import MergeSimulation
-from repro.faults.plan import FaultPlan, OutageFault
+from repro.faults.plan import FaultPlan, OutageFault, transient_plan
 from repro.sweep import (
     NullProgress,
     ResultStore,
@@ -81,6 +82,28 @@ def test_inline_engine_matches_pool(tmp_path):
     pooled = SweepEngine(store=ResultStore(tmp_path / "a"), workers=4)
     inline = SweepEngine(store=ResultStore(tmp_path / "b"), workers=1)
     assert _dump(pooled.run_spec(SPEC).cells) == _dump(inline.run_spec(SPEC).cells)
+
+
+def test_a_pooled_sweep_honours_an_ambient_fault_plan_like_an_inline_one(
+    tmp_path,
+):
+    # The engine resolves each config under this process's ambient
+    # options; a pool worker runs what it is sent under none.
+    spec = SweepSpec(
+        name="ambient",
+        base={"num_runs": 4, "num_disks": 2, "blocks_per_run": 30},
+        grid={"prefetch_depth": [1, 2]},
+        trials=2,
+    )
+    stored = []
+    with api.configure(fault_plan=transient_plan(0.05)):
+        for workers in (1, 2):
+            store = ResultStore(tmp_path / f"w{workers}")
+            SweepEngine(store=store, workers=workers).run_spec(spec)
+            stored.append([store.get(job.key).to_dict() for job in spec.jobs()])
+    assert stored[1] == stored[0]
+    plan_free = SweepEngine(workers=2).run_spec(spec).cells
+    assert [t.to_dict() for cell in plan_free for t in cell.trials] != stored[0]
 
 
 def test_inline_and_pooled_engines_count_the_same_fallbacks(tmp_path):
